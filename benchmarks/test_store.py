@@ -10,6 +10,13 @@ Three scenarios back the backend acceptance criteria:
   :class:`CowOverlayStore.freeze` must beat the full capture-and-re-hash
   scan by >= 10x: the overlay hashes only dirty blocks and reuses every
   clean block's bytes and cached hash.
+* ``fleet_checkpoint`` — the SQLite half of the daemon's checkpoint:
+  :meth:`FleetStore.checkpoint` of a 1 %-dirty capture, diffed against the
+  last committed manifest, must beat rewriting the full manifest by
+  >= 1.25x. It offers only changed LBAs' blocks to the block table and
+  rewrites only the chunk rows holding them; at 1 % scattered dirt about
+  half the 64-LBA chunk rows still change, and the new blocks' bytes cost
+  both legs the same, which bounds the ratio.
 * ``hotpath_ram`` — the extent fast path's headline speedups, pinned on
   an explicit :class:`RamStore`, so backend pluggability never erodes the
   hotpath bars.
@@ -20,6 +27,7 @@ byte-drift check, and gated instead by ``repro bench compare``'s
 one-sided loose bands plus the METRIC_FLOORS hard minimums.
 """
 
+import tempfile
 import time
 import tracemalloc
 
@@ -33,6 +41,7 @@ from repro.blockdev import (
     per_block_baseline,
 )
 from repro.crypto.rng import Rng
+from repro.server import FleetStore
 
 BS = 4096
 
@@ -54,6 +63,9 @@ CHECKPOINT_ROUNDS = 3
 
 #: Acceptance: CoW checkpoint vs full re-intern at 1 % dirty.
 COW_CHECKPOINT_MIN_SPEEDUP = 10.0
+
+#: Acceptance: delta vs full-manifest FleetStore.checkpoint at 1 % dirty.
+FLEET_CHECKPOINT_MIN_SPEEDUP = 1.25
 
 #: Acceptance: extent-path speedup on RamStore (same bar as hotpath).
 SEQ_WRITE_MIN_SPEEDUP = 3.0
@@ -130,6 +142,64 @@ def _measure_checkpoint():
     }
 
 
+def _measure_fleet_checkpoint():
+    """Best-of-N ``FleetStore.checkpoint`` cost: delta vs full manifest.
+
+    Two fleet files see the same 1 %-dirty CoW captures. In one, the
+    device's committed manifest is the previous capture, so the store
+    diffs and writes only what changed (the daemon's steady state). In
+    the other, an untimed checkpoint of an image that differs at every
+    LBA comes first, so the timed checkpoint rewrites every chunk row in
+    place and offers every distinct block to the block table — the full
+    manifest write every checkpoint paid before the delta store. Both
+    legs store the same new blocks and pay a real commit; captures stay
+    outside the timed region.
+    """
+    dirty = int(CHECKPOINT_BLOCKS * DIRTY_FRACTION)
+    device = RAMBlockDevice(CHECKPOINT_BLOCKS, block_size=BS, store="cow")
+    other = RAMBlockDevice(CHECKPOINT_BLOCKS, block_size=BS, store="cow")
+    other.poke_extent(0, b"\xff" * (BS * CHECKPOINT_BLOCKS))
+    everywhere_different = capture(other)
+    rng = Rng(29)
+    delta_s = full_s = float("inf")
+    with tempfile.TemporaryDirectory() as tmp:
+        delta_db = FleetStore(f"{tmp}/delta.db")
+        full_db = FleetStore(f"{tmp}/full.db")
+        image = capture(device)
+        legs = []
+        for db in (delta_db, full_db):
+            device_id = db.create_device("d", {})
+            db.checkpoint(device_id, {"userdata": image})
+            legs.append((db, device_id))
+        (_, steady), (_, rewritten) = legs
+        for _ in range(CHECKPOINT_ROUNDS):
+            for index in rng.sample(range(CHECKPOINT_BLOCKS), dirty):
+                device.poke_extent(index, rng.random_bytes(BS))
+            image = capture(device)
+            full_db.checkpoint(rewritten, {"userdata": everywhere_different})
+
+            t0 = time.perf_counter()
+            delta_db.checkpoint(steady, {"userdata": image})
+            delta_s = min(delta_s, time.perf_counter() - t0)
+
+            t0 = time.perf_counter()
+            full_db.checkpoint(rewritten, {"userdata": image})
+            full_s = min(full_s, time.perf_counter() - t0)
+
+        # fidelity: both legs committed the same image
+        for db, device_id in legs:
+            loaded = db.load_image(device_id, "userdata")
+            assert loaded.manifest_digest() == image.manifest_digest()
+            db.close()
+    return {
+        "device_blocks": CHECKPOINT_BLOCKS,
+        "dirty_blocks": dirty,
+        "delta_checkpoint_s": delta_s,
+        "full_manifest_s": full_s,
+        "speedup": full_s / delta_s,
+    }
+
+
 # ---------------------------------------------------------------------------
 # (c) hotpath bars pinned on an explicit RamStore
 # ---------------------------------------------------------------------------
@@ -175,11 +245,13 @@ def _measure_ram_hotpath(blocks: int = 64, rounds: int = 40):
 
 
 def test_store_backends(benchmark, save_result, save_json):
-    """MmapStore RSS flatness, CoW checkpoint speedup, RamStore hotpath."""
+    """MmapStore RSS flatness, CoW + fleet checkpoint speedups, RamStore
+    hotpath."""
     peaks = {label: _mmap_peak_bytes(blocks) for label, blocks in MMAP_SIZES}
     peak_ratio = peaks["4GiB"] / peaks["256MiB"]
 
     checkpoint = _measure_checkpoint()
+    fleet = _measure_fleet_checkpoint()
     hotpath = _measure_ram_hotpath()
 
     clock, op = _ram_scenario()
@@ -204,6 +276,13 @@ def test_store_backends(benchmark, save_result, save_json):
         f"  speedup:        {checkpoint['speedup']:8.1f}x "
         f"(bound {COW_CHECKPOINT_MIN_SPEEDUP:.0f}x)",
         "",
+        f"FleetStore.checkpoint, {fleet['dirty_blocks']} dirty of "
+        f"{fleet['device_blocks']} blocks (1%)",
+        f"  delta vs committed: {fleet['delta_checkpoint_s'] * 1e3:8.2f} ms",
+        f"  full manifest:      {fleet['full_manifest_s'] * 1e3:8.2f} ms",
+        f"  speedup:            {fleet['speedup']:8.1f}x "
+        f"(bound {FLEET_CHECKPOINT_MIN_SPEEDUP:.2f}x)",
+        "",
         "RamStore extent hotpath (64-block sequential eMMC write)",
         f"  extent:    {hotpath['extent_blocks_per_s']:>12.0f} blocks/s",
         f"  per-block: {hotpath['per_block_blocks_per_s']:>12.0f} blocks/s",
@@ -220,10 +299,14 @@ def test_store_backends(benchmark, save_result, save_json):
             "peak_ratio_4g_vs_256m": peak_ratio,
         },
         "cow_checkpoint": checkpoint,
+        "fleet_checkpoint": fleet,
         "hotpath_ram": {"emmc_seq_write": hotpath},
     })
     benchmark.extra_info["cow_checkpoint_speedup"] = round(
         checkpoint["speedup"], 1
+    )
+    benchmark.extra_info["fleet_checkpoint_speedup"] = round(
+        fleet["speedup"], 1
     )
     benchmark.extra_info["mmap_peak_ratio"] = round(peak_ratio, 2)
 
@@ -231,4 +314,5 @@ def test_store_backends(benchmark, save_result, save_json):
     assert peak_ratio <= MMAP_FLATNESS_MAX_RATIO, peaks
     assert peaks["4GiB"] < 64 << 20, "mmap peak heap should be megabytes"
     assert checkpoint["speedup"] >= COW_CHECKPOINT_MIN_SPEEDUP, checkpoint
+    assert fleet["speedup"] >= FLEET_CHECKPOINT_MIN_SPEEDUP, fleet
     assert hotpath["speedup"] >= SEQ_WRITE_MIN_SPEEDUP, hotpath

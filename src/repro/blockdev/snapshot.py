@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.blockdev.device import BlockDevice
 
@@ -28,6 +28,11 @@ class Snapshot:
     #: :meth:`block_hashes` — consumers that intern by content (the server
     #: store) use these to skip re-hashing unchanged blocks.
     hashes: Optional[tuple] = None
+    #: :meth:`digest`, memoized on first use (streaming a whole image is
+    #: the expensive part of the snapshot route).
+    _digest: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def num_blocks(self) -> int:
@@ -37,11 +42,17 @@ class Snapshot:
         return self.blocks[index]
 
     def digest(self) -> str:
-        """SHA-256 over the whole image, for snapshot bookkeeping."""
-        h = hashlib.sha256()
-        for b in self.blocks:
-            h.update(b)
-        return h.hexdigest()
+        """SHA-256 over the whole image, for snapshot bookkeeping.
+
+        Computed once and cached. Streams block by block: joining the
+        image first would hold a second full copy of it in memory.
+        """
+        if self._digest is None:
+            h = hashlib.sha256()
+            for b in self.blocks:
+                h.update(b)
+            object.__setattr__(self, "_digest", h.hexdigest())
+        return self._digest
 
     def block_hashes(self) -> tuple:
         """Per-block SHA-256 hex digests, computed once and cached.
@@ -71,10 +82,8 @@ class Snapshot:
         produce it in O(dirty blocks) — unlike :meth:`digest`, which must
         stream every byte. The server uses this as its ``image_digest``.
         """
-        h = hashlib.sha256()
-        for block_hash in self.block_hashes():
-            h.update(block_hash.encode("ascii"))
-        return h.hexdigest()
+        joined = "".join(self.block_hashes()).encode("ascii")
+        return hashlib.sha256(joined).hexdigest()
 
 
 def capture(device: BlockDevice, label: str = "", taken_at: float = 0.0) -> Snapshot:
@@ -156,15 +165,31 @@ class SnapshotDiff:
         return max((length for _, length in self.runs()), default=0)
 
 
+def changed_blocks(before: Sequence, after: Sequence) -> List[int]:
+    """Ascending indices at which two equal-length tuples differ.
+
+    Works on block tuples and on hash manifests alike. Runs of 64 entries
+    are compared with one C-level tuple comparison first, which
+    short-circuits on shared objects — the common case for images that
+    share most of their blocks — so equal stretches cost almost nothing.
+    """
+    changed: List[int] = []
+    total = len(after)
+    for lo in range(0, total, 64):
+        hi = min(lo + 64, total)
+        if before[lo:hi] != after[lo:hi]:
+            changed.extend(i for i in range(lo, hi) if before[i] != after[i])
+    return changed
+
+
 def diff(before: Snapshot, after: Snapshot) -> SnapshotDiff:
     """Compute the set of changed blocks between two snapshots."""
     if before.num_blocks != after.num_blocks or before.block_size != after.block_size:
         raise ValueError("snapshots have different geometry")
-    changed = tuple(
-        i for i in range(before.num_blocks) if before.blocks[i] != after.blocks[i]
-    )
     return SnapshotDiff(
-        before=before.label, after=after.label, changed_blocks=changed
+        before=before.label,
+        after=after.label,
+        changed_blocks=tuple(changed_blocks(before.blocks, after.blocks)),
     )
 
 

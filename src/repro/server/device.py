@@ -21,8 +21,10 @@ into the :class:`~repro.server.store.FleetStore` — all in **one** SQLite
 transaction (:meth:`~repro.server.store.FleetStore.checkpoint`), so a
 daemon killed mid-checkpoint leaves the previous consistent checkpoint
 behind, never a torn one. Devices on the copy-on-write store hand the
-capture a frozen image with per-block hashes attached, so a checkpoint
-costs O(dirty blocks), not O(device size). :meth:`ServerDevice.resume`
+capture a frozen image with per-block hashes attached, and the store
+diffs those hashes against the last committed manifest, so both halves
+of a checkpoint cost O(dirty blocks), not O(device size).
+:meth:`ServerDevice.resume`
 inverts that on daemon restart — a restart is a fleet-wide power event;
 devices come back OFFLINE and are booted again over their restored
 medium (``after_crash`` persisting across the restart).
@@ -40,7 +42,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.android.framework import PhoneState
 from repro.android.phone import SMALL_USERDATA_BLOCKS, Phone
 from repro.android.screenlock import UnlockResult
-from repro.blockdev.snapshot import Snapshot, capture, diff, restore
+from repro.blockdev.snapshot import Snapshot, capture, restore
 from repro.core.config import MobiCealConfig
 from repro.core.system import MobiCealSystem, Mode
 from repro.errors import (
@@ -459,8 +461,7 @@ class ServerDevice:
         snap = capture(
             self.phone.userdata, label=label, taken_at=self.phone.clock.now
         )
-        previous = self.store.list_snapshots(self.id)
-        snapshot_id = self.store.add_snapshot(self.id, snap)
+        snapshot_id, delta = self.store.add_snapshot(self.id, snap)
         out: Dict[str, object] = {
             "snapshot_id": snapshot_id,
             "label": label,
@@ -468,11 +469,9 @@ class ServerDevice:
             "taken_at": snap.taken_at,
             "num_blocks": snap.num_blocks,
         }
-        if previous:
-            before = self.store.get_snapshot(self.id, previous[-1]["id"])
-            delta = diff(before, snap)
+        if delta is not None:
             out["diff_vs_previous"] = {
-                "before": previous[-1]["label"],
+                "before": delta.before,
                 "changed_blocks": delta.num_changed,
                 "longest_run": delta.longest_run(),
             }
@@ -566,8 +565,10 @@ class ServerDevice:
         transaction, so a daemon killed between rows can never leave a
         userdata image from checkpoint N next to a devlog image from
         checkpoint N-1. On a copy-on-write store the captures are frozen
-        images (only dirty blocks get hashed), making the steady-state
-        checkpoint O(blocks touched since the last one).
+        images (only dirty blocks get hashed), and the store writes only
+        the blocks and manifest chunk rows at LBAs whose hash changed
+        since its last commit, so the steady-state checkpoint is
+        O(blocks touched since the last one) end to end.
         """
         recorder = self._trace_recorder
         span = (

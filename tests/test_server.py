@@ -175,10 +175,12 @@ class TestLifecycle:
             metrics = client.metrics()
             assert metrics["schema_version"] == 1
             counters = metrics["server"]["counters"]
-            # the deprecated per-method total (kept one release) and its
-            # per-route replacement both count the create
-            assert counters["server.requests.POST"] >= 1
+            # requests count per route template, method and status family
             assert counters["server.requests.devices.POST.2xx"] == 1
+            assert counters["server.requests.healthz.GET.2xx"] == 1
+            # the per-method totals were deprecated and are gone
+            assert "server.requests.POST" not in counters
+            assert "server.requests.GET" not in counters
             assert metrics["server"]["gauges"]["server.devices"] == 1
             # wall-clock data (latency histograms, saturation gauges) is
             # structurally separated under its own key
@@ -190,8 +192,8 @@ class TestLifecycle:
             # /metrics carries no wall clock — repeat calls differ only in
             # the request counters themselves
             again = client.metrics()["server"]["counters"]
-            assert again["server.requests.GET"] == \
-                counters["server.requests.GET"] + 1
+            assert again["server.requests.metrics.GET.2xx"] == \
+                counters.get("server.requests.metrics.GET.2xx", 0) + 1
 
 
 class TestErrorPaths:

@@ -24,10 +24,16 @@ from repro.blockdev import (
     default_store_kind,
     make_store,
 )
-from repro.blockdev.snapshot import Snapshot, capture, restore
-from repro.errors import NoSuchDeviceError
+from repro.blockdev.snapshot import Snapshot, capture, diff, restore
+from repro.errors import NoSuchDeviceError, ServerError
 from repro.server import DeviceConfig, FleetStore
 from repro.server.device import ServerDevice
+from repro.server.store import (
+    CHUNK_BLOCKS,
+    STORE_SCHEMA_VERSION,
+    pack_manifest,
+    unpack_manifest,
+)
 
 BS = 512
 N = 64
@@ -39,6 +45,18 @@ def _store(kind, fill=0):
 
 def _block(tag, bs=BS):
     return bytes([(tag * 41 + i) % 251 for i in range(bs)])
+
+
+def _rows(db, table):
+    """Every row of *table*, in key order (fixed table names only)."""
+    order = {
+        "blocks": "hash",
+        "images": "device_id, medium",
+        "image_chunks": "device_id, medium, chunk",
+    }[table]
+    return db._conn.execute(
+        f"SELECT * FROM {table} ORDER BY {order}"
+    ).fetchall()
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +270,7 @@ class TestCaptureEquivalence:
 
     def test_fleet_store_interns_identically_on_both_paths(self, tmp_path):
         """Hash-path interning (frozen captures) and legacy interning must
-        write byte-identical rows: same manifests, same block table."""
+        write byte-identical rows: same manifest chunks, same block table."""
         legacy_db = FleetStore(tmp_path / "legacy.db")
         frozen_db = FleetStore(tmp_path / "frozen.db")
         legacy = capture(_written_device("ram"), label="i", taken_at=0.0)
@@ -261,13 +279,11 @@ class TestCaptureEquivalence:
             device_id = db.create_device("d", {})
             db.save_image(device_id, "userdata", snap)
         assert legacy_db.stats()["blocks"] == frozen_db.stats()["blocks"]
-        row_l = legacy_db._conn.execute(
-            "SELECT manifest FROM images"
-        ).fetchone()
-        row_f = frozen_db._conn.execute(
-            "SELECT manifest FROM images"
-        ).fetchone()
-        assert row_l == row_f
+        assert _rows(legacy_db, "blocks") == _rows(frozen_db, "blocks")
+        chunks = _rows(legacy_db, "image_chunks")
+        assert chunks == _rows(frozen_db, "image_chunks")
+        assert len(chunks) == 1  # N = 64 LBAs: exactly one chunk row
+        assert unpack_manifest(chunks[0][3]) == legacy.block_hashes()
         loaded_l = legacy_db.load_image(1, "userdata")
         loaded_f = frozen_db.load_image(1, "userdata")
         assert loaded_l.blocks == loaded_f.blocks == legacy.blocks
@@ -346,6 +362,200 @@ class TestAtomicCheckpoint:
             db.checkpoint(999, {"userdata": _snap(5)}, {"gen": 2})
         assert db.load_image(device_id, "userdata").blocks == _snap(1).blocks
         assert db.load_image(999, "userdata") is None
+        db.close()
+
+
+# ---------------------------------------------------------------------------
+# Delta checkpoints: O(changed LBAs) against the last committed manifest
+# ---------------------------------------------------------------------------
+
+#: Four manifest chunks, so a one-block write leaves three rows alone.
+DELTA_BLOCKS = 4 * CHUNK_BLOCKS
+
+
+def _cow_device():
+    device = RAMBlockDevice(DELTA_BLOCKS, block_size=BS, store="cow")
+    for i in range(0, DELTA_BLOCKS, 7):
+        device.poke_extent(i, _block(i))
+    return device
+
+
+def _chunk_map(db):
+    return {row[2]: row[3] for row in _rows(db, "image_chunks")}
+
+
+class TestDeltaCheckpoint:
+    def test_manifest_codec_roundtrip(self):
+        hashes = capture(_cow_device()).block_hashes()
+        packed = pack_manifest(hashes)
+        assert len(packed) == 32 * DELTA_BLOCKS
+        assert unpack_manifest(packed) == hashes
+
+    @pytest.mark.parametrize("lbas", [(130,), (5, 200), (64, 65, 127)])
+    def test_checkpoint_rewrites_only_chunks_with_changed_lbas(
+        self, tmp_path, lbas
+    ):
+        db = FleetStore(tmp_path / "f.db")
+        device_id = db.create_device("d", {})
+        device = _cow_device()
+        db.checkpoint(device_id, {"userdata": capture(device)})
+        before = _chunk_map(db)
+        assert sorted(before) == list(range(DELTA_BLOCKS // CHUNK_BLOCKS))
+        for n, lba in enumerate(lbas):
+            device.poke_extent(lba, _block(1000 + n))
+        changes = db._conn.total_changes
+        db.checkpoint(device_id, {"userdata": capture(device)})
+        after = _chunk_map(db)
+        touched = {lba // CHUNK_BLOCKS for lba in lbas}
+        assert {c for c in after if after[c] != before[c]} == touched
+        # one new block per written LBA, one row per touched chunk, and
+        # the medium's images row — nothing else
+        assert db._conn.total_changes - changes == \
+            len(lbas) + len(touched) + 1
+        assert db.load_image(device_id, "userdata").blocks == \
+            capture(device).blocks
+        db.close()
+
+    def test_clean_checkpoint_writes_no_blocks_or_chunks(self, tmp_path):
+        db = FleetStore(tmp_path / "f.db")
+        device_id = db.create_device("d", {})
+        device = _cow_device()
+        db.checkpoint(device_id, {"userdata": capture(device)}, {"gen": 1})
+        changes = db._conn.total_changes
+        db.checkpoint(device_id, {"userdata": capture(device)}, {"gen": 2})
+        # the images row (taken_at) and the state row only
+        assert db._conn.total_changes - changes == 2
+        db.close()
+
+    def test_failed_checkpoint_leaves_committed_manifests_untouched(
+        self, tmp_path
+    ):
+        db = FleetStore(tmp_path / "f.db")
+        device_id = db.create_device("d", {})
+        db.checkpoint(
+            device_id,
+            {"userdata": _snap(1), "cache": _snap(2), "devlog": _snap(3)},
+            {"gen": 1},
+        )
+        committed = dict(db._committed)
+        # the poison snapshot of the torn-checkpoint regression above:
+        # userdata is staged, then the cache medium fails to bind
+        poison = Snapshot(
+            label="p", taken_at=1.0, block_size=BS,
+            blocks=(_block(9), object()),
+            hashes=("h-ok", "h-poison"),
+        )
+        with pytest.raises((sqlite3.InterfaceError, sqlite3.ProgrammingError)):
+            db.checkpoint(
+                device_id,
+                {"userdata": _snap(7, 1.0), "cache": poison},
+                {"gen": 2},
+            )
+        assert db._committed == committed
+        # the next good checkpoint diffs against generation 1, so it must
+        # land exactly what a fresh full write of the same images lands
+        good = {"userdata": _snap(7, 2.0), "cache": _snap(8, 2.0),
+                "devlog": _snap(3, 2.0)}
+        db.checkpoint(device_id, good, {"gen": 3})
+        fresh = FleetStore(tmp_path / "fresh.db")
+        fresh_id = fresh.create_device("d", {})
+        fresh.checkpoint(fresh_id, good, {"gen": 3})
+        for table in ("images", "image_chunks"):
+            assert _rows(db, table) == _rows(fresh, table)
+        for medium, snap in good.items():
+            assert db.load_image(device_id, medium).blocks == snap.blocks
+            assert fresh.load_image(fresh_id, medium).blocks == snap.blocks
+        db.close()
+        fresh.close()
+
+    def test_reopen_load_checkpoint_reopen_roundtrip(self, tmp_path):
+        path = tmp_path / "f.db"
+        db = FleetStore(path)
+        device_id = db.create_device("d", {})
+        device = _cow_device()
+        db.checkpoint(device_id, {"userdata": capture(device)})
+        db.close()
+        # a restarted daemon: load the image, restore it, keep going
+        db = FleetStore(path)
+        image = db.load_image(device_id, "userdata")
+        resumed = RAMBlockDevice(DELTA_BLOCKS, block_size=BS, store="cow")
+        restore(resumed, image)
+        resumed.poke_extent(3, _block(1001))
+        changes = db._conn.total_changes
+        latest = capture(resumed)
+        db.checkpoint(device_id, {"userdata": latest})
+        # load_image seeded the diff base: one block, one chunk, one row
+        assert db._conn.total_changes - changes == 3
+        db.close()
+        db = FleetStore(path)
+        loaded = db.load_image(device_id, "userdata")
+        assert loaded.blocks == latest.blocks
+        assert loaded.manifest_digest() == latest.manifest_digest()
+        db.close()
+
+    def test_checkpoint_after_reopen_reads_base_from_db(self, tmp_path):
+        path = tmp_path / "f.db"
+        db = FleetStore(path)
+        device_id = db.create_device("d", {})
+        device = _cow_device()
+        db.checkpoint(device_id, {"userdata": capture(device)})
+        db.close()
+        db = FleetStore(path)  # no load_image: first use reads the chunks
+        device.poke_extent(200, _block(5))
+        changes = db._conn.total_changes
+        db.checkpoint(device_id, {"userdata": capture(device)})
+        assert db._conn.total_changes - changes == 3
+        assert db.load_image(device_id, "userdata").blocks == \
+            capture(device).blocks
+        db.close()
+
+    def test_v1_file_is_refused(self, tmp_path):
+        path = tmp_path / "v1.db"
+        conn = sqlite3.connect(path)
+        conn.executescript(
+            "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);"
+            "INSERT INTO meta VALUES ('schema_version', '1');"
+            "CREATE TABLE images (device_id INTEGER, medium TEXT, "
+            "block_size INTEGER, taken_at REAL, manifest TEXT);"
+        )
+        conn.commit()
+        conn.close()
+        with pytest.raises(ServerError) as exc:
+            FleetStore(path)
+        message = str(exc.value)
+        assert "schema version 1" in message
+        assert f"speaks {STORE_SCHEMA_VERSION}" in message
+        assert STORE_SCHEMA_VERSION == 2
+        # refusing a file must not modify it
+        conn = sqlite3.connect(path)
+        tables = {r[0] for r in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'"
+        )}
+        conn.close()
+        assert tables == {"meta", "images"}
+
+    def test_snapshot_diff_from_manifests_matches_block_diff(self, tmp_path):
+        db = FleetStore(tmp_path / "f.db")
+        device_id = db.create_device("d", {})
+        device = _cow_device()
+        first_id, first_delta = db.add_snapshot(
+            device_id, capture(device, label="a")
+        )
+        assert first_delta is None
+        blocks_before = db.stats()["blocks"]
+        for lba in (0, 1, 2, 99, DELTA_BLOCKS - 1):
+            device.poke_extent(lba, _block(500))  # one distinct new block
+        device.poke_extent(150, _block(0))  # content already stored
+        second_id, delta = db.add_snapshot(
+            device_id, capture(device, label="b")
+        )
+        expected = diff(
+            db.get_snapshot(device_id, first_id),
+            db.get_snapshot(device_id, second_id),
+        )
+        assert delta == expected
+        assert delta.changed_blocks == (0, 1, 2, 99, 150, DELTA_BLOCKS - 1)
+        assert db.stats()["blocks"] == blocks_before + 1
         db.close()
 
 
