@@ -40,8 +40,8 @@ PAYLOAD = b"\x5a" * (BS * EXTENT_BLOCKS)
 SEQ_WRITE_MIN_SPEEDUP = 3.0
 
 #: The vectorized-core acceptance bar: a 64-block sequential write through
-#: dm-crypt (keystream cache warm, batched cost replay) must be >= 5x
-#: faster than the pure-Python per-block reference.
+#: dm-crypt (keystream cache warm) must be >= 5x faster than the
+#: pure-Python per-block reference.
 CRYPT_SEQ_WRITE_MIN_SPEEDUP = 5.0
 
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import (
     BadBlockSizeError,
@@ -21,7 +22,6 @@ from repro.errors import (
     ReadOnlyDeviceError,
 )
 from repro.blockdev.store import BlockStore, FrozenImage, make_store
-from repro.util.npgate import np, vector_enabled
 
 
 def _deep_span(name: str, **attrs):
@@ -53,7 +53,7 @@ def per_block_baseline() -> Iterator[None]:
     RNG draws, stats booking). This is a *cost oracle only*: the extent
     plan is the stack's sole I/O representation, and fidelity tests use
     this context to compare device images, simulated clocks and IOStats
-    between block-at-a-time and batched extent delivery; the hotpath
+    between block-at-a-time and whole-extent delivery; the hotpath
     benchmark uses it as its wall-clock baseline.
     """
     global _PER_BLOCK_ONLY
@@ -86,12 +86,10 @@ class ExtentCosts:
     raised mid-extent leaves the counters exactly where the per-block
     path would have.
 
-    A callback may carry a *batch* form — ``batch(n)`` must leave every
-    side effect exactly where ``n`` calls of the per-block form would
-    (counters are integral, so this is float-exact) and must not touch
-    any simulated clock. Schedules whose callbacks all have batch forms
-    are eligible for vectorized leaf replay (:func:`plan_batched_replay`);
-    a single batchless callback forces the serial loop.
+    The schedule is always replayed serially, one block at a time: leaf
+    devices call :meth:`replay_pre` / :meth:`replay_post` around each
+    block's own charge, and everything else decomposes through
+    :func:`replay_per_block`.
     """
 
     __slots__ = ("pre", "post", "pre_calls", "post_calls")
@@ -99,8 +97,8 @@ class ExtentCosts:
     def __init__(self) -> None:
         self.pre: List[Tuple[object, float, str]] = []
         self.post: List[Tuple[object, float, str]] = []
-        self.pre_calls: List = []  # (per_block_fn, batch_fn | None) pairs
-        self.post_calls: List = []
+        self.pre_calls: List[Callable[[], None]] = []
+        self.post_calls: List[Callable[[], None]] = []
 
     @property
     def empty(self) -> bool:
@@ -114,22 +112,22 @@ class ExtentCosts:
     def add_post(self, clock, seconds: float, reason: str) -> None:
         self.post.append((clock, seconds, reason))
 
-    def add_pre_call(self, fn, batch=None) -> None:
-        self.pre_calls.append((fn, batch))
+    def add_pre_call(self, fn: Callable[[], None]) -> None:
+        self.pre_calls.append(fn)
 
-    def add_post_call(self, fn, batch=None) -> None:
-        self.post_calls.append((fn, batch))
+    def add_post_call(self, fn: Callable[[], None]) -> None:
+        self.post_calls.append(fn)
 
     def replay_pre(self) -> None:
         for clock, seconds, reason in self.pre:
             clock.advance(seconds, reason)
-        for fn, _ in self.pre_calls:
+        for fn in self.pre_calls:
             fn()
 
     def replay_post(self) -> None:
         for clock, seconds, reason in self.post:
             clock.advance(seconds, reason)
-        for fn, _ in self.post_calls:
+        for fn in self.post_calls:
             fn()
 
     def clone(self) -> "ExtentCosts":
@@ -150,8 +148,8 @@ def replay_per_block(costs: Optional["ExtentCosts"], count: int):
     per-block media like the ORAM baselines) loop over this generator,
     and :func:`per_block_baseline` builds the test oracle from it. The
     schedule's pre charges land before the ``yield`` (the block's device
-    operation) and its post charges after, exactly as the leaf device
-    would interleave them.
+    operation) and its post charges after — the same serial order in
+    which the eMMC leaf replays a schedule around its own latency charge.
     """
     if costs is None or costs.empty:
         yield from range(count)
@@ -162,105 +160,20 @@ def replay_per_block(costs: Optional["ExtentCosts"], count: int):
         costs.replay_post()
 
 
-#: Column marker for the leaf device's own per-block charge in a batched
-#: replay plan; its deltas arrive at run() time (they may be jittered).
-_DEVICE_SLOT = object()
+class _RecoveryDepth(threading.local):
+    """Per-thread depth of nested :func:`recovery_io` sections.
 
-#: Below this many blocks a bare extent (no cost schedule) is cheaper to
-#: replay serially than to plan and vectorize — the plan's fixed overhead
-#: (array setup, the fold) beats a short Python loop only from roughly
-#: this size up. Purely a wall-clock heuristic: both paths are
-#: bit-identical, so leaf devices may consult it freely. Schedules with
-#: per-block charges amortize the overhead much sooner and skip the
-#: cutoff.
-BATCH_MIN_BLOCKS = 16
-
-
-def plan_batched_replay(costs: Optional["ExtentCosts"], device_clock=None):
-    """Build a vectorized replacement for the per-block replay loop.
-
-    The leaf device's serial loop runs, per block: the schedule's pre
-    charges and calls, the device's own latency charge (on *device_clock*,
-    when given), then the post charges and calls. This planner reproduces
-    that schedule's final state in one pass per clock: each clock's
-    charges are laid out as a (blocks, charges-per-block) matrix flattened
-    row-major — exactly the serial interleave order — and folded with
-    :meth:`SimClock.advance_batch`, which is a strict left fold and hence
-    bit-identical to the loop. Callbacks fire once via their batch forms.
-
-    Returns ``None`` whenever the serial loop cannot be replaced without
-    observable difference: vectorization disabled (no NumPy, or inside
-    :func:`~repro.util.npgate.reference_core`), a callback without a batch
-    form, or a clock with observers (observers must see every individual
-    advance). Callers fall back to the serial loop in that case.
+    While positive, every device touched *by this thread* books its I/O
+    under the recovery_* counters instead of the workload counters, so
+    crash-recovery I/O never pollutes bench measurements — and a
+    crash→attach on one daemon worker thread never reclassifies the
+    concurrent I/O of devices served by other threads.
     """
-    if not vector_enabled():
-        return None
-    pre_calls: List = []
-    post_calls: List = []
-    cols: List[Tuple[object, object]] = []
-    if costs is not None:
-        for _, batch in costs.pre_calls:
-            if batch is None:
-                return None
-        for _, batch in costs.post_calls:
-            if batch is None:
-                return None
-        pre_calls = costs.pre_calls
-        post_calls = costs.post_calls
-        cols.extend((clock, seconds) for clock, seconds, _ in costs.pre)
-    if device_clock is not None:
-        cols.append((device_clock, _DEVICE_SLOT))
-    if costs is not None:
-        cols.extend((clock, seconds) for clock, seconds, _ in costs.post)
-    # group column indices by clock identity, preserving per-block order
-    groups: List[Tuple[object, List[Tuple[int, object]]]] = []
-    for j, (clock, value) in enumerate(cols):
-        if clock._observers:
-            return None
-        for existing, mine in groups:
-            if existing is clock:
-                mine.append((j, value))
-                break
-        else:
-            groups.append((clock, [(j, value)]))
-    return _BatchedReplay(groups, pre_calls, post_calls)
+
+    depth = 0
 
 
-class _BatchedReplay:
-    """One planned vectorized replay; ``run`` applies it for an extent."""
-
-    __slots__ = ("_groups", "_pre_calls", "_post_calls")
-
-    def __init__(self, groups, pre_calls, post_calls) -> None:
-        self._groups = groups
-        self._pre_calls = pre_calls
-        self._post_calls = post_calls
-
-    def run(self, count: int, device_deltas=None) -> None:
-        """Replay the schedule for *count* blocks in one vectorized pass.
-
-        *device_deltas* is the leaf device's per-block charge: a scalar,
-        a length-*count* array, or None when the plan has no device
-        column.
-        """
-        if count <= 0:
-            return
-        for clock, mine in self._groups:
-            arr = np.empty((count, len(mine)), dtype=np.float64)
-            for k, (_, value) in enumerate(mine):
-                arr[:, k] = device_deltas if value is _DEVICE_SLOT else value
-            clock.advance_batch(arr.reshape(-1))
-        for _, batch in self._pre_calls:
-            batch(count)
-        for _, batch in self._post_calls:
-            batch(count)
-
-
-# Depth of nested recovery_io() sections. While positive, every device
-# books its I/O under the recovery_* counters instead of the workload
-# counters, so crash-recovery I/O never pollutes bench measurements.
-_RECOVERY_DEPTH = 0
+_RECOVERY = _RecoveryDepth()
 
 
 @contextlib.contextmanager
@@ -270,19 +183,19 @@ def recovery_io() -> Iterator[None]:
     Recovery paths (journal replay, metadata rollback, bitmap
     reconciliation) wrap themselves in this context manager; all devices
     then count their reads/writes under ``IOStats.recovery_reads`` /
-    ``IOStats.recovery_writes``. Nesting is allowed and cheap.
+    ``IOStats.recovery_writes``. Nesting is allowed and cheap. The
+    section is scoped to the calling thread.
     """
-    global _RECOVERY_DEPTH
-    _RECOVERY_DEPTH += 1
+    _RECOVERY.depth += 1
     try:
         yield
     finally:
-        _RECOVERY_DEPTH -= 1
+        _RECOVERY.depth -= 1
 
 
 def in_recovery() -> bool:
-    """True while executing inside a :func:`recovery_io` section."""
-    return _RECOVERY_DEPTH > 0
+    """True while this thread executes inside a :func:`recovery_io` section."""
+    return _RECOVERY.depth > 0
 
 
 @dataclass
@@ -457,7 +370,7 @@ class BlockDevice(ABC):
             return self._read_per_block(start, count, costs)
         self._check_extent(start, count)
         data = self._read_extent(start, count, costs)
-        if _RECOVERY_DEPTH:
+        if _RECOVERY.depth:
             self.stats.recovery_reads += count
         else:
             self.stats.reads += count
@@ -478,7 +391,7 @@ class BlockDevice(ABC):
             return
         self._check_extent(start, count)
         self._write_extent(start, data, costs)
-        if _RECOVERY_DEPTH:
+        if _RECOVERY.depth:
             self.stats.recovery_writes += count
         else:
             self.stats.writes += count
@@ -513,8 +426,8 @@ class BlockDevice(ABC):
         one-block extent. Devices that must act block-at-a-time (armed
         fault plans, tracers stamping per-block completion, genuinely
         per-block media models) loop via :func:`replay_per_block`;
-        bulk-backed devices serve one store slice and replay *costs*
-        batched.
+        bulk-backed devices serve one store slice and replay *costs* once
+        per block around their own charge.
         """
 
     @abstractmethod
@@ -653,12 +566,8 @@ class RAMBlockDevice(BlockDevice):
         return self._store
 
     def _replay_costs(self, costs: Optional[ExtentCosts], count: int) -> None:
-        """Replay *costs* for *count* blocks, batched when possible."""
+        """Replay *costs* for *count* blocks; RAM itself charges nothing."""
         if costs is None or costs.empty:
-            return
-        plan = plan_batched_replay(costs)
-        if plan is not None:
-            plan.run(count)
             return
         for _ in range(count):
             costs.replay_pre()

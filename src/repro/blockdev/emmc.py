@@ -16,21 +16,20 @@ from typing import Optional
 
 from repro import obs
 from repro.blockdev.clock import SimClock
-from repro.blockdev.device import (
-    BATCH_MIN_BLOCKS,
-    DEFAULT_BLOCK_SIZE,
-    ExtentCosts,
-    RAMBlockDevice,
-    plan_batched_replay,
-)
+from repro.blockdev.device import DEFAULT_BLOCK_SIZE, ExtentCosts, RAMBlockDevice
 from repro.blockdev.latency import FREE, LatencyModel
 from repro.blockdev.store import BlockStore
 from repro.crypto.rng import Rng
-from repro.util.npgate import np
 
 
 class EMMCDevice(RAMBlockDevice):
-    """Store-backed block device with a latency model and a simulated clock."""
+    """Store-backed block device with a latency model and a simulated clock.
+
+    As the leaf of every stack it replays the upper layers'
+    :class:`~repro.blockdev.device.ExtentCosts` schedule serially, one
+    block at a time, interleaved with its own latency charge (see
+    :meth:`_charge`).
+    """
 
     def __init__(
         self,
@@ -56,141 +55,79 @@ class EMMCDevice(RAMBlockDevice):
         self._last_read_end: Optional[int] = None
         self._last_write_end: Optional[int] = None
 
-    def _jittered(self, cost: float) -> float:
-        """Apply multiplicative measurement noise to one op's cost."""
-        if not self._jitter:
-            return cost
-        scale = 1.0 + self._jitter * (2.0 * self._jitter_rng.random() - 1.0)
-        return cost * scale
-
-    def _batched_costs(self, first: float, rest: float, count: int):
-        """Per-block cost vector for an extent, jitter included.
-
-        RNG draws happen serially in block order (the jitter stream must
-        stay aligned with the per-block path) and the jitter arithmetic is
-        applied elementwise with the exact operation sequence of
-        :meth:`_jittered`, so every element is bit-identical to the scalar
-        computation.
-        """
-        deltas = np.full(count, rest, dtype=np.float64)
-        deltas[0] = first
-        if not self._jitter:
-            return deltas
-        random = self._jitter_rng.random
-        draws = np.array([random() for _ in range(count)], dtype=np.float64)
-        return deltas * (1.0 + self._jitter * (2.0 * draws - 1.0))
-
     def _read_extent(
         self, start: int, count: int, costs: Optional[ExtentCosts]
     ) -> bytes:
         with obs.deep_span("emmc.read_extent", clock=self.clock, blocks=count):
-            return self._read_extent_impl(start, count, costs)
-
-    def _read_extent_impl(
-        self, start: int, count: int, costs: Optional[ExtentCosts]
-    ) -> bytes:
-        # Only the first block of the extent can pay the random-access
-        # penalty; the rest are sequential by construction. Charges are
-        # replayed per block so the clock matches the per-block path bit
-        # for bit (float addition order matters) — either vectorized via a
-        # batched-replay plan (a strict left fold, still bit-identical) or
-        # by the serial reference loop below.
-        sequential = self._last_read_end == start
-        self._last_read_end = start + count
-        bs = self.block_size
-        plan = None
-        if count >= BATCH_MIN_BLOCKS or (costs is not None and not costs.empty):
-            plan = plan_batched_replay(costs, self.clock)
-        if plan is not None:
-            first, rest = self.latency.read_extent_costs(bs, count, sequential)
-            deltas = self._batched_costs(first, rest, count)
-            plan.run(count, deltas)
-            obs.observe_latency_batch("emmc.read", deltas)
+            sequential = self._last_read_end == start
+            self._last_read_end = start + count
+            bs = self.block_size
+            self._charge(
+                count,
+                self.latency.read_cost(bs, sequential),
+                self.latency.read_cost(bs, True),
+                costs,
+                "emmc-read",
+                "emmc.read",
+            )
             return self._store.read_extent(start, count)
-        advance = self.clock.advance
-        observe = obs.observe_latency
-        replay = costs is not None and not costs.empty
-        if self._jitter:
-            read_cost = self.latency.read_cost
-            jittered = self._jittered
-            for i in range(count):
-                if replay:
-                    costs.replay_pre()
-                cost = jittered(read_cost(bs, sequential if i == 0 else True))
-                advance(cost, "emmc-read")
-                observe("emmc.read", cost)
-                if replay:
-                    costs.replay_post()
-        else:
-            # jitter-free: the cost is the same for every block after the
-            # first, so hoist the model out of the hot loop
-            first = self.latency.read_cost(bs, sequential)
-            rest = self.latency.read_cost(bs, True)
-            cost = first
-            for i in range(count):
-                if replay:
-                    costs.replay_pre()
-                advance(cost, "emmc-read")
-                observe("emmc.read", cost)
-                if replay:
-                    costs.replay_post()
-                cost = rest
-        return self._store.read_extent(start, count)
 
     def _write_extent(
         self, start: int, data: bytes, costs: Optional[ExtentCosts]
     ) -> None:
-        with obs.deep_span(
-            "emmc.write_extent",
-            clock=self.clock,
-            blocks=len(data) // self.block_size,
-        ):
-            self._write_extent_impl(start, data, costs)
-
-    def _write_extent_impl(
-        self, start: int, data: bytes, costs: Optional[ExtentCosts]
-    ) -> None:
-        sequential = self._last_write_end == start
         bs = self.block_size
         count = len(data) // bs
-        self._last_write_end = start + count
-        plan = None
-        if count >= BATCH_MIN_BLOCKS or (costs is not None and not costs.empty):
-            plan = plan_batched_replay(costs, self.clock)
-        if plan is not None:
-            first, rest = self.latency.write_extent_costs(bs, count, sequential)
-            deltas = self._batched_costs(first, rest, count)
-            plan.run(count, deltas)
-            obs.observe_latency_batch("emmc.write", deltas)
+        with obs.deep_span("emmc.write_extent", clock=self.clock, blocks=count):
+            sequential = self._last_write_end == start
+            self._last_write_end = start + count
+            self._charge(
+                count,
+                self.latency.write_cost(bs, sequential),
+                self.latency.write_cost(bs, True),
+                costs,
+                "emmc-write",
+                "emmc.write",
+            )
             self._store.write_extent(start, data)
-            return
+
+    def _charge(
+        self,
+        count: int,
+        first: float,
+        rest: float,
+        costs: Optional[ExtentCosts],
+        reason: str,
+        metric: str,
+    ) -> None:
+        """Charge an extent's latency block by block, replaying *costs*.
+
+        Per block, in order: the schedule's pre charges and calls, this
+        device's own latency charge, its latency observation, then the
+        schedule's post charges and calls — the exact sequence the
+        per-block path produces, so the clock matches it bit for bit
+        (float addition order matters). Only the first block can pay the
+        random-access penalty (*first*); the rest are sequential by
+        construction (*rest*). Jitter is one RNG draw per block, in block
+        order, applied to the hoisted cost — exactly what drawing it
+        around a per-block ``*_cost`` call computes.
+        """
         advance = self.clock.advance
         observe = obs.observe_latency
+        jitter = self._jitter
+        draw = self._jitter_rng.random
         replay = costs is not None and not costs.empty
-        if self._jitter:
-            write_cost = self.latency.write_cost
-            jittered = self._jittered
-            for i in range(count):
-                if replay:
-                    costs.replay_pre()
-                cost = jittered(write_cost(bs, sequential if i == 0 else True))
-                advance(cost, "emmc-write")
-                observe("emmc.write", cost)
-                if replay:
-                    costs.replay_post()
-        else:
-            first = self.latency.write_cost(bs, sequential)
-            rest = self.latency.write_cost(bs, True)
-            cost = first
-            for i in range(count):
-                if replay:
-                    costs.replay_pre()
-                advance(cost, "emmc-write")
-                observe("emmc.write", cost)
-                if replay:
-                    costs.replay_post()
-                cost = rest
-        self._store.write_extent(start, data)
+        cost = first
+        for _ in range(count):
+            if replay:
+                costs.replay_pre()
+            charge = cost
+            if jitter:
+                charge = cost * (1.0 + jitter * (2.0 * draw() - 1.0))
+            advance(charge, reason)
+            observe(metric, charge)
+            if replay:
+                costs.replay_post()
+            cost = rest
 
     def _flush(self) -> None:
         # Model a cache flush as one write-op worth of latency.

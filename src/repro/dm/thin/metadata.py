@@ -89,8 +89,14 @@ class PoolMetadata:
                 struct.pack("<IQQ", record.vol_id, record.virtual_blocks,
                             len(record.mappings))
             )
-            for vblock in sorted(record.mappings):
-                parts.append(struct.pack("<QQ", vblock, record.mappings[vblock]))
+            # every (vblock, pblock) pair in vblock order, in one pack;
+            # sorting the int keys and interleaving by slice assignment
+            # beats sorting (vblock, pblock) tuples
+            vblocks = sorted(record.mappings)
+            pairs = [0] * (2 * len(vblocks))
+            pairs[0::2] = vblocks
+            pairs[1::2] = map(record.mappings.__getitem__, vblocks)
+            parts.append(struct.pack(f"<{len(pairs)}Q", *pairs))
         return b"".join(parts)
 
     @classmethod

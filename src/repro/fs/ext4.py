@@ -79,6 +79,28 @@ def default_journal_blocks(num_blocks: int) -> int:
     return max(8, min(256, num_blocks // 16))
 
 
+def _first_clear(bitmap: bytearray, lo: int, hi: int) -> Optional[int]:
+    """The lowest index in ``[lo, hi)`` whose bit is clear, or None.
+
+    Same answer as testing each bit in order, but runs of full (0xFF)
+    bytes are skipped at C speed, so bits are tested one at a time only
+    in a partial leading byte, the first byte that is not full, and a
+    partial tail byte.
+    """
+    full_end = hi >> 3  # bytes wholly below hi
+    index = lo
+    while index < hi:
+        if not index & 7 and index >> 3 < full_end:
+            run = bitmap[index >> 3 : full_end]
+            index += 8 * (len(run) - len(run.lstrip(b"\xff")))
+            if index >= hi:
+                break
+        if not bitmap[index >> 3] & (1 << (index & 7)):
+            return index
+        index += 1
+    return None
+
+
 @dataclass
 class _Inode:
     number: int
@@ -577,19 +599,17 @@ class Ext4Filesystem(Filesystem):
             start_offset = 0
             if goal is not None and g == preferred_group:
                 start_offset = max((goal - 1) % self._bpg, self._meta_per_group)
-            for offset in range(start_offset, self._bpg):
-                if not self._bit(bitmap, offset):
-                    self._set_bit(bitmap, offset)
-                    self._dirty_groups.add(g)
-                    self._alloc_hint = g
-                    return self._group_start(g) + offset
-            # wrap within the preferred group before moving on
-            for offset in range(self._meta_per_group, start_offset):
-                if not self._bit(bitmap, offset):
-                    self._set_bit(bitmap, offset)
-                    self._dirty_groups.add(g)
-                    self._alloc_hint = g
-                    return self._group_start(g) + offset
+            offset = _first_clear(bitmap, start_offset, self._bpg)
+            if offset is None:
+                # wrap within the preferred group before moving on
+                offset = _first_clear(
+                    bitmap, self._meta_per_group, start_offset
+                )
+            if offset is not None:
+                self._set_bit(bitmap, offset)
+                self._dirty_groups.add(g)
+                self._alloc_hint = g
+                return self._group_start(g) + offset
         raise NoSpaceError("no free blocks")
 
     def _free_block(self, block: int) -> None:

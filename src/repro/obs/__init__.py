@@ -41,7 +41,6 @@ from repro.obs.recorder import (
     mark,
     observe,
     observe_latency,
-    observe_latency_batch,
     publish_io,
     span,
 )
@@ -128,7 +127,6 @@ __all__ = [
     "mark",
     "observe",
     "observe_latency",
-    "observe_latency_batch",
     "publish_io",
     "span",
     "attribution",

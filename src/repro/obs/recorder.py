@@ -366,19 +366,6 @@ def observe_latency(name: str, seconds: float) -> None:
         rec.metrics.histogram(name).observe(seconds)
 
 
-def observe_latency_batch(name: str, values) -> None:
-    """Feed many operation latencies into the named histogram at once.
-
-    Equivalent to ``for v in values: observe_latency(name, v)`` — including
-    float-bit-equivalence of the histogram's running total — but one call,
-    so batched leaf-device replay keeps the no-recorder fast path at a
-    single ``is None`` check per extent instead of one per block.
-    """
-    rec = _CURRENT
-    if rec is not None:
-        rec.metrics.histogram(name).observe_batch(values)
-
-
 def publish_io(event) -> None:
     """Publish a block-trace event onto the shared timeline."""
     rec = _CURRENT

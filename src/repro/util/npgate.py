@@ -1,8 +1,8 @@
 """Guarded NumPy import and the vectorized/reference core switch.
 
-The hot core of the simulator (keystream generation, batched ``ExtentCosts``
-replay, the thin-pool bitmap, eMMC latency evaluation) runs on NumPy when it
-is available. Everything vectorized also keeps a pure-Python *reference*
+The hot core of the simulator (keystream generation, the thin-pool bitmap
+and allocators, dense block stores) runs on NumPy when it is available.
+Everything vectorized also keeps a pure-Python *reference*
 implementation, and this module is the single switch deciding which one
 runs:
 

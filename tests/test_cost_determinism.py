@@ -1,209 +1,122 @@
-"""Float-determinism of the batched cost-replay machinery.
+"""Float-determinism of the serial cost replay at the leaf device.
 
-The batched replay plan folds each clock's per-block charges with
-``np.add.accumulate`` — a strict left fold, the same operation sequence
-as the serial per-block loop — so every simulated-clock reading must be
-*bit-identical* between the two paths, not merely close. These tests
-enforce that at each level of the machinery (clock fold, histogram fold,
-replay plan, jittered eMMC costs) over large randomized inputs, and
-spot-check that fault-injection crash points land at unchanged write
-indices under the vectorized core.
+Upper layers hand the eMMC leaf an ``ExtentCosts`` schedule, and the leaf
+replays it once per block around its own (possibly jittered) latency
+charge. That must land every simulated-clock reading, every RNG draw and
+every latency histogram on *exactly* the values the block-at-a-time path
+(:func:`per_block_baseline`) produces — IEEE-754 addition is not
+associative, so any reordering shows up in the low bits. These tests
+check that over randomized schedules, and spot-check that fault-injection
+crash points land at unchanged write indices on either core.
 
 Nothing here uses approximate comparison: every assertion is ``==`` on
-floats. A failure means the vectorized core changed summation order.
+floats. A failure means the replay changed summation order.
 """
 
-import math
 import random
 
 import pytest
 
-from repro.blockdev import EMMCDevice, LatencyModel, SimClock
-from repro.blockdev.device import ExtentCosts, plan_batched_replay
+from repro import obs
+from repro.blockdev import EMMCDevice, LatencyModel, SimClock, per_block_baseline
+from repro.blockdev.device import ExtentCosts
 from repro.blockdev.faults import FaultPlan, FaultyBlockDevice
 from repro.crypto.rng import Rng
 from repro.errors import PowerCutError
-from repro.obs.metrics import Histogram
-from repro.util.npgate import HAVE_NUMPY, reference_core
+from repro.util.npgate import reference_core
 
-#: Delta magnitudes spanning the scales the latency models emit, chosen
+#: Charge magnitudes spanning the scales the latency models emit, chosen
 #: to provoke rounding differences if the fold order ever changes
 #: (microseconds next to hundreds of seconds do not associate).
 _SCALES = (1e-9, 1e-6, 1e-3, 1.0, 1e3)
 
 
-def _random_deltas(rng: random.Random, n: int):
-    return [rng.random() * rng.choice(_SCALES) for _ in range(n)]
-
-
 # ---------------------------------------------------------------------------
-# SimClock.advance_batch
+# eMMC jittered extents vs the per-block oracle
 # ---------------------------------------------------------------------------
 
 
-def test_advance_batch_is_a_strict_left_fold():
-    """1k random delta vectors: batched == serial, bit for bit."""
-    rng = random.Random(1337)
-    for _ in range(1000):
-        deltas = _random_deltas(rng, rng.randint(0, 64))
-        start = rng.random() * rng.choice(_SCALES)
-
-        serial = SimClock()
-        serial.advance(start, "seed")
-        for d in deltas:
-            serial.advance(d, "x")
-
-        batched = SimClock()
-        batched.advance(start, "seed")
-        batched.advance_batch(deltas, "x")
-
-        assert batched.now == serial.now  # exact, not approx
-
-
-def test_advance_batch_empty_and_negative():
-    clock = SimClock()
-    clock.advance_batch([], "nothing")
-    assert clock.now == 0.0
-    with pytest.raises(ValueError):
-        clock.advance_batch([1.0, -0.5], "bad")
-
-
-def test_advance_batch_with_observers_stays_serial():
-    """Observed clocks fall back to per-delta advance (same result)."""
-    seen = []
-    clock = SimClock()
-    clock.subscribe(lambda delta, reason: seen.append(delta))
-    deltas = [0.25, 0.5, 0.125]
-    clock.advance_batch(deltas, "obs")
-    assert seen == deltas
-    assert clock.now == 0.25 + 0.5 + 0.125
-
-
-# ---------------------------------------------------------------------------
-# ExtentCosts replay plans
-# ---------------------------------------------------------------------------
-
-
-def _random_plan_case(rng: random.Random):
-    """One random extent plan: clocks, charges, device deltas, counters."""
-    nclocks = rng.randint(1, 3)
-    clocks = [SimClock() for _ in range(nclocks)]
-    device_clock = clocks[0]
-    costs = ExtentCosts()
-    for _ in range(rng.randint(0, 4)):
-        clock = rng.choice(clocks)
-        costs.add_pre(clock, rng.random() * rng.choice(_SCALES), "pre")
-    for _ in range(rng.randint(0, 4)):
-        clock = rng.choice(clocks)
-        costs.add_post(clock, rng.random() * rng.choice(_SCALES), "post")
-    counters = {"pre": 0, "post": 0}
-    costs.add_pre_call(
-        lambda: counters.__setitem__("pre", counters["pre"] + 1),
-        batch=lambda n: counters.__setitem__("pre", counters["pre"] + n),
+def _jittered_extent_run(seed: int, per_block: bool):
+    """Random extents with random cost schedules on a jittered eMMC."""
+    rng = random.Random(seed)
+    clock, other = SimClock(), SimClock()
+    dev = EMMCDevice(
+        256, clock=clock, latency=LatencyModel(),
+        jitter=0.3 if seed % 5 else 0.0, jitter_rng=Rng(seed),
     )
-    costs.add_post_call(
-        lambda: counters.__setitem__("post", counters["post"] + 1),
-        batch=lambda n: counters.__setitem__("post", counters["post"] + n),
+    ticks = {"pre": 0, "post": 0}
+    # what the device actually charged, per histogram, in charge order
+    charged = {"emmc.read": [0, 0.0], "emmc.write": [0, 0.0]}
+
+    def tally(delta, reason):
+        if reason.startswith("emmc-"):
+            entry = charged[reason.replace("-", ".")]
+            entry[0] += 1
+            entry[1] += delta
+
+    clock.subscribe(tally)
+
+    def schedule():
+        costs = ExtentCosts()
+        for _ in range(rng.randint(0, 3)):
+            costs.add_pre(rng.choice((clock, other)),
+                          rng.random() * rng.choice(_SCALES), "pre")
+        for _ in range(rng.randint(0, 3)):
+            costs.add_post(rng.choice((clock, other)),
+                           rng.random() * rng.choice(_SCALES), "post")
+        costs.add_pre_call(lambda: ticks.__setitem__("pre", ticks["pre"] + 1))
+        costs.add_post_call(
+            lambda: ticks.__setitem__("post", ticks["post"] + 1)
+        )
+        return costs
+
+    with obs.observe() as rec:
+        for _ in range(12):
+            start = rng.randrange(0, 200)
+            count = rng.randint(1, 48)
+            costs = schedule() if rng.random() < 0.75 else None
+            if per_block:
+                with per_block_baseline():
+                    if rng.random() < 0.5:
+                        dev.write_blocks(start, bytes(count * dev.block_size),
+                                         costs)
+                    else:
+                        dev.read_blocks(start, count, costs)
+            elif rng.random() < 0.5:
+                dev.write_blocks(start, bytes(count * dev.block_size), costs)
+            else:
+                dev.read_blocks(start, count, costs)
+    histograms = {
+        name: (h.count, h.total, h.bucket_counts(), h.minimum, h.maximum)
+        for name, h in rec.metrics.histograms.items()
+    }
+    assert set(histograms) == {"emmc.read", "emmc.write"}
+    for name, (count, total) in charged.items():
+        # the histograms record exactly the charges, in the same order
+        assert histograms[name][:2] == (count, total), name
+    return (
+        clock.now,
+        other.now,
+        dev._jitter_rng.random(),  # the next draw pins the stream position
+        histograms,
+        ticks,
+        dev.stats.as_dict(),
     )
-    count = rng.randint(1, 48)
-    deltas = _random_deltas(rng, count)
-    return clocks, device_clock, costs, counters, count, deltas
-
-
-def _serial_replay(costs, device_clock, count, deltas):
-    for i in range(count):
-        costs.replay_pre()
-        device_clock.advance(deltas[i], "device")
-        costs.replay_post()
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="plans require the numpy core")
-def test_replay_plan_matches_serial_over_1k_random_plans():
-    """1k random extent plans: plan.run == serial replay on every clock."""
-    rng = random.Random(20260808)
-    for case in range(1000):
-        seed = rng.randint(0, 2**31)
-
-        case_rng = random.Random(seed)
-        clocks_s, dev_s, costs_s, counters_s, count, deltas = _random_plan_case(
-            case_rng
-        )
-        _serial_replay(costs_s, dev_s, count, deltas)
-
-        case_rng = random.Random(seed)
-        clocks_b, dev_b, costs_b, counters_b, count2, deltas2 = _random_plan_case(
-            case_rng
-        )
-        assert count2 == count and deltas2 == deltas
-        plan = plan_batched_replay(costs_b, dev_b)
-        assert plan is not None, "plan must build for callback-batched costs"
-        plan.run(count, deltas)
-
-        for cs, cb in zip(clocks_s, clocks_b):
-            assert cb.now == cs.now, (case, seed)
-        assert counters_b == counters_s == {"pre": count, "post": count}
-
-
-def test_replay_plan_refuses_unbatchable_costs():
-    """No batch form, or an observed clock -> no plan (serial fallback)."""
-    costs = ExtentCosts()
-    costs.add_pre_call(lambda: None)  # no batch form
-    assert plan_batched_replay(costs, SimClock()) is None
-
-    observed = SimClock()
-    observed.subscribe(lambda delta, reason: None)
-    costs2 = ExtentCosts()
-    costs2.add_pre(observed, 1e-6, "x")
-    assert plan_batched_replay(costs2, SimClock()) is None
-
-    with reference_core():
-        costs3 = ExtentCosts()
-        costs3.add_pre(SimClock(), 1e-6, "x")
-        assert plan_batched_replay(costs3, SimClock()) is None
-
-
-# ---------------------------------------------------------------------------
-# Histogram batch observation
-# ---------------------------------------------------------------------------
-
-
-def test_histogram_observe_batch_matches_serial():
-    rng = random.Random(7)
-    for _ in range(200):
-        values = _random_deltas(rng, rng.randint(0, 200))
-        serial = Histogram("lat")
-        for v in values:
-            serial.observe(v)
-        batched = Histogram("lat")
-        batched.observe_batch(values)
-        assert batched.as_dict() == serial.as_dict()
-        assert batched.total == serial.total  # exact float equality
-
-
-# ---------------------------------------------------------------------------
-# eMMC jittered batched costs
-# ---------------------------------------------------------------------------
 
 
 def test_jittered_extent_costs_bit_identical():
-    """Batched jitter arithmetic == scalar _jittered, same RNG stream."""
+    """Extent replay == per-block oracle: clocks, RNG, histograms, exactly.
+
+    Whole extents (mostly jittered), each with a random schedule of
+    pre/post charges on two clocks plus counter callbacks, replayed by
+    the eMMC leaf must match :func:`per_block_baseline` on both clocks'
+    bits, the jitter RNG's stream position, and the
+    ``emmc.read``/``emmc.write`` latency histograms (count, float total,
+    buckets, extremes), which must hold exactly what was charged.
+    """
     for seed in range(25):
-        fast = EMMCDevice(
-            128, clock=SimClock(), latency=LatencyModel(),
-            jitter=0.3, jitter_rng=Rng(seed),
-        )
-        slow = EMMCDevice(
-            128, clock=SimClock(), latency=LatencyModel(),
-            jitter=0.3, jitter_rng=Rng(seed),
-        )
-        payload = bytes(64 * fast.block_size)
-        fast.write_blocks(0, payload)
-        fast.read_blocks(0, 64)
-        with reference_core():
-            slow.write_blocks(0, payload)
-            slow.read_blocks(0, 64)
-        assert fast.clock.now == slow.clock.now
-        assert math.isclose(fast.clock.now, slow.clock.now, rel_tol=0.0)
+        extent = _jittered_extent_run(seed, per_block=False)
+        assert extent == _jittered_extent_run(seed, per_block=True), seed
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +157,6 @@ def test_crash_point_indices_unchanged_by_core(cut_after):
     The vectorized core must not change *when* a fault fires: an armed
     FaultyBlockDevice decomposes extents per block, so the interrupted
     write index, the torn-write sector count and the clock at the cut
-    are identical with and without NumPy batching underneath.
+    are identical with and without the NumPy core underneath.
     """
     assert _crash_indices(cut_after, False) == _crash_indices(cut_after, True)

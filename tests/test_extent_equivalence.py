@@ -8,7 +8,7 @@ extent path and one forced through the legacy per-block decomposition
 via :func:`per_block_baseline`, and require bit-exact agreement.
 
 The vectorized NumPy core adds a second axis to the same invariant: the
-batched keystream / cost-replay / allocator code must be unobservable
+vectorized keystream / allocator / block-store code must be unobservable
 next to the pure-Python reference core (:func:`reference_core`). The
 ``*_core_equivalence`` tests run every stack through the full cross
 product {numpy, reference} x {extent, per-block} and require one single
@@ -215,8 +215,8 @@ def test_ext4_extent_equivalence(seed, journal, ops):
 def test_block_stack_core_equivalence(seed, ops):
     """crypt-thin-eMMC under {numpy, reference} x {extent, per-block}.
 
-    The vectorized keystream engine, batched cost replay and array-backed
-    allocator must land on the same bytes, stats and simulated clock as
+    The vectorized keystream engine, array-backed allocator and dense
+    block store must land on the same bytes, stats and simulated clock as
     the pure-Python reference — one signature across all four legs.
     """
     legs = []
@@ -258,9 +258,9 @@ def test_edge_extents_all_cores():
     """Zero-length, single-block, partial-tail and clamped extents.
 
     Deterministic sweep of the shapes Hypothesis hits rarely: empty
-    payloads (no-ops at the entry point), one-block extents below the
-    batching cutoff, tails clamped at the volume end, and a misaligned
-    run that crosses provisioning boundaries mid-extent.
+    payloads (no-ops at the entry point), one-block extents, tails
+    clamped at the volume end, and a misaligned run that crosses
+    provisioning boundaries mid-extent.
     """
     edge_ops = [
         (True, VOLUME_BLOCKS - 1, 24),   # clamps to a single tail block

@@ -1,9 +1,12 @@
 """Unit tests for the fault-injection layer (FaultyBlockDevice, FaultPlan,
 crash points) and the recovery-I/O accounting it relies on."""
 
+import sys
+import threading
+
 import pytest
 
-from repro.blockdev.device import RAMBlockDevice, recovery_io
+from repro.blockdev.device import RAMBlockDevice, in_recovery, recovery_io
 from repro.blockdev.faults import (
     REGISTRY,
     SECTOR_SIZE,
@@ -248,6 +251,72 @@ class TestRecoveryIOAccounting:
         assert delta.reads == 0 and delta.writes == 0
         assert delta.bytes_read == 0 and delta.bytes_written == 0
         assert delta.recovery_reads == 1 and delta.recovery_writes == 1
+
+    def test_recovery_section_is_scoped_to_its_thread(self):
+        """One thread's recovery never reclassifies another thread's I/O.
+
+        The daemon serves devices from a thread pool: thread A holds a
+        recovery section open (a crash→attach in progress) while thread B
+        writes to a different device; B's write is workload I/O.
+        """
+        recovering, other = RAMBlockDevice(8, BS), RAMBlockDevice(8, BS)
+        entered, release = threading.Event(), threading.Event()
+        seen = {}
+
+        def recover():
+            with recovery_io():
+                recovering.write_block(0, block(1))
+                entered.set()
+                release.wait(timeout=10)
+
+        def work():
+            seen["in_recovery"] = in_recovery()
+            other.write_block(0, block(2))
+
+        a = threading.Thread(target=recover)
+        a.start()
+        try:
+            assert entered.wait(timeout=10)
+            b = threading.Thread(target=work)
+            b.start()
+            b.join(timeout=10)
+            assert not b.is_alive()
+        finally:
+            release.set()
+            a.join(timeout=10)
+        assert not a.is_alive()
+        assert seen == {"in_recovery": False}
+        assert other.stats.writes == 1 and other.stats.recovery_writes == 0
+        assert recovering.stats.recovery_writes == 1
+        assert recovering.stats.writes == 0
+
+    def test_concurrent_recovery_sections_never_leak_depth(self):
+        """Many threads entering/leaving recovery at once: no lost update."""
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        devices = [RAMBlockDevice(8, BS) for _ in range(8)]
+        rounds = 200
+
+        def churn(dev):
+            for _ in range(rounds):
+                with recovery_io():
+                    with recovery_io():
+                        pass
+                dev.write_block(0, block(3))
+
+        threads = [threading.Thread(target=churn, args=(d,)) for d in devices]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert not in_recovery()
+        for dev in devices:
+            assert dev.stats.writes == rounds
+            assert dev.stats.recovery_writes == 0
 
     def test_metadata_recover_counts_as_recovery_io(self):
         dev = RAMBlockDevice(32, BS)

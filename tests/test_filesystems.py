@@ -1,5 +1,7 @@
 """Tests shared across all three filesystems (ext4-like, FAT32-like, tmpfs)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from repro.errors import (
     NotFormattedError,
 )
 from repro.fs import Ext4Filesystem, Fat32Filesystem, TmpFilesystem
+from repro.fs.ext4 import _first_clear
 from repro.fs.vfs import parent_and_name, split_path
 
 
@@ -316,6 +319,96 @@ class TestExt4Specifics:
         assert fs.free_block_count() < before
         fs.unlink("/f")
         assert fs.free_block_count() == before
+
+    def test_first_clear_matches_bitwise_scan(self):
+        rng = random.Random(4242)
+        for _ in range(2000):
+            bitmap = _random_bitmap(rng, rng.randint(1, 40))
+            lo = rng.randint(0, len(bitmap) * 8)
+            hi = rng.randint(0, len(bitmap) * 8)
+            assert _first_clear(bitmap, lo, hi) == _bitwise_first_clear(
+                bitmap, lo, hi
+            ), (bytes(bitmap).hex(), lo, hi)
+
+    def test_allocator_matches_bitwise_reference(self):
+        """Seeded random bitmaps and goals, incl. the wrap-within-group pass."""
+        rng = random.Random(99)
+        fs = Ext4Filesystem(RAMBlockDevice(2048), blocks_per_group=200)
+        fs.format()
+        fs.mount()
+        last = 1 + fs._groups * fs._bpg
+        outcomes = {"wrapped": 0, "full": 0}
+        for case in range(300):
+            for g in range(fs._groups):
+                bitmap = fs._bbm(g)
+                if case % 25:
+                    bitmap[:] = _random_bitmap(rng, len(bitmap))
+                else:
+                    bitmap[:] = b"\xff" * len(bitmap)
+                for i in range(fs._meta_per_group):
+                    bitmap[i >> 3] |= 1 << (i & 7)
+            fs._alloc_hint = rng.randrange(fs._groups)
+            goal = rng.choice(
+                [None, 0, rng.randint(1, last), rng.randint(last, last + 500)]
+            )
+            expected = _bitwise_allocate(fs, goal)
+            if expected is None:
+                outcomes["full"] += 1
+                with pytest.raises(NoSpaceError):
+                    fs._allocate_block(goal)
+                continue
+            if goal is not None and goal >= 1 and expected < goal and (
+                (expected - 1) // fs._bpg
+                == min((goal - 1) // fs._bpg, fs._groups - 1)
+            ):
+                outcomes["wrapped"] += 1
+            assert fs._allocate_block(goal) == expected, goal
+            assert fs._bit(fs._bbm((expected - 1) // fs._bpg),
+                           (expected - 1) % fs._bpg)
+        assert outcomes["wrapped"] and outcomes["full"]
+
+
+def _random_bitmap(rng, nbytes):
+    """Mostly-full bitmap bytes: long 0xFF runs, some partial and empty."""
+    full, partial = rng.choice([(0.9, 0.08), (1.0, 0.0), (0.5, 0.3)])
+    out = bytearray()
+    for _ in range(nbytes):
+        r = rng.random()
+        if r < full:
+            out.append(0xFF)
+        elif r < full + partial:
+            out.append(rng.randrange(256))
+        else:
+            out.append(0)
+    return out
+
+
+def _bitwise_first_clear(bitmap, lo, hi):
+    """Reference scan: test every bit in ``[lo, hi)`` in order."""
+    for index in range(lo, hi):
+        if not bitmap[index >> 3] & (1 << (index & 7)):
+            return index
+    return None
+
+
+def _bitwise_allocate(fs, goal):
+    """Which block ``_allocate_block(goal)`` must return, bit by bit."""
+    if goal is not None and goal >= 1:
+        preferred = min((goal - 1) // fs._bpg, fs._groups - 1)
+    else:
+        preferred = fs._alloc_hint
+    order = [preferred] + [g for g in range(fs._groups) if g != preferred]
+    for g in order:
+        bitmap = fs._bbm(g)
+        start = 0
+        if goal is not None and g == preferred:
+            start = max((goal - 1) % fs._bpg, fs._meta_per_group)
+        offset = _bitwise_first_clear(bitmap, start, fs._bpg)
+        if offset is None:
+            offset = _bitwise_first_clear(bitmap, fs._meta_per_group, start)
+        if offset is not None:
+            return 1 + g * fs._bpg + offset
+    return None
 
 
 class TestFat32Specifics:

@@ -295,6 +295,47 @@ class TestMetadataStore:
         with pytest.raises(MetadataError):
             PoolMetadata.from_payload(meta.to_payload())
 
+    @pytest.mark.parametrize("volumes", [0, 1, 4])
+    def test_payload_bytes_pinned_to_per_entry_packing(self, volumes):
+        """One pack per volume == one ``<QQ`` pack per mapping, byte for byte."""
+        from repro.dm.thin.metadata import VolumeRecord
+
+        rng = Rng(volumes)
+        meta = PoolMetadata.fresh(4096)
+        for vol_id in rng.sample(range(1, 50), volumes):
+            vblocks = rng.sample(range(10_000), rng.randint(0, 300))
+            mappings = {}
+            for vblock in vblocks:
+                pblock = rng.randint(0, 4095)
+                if not meta.bitmap.test(pblock):
+                    meta.bitmap.set(pblock)
+                mappings[vblock] = pblock
+            meta.volumes[vol_id] = VolumeRecord(vol_id, 10_000, mappings)
+        if volumes:
+            meta.volumes[99] = VolumeRecord(99, 8)  # an empty volume too
+
+        payload = meta.to_payload()
+        assert payload == _per_entry_payload(meta)
+        loaded = PoolMetadata.from_payload(payload)
+        assert loaded.volumes == meta.volumes
+        assert loaded.bitmap.to_bytes() == meta.bitmap.to_bytes()
+        assert loaded.to_payload() == payload
+
+
+def _per_entry_payload(meta):
+    """The thin metadata payload packed one ``struct.pack`` per mapping."""
+    import struct
+
+    parts = [struct.pack("<Q", meta.num_data_blocks), meta.bitmap.to_bytes(),
+             struct.pack("<I", len(meta.volumes))]
+    for vol_id in sorted(meta.volumes):
+        record = meta.volumes[vol_id]
+        parts.append(struct.pack("<IQQ", record.vol_id, record.virtual_blocks,
+                                 len(record.mappings)))
+        for vblock in sorted(record.mappings):
+            parts.append(struct.pack("<QQ", vblock, record.mappings[vblock]))
+    return b"".join(parts)
+
 
 class TestThinPool:
     def test_volumes_lifecycle(self):
