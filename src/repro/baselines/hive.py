@@ -22,7 +22,7 @@ from typing import Dict, Optional
 from repro.blockdev.clock import SimClock
 from repro.blockdev.device import BlockDevice, PerBlockDevice
 from repro.crypto.rng import Rng
-from repro.crypto.stream import xor_bytes
+from repro.crypto.stream import xor_buffers
 from repro.errors import BlockDeviceError
 
 _IV_LEN = 16
@@ -108,13 +108,13 @@ class WriteOnlyORAMDevice(PerBlockDevice):
         self._iv[slot] = iv
         ks = self._keystream(slot, iv, len(plaintext))
         self._charge_crypto(len(plaintext))
-        return xor_bytes(plaintext, ks)
+        return xor_buffers(plaintext, ks)
 
     def _decrypt_from_slot(self, slot: int, ciphertext: bytes) -> bytes:
         iv = self._iv[slot]
         ks = self._keystream(slot, iv, len(ciphertext))
         self._charge_crypto(len(ciphertext))
-        return xor_bytes(ciphertext, ks)
+        return xor_buffers(ciphertext, ks)
 
     # -- physical I/O ---------------------------------------------------------------
 

@@ -56,9 +56,10 @@ ABSOLUTE_FLOOR = 1e-12
 #: One-sided hard minimums, enforced on top of the tolerance bands:
 #: ``experiment -> flattened metric path -> minimum acceptable value``.
 #: These encode acceptance criteria that must never erode no matter how
-#: the baseline moves — the vectorized-core speedup bars live here, so
+#: the baseline moves — the extent-path speedup bars live here, so
 #: ``repro bench compare`` (and hence CI) fails if the crypt hot path
-#: ever drops below its promised multiple of the pure-Python reference.
+#: ever drops below its promised multiple of the per-block path
+#: (:func:`~repro.blockdev.per_block_baseline`) on the same core.
 METRIC_FLOORS: Mapping[str, Mapping[str, float]] = {
     "hotpath": {
         "scenarios.crypt_seq_write.speedup": 5.0,

@@ -243,13 +243,17 @@ def observed_workloads(
 
 
 def observed_crashsim(
-    strides: Optional[Dict[str, int]] = None, seed: int = 0
+    strides: Optional[Dict[str, int]] = None, seed: int = 0, limit: int = 0
 ) -> Tuple[Dict[str, object], Dict[str, object]]:
     """Sampled crash sweep under observation: ``(reports, payload)``.
 
-    Sweeps every scenario in the crashsim registry with the bench-tier
-    strides; the recorder picks up the recovery spans and the crash-point
-    marks of every run.
+    Sweeps each scenario named in *strides* (default: every scenario at
+    the bench-tier :data:`CRASHSIM_STRIDES`), in registry order, keeping
+    at most *limit* indices per scenario when *limit* is positive. The
+    recorder picks up the recovery spans and crash-point marks of every
+    run plus the deniability probe. ``repro crashsim`` and the benchmark
+    suite both build ``BENCH_crashsim.json`` here, so at the defaults
+    they write the same bytes.
     """
     from repro.testing.crashsim import (
         SCENARIOS,
@@ -262,8 +266,12 @@ def observed_crashsim(
     with obs.observe() as recorder:
         reports = {}
         for name, factory in SCENARIOS.items():
+            if name not in strides:
+                continue
             total = count_workload_writes(factory, seed=seed)
-            indices = stride_indices(total, strides.get(name, 1))
+            indices = stride_indices(total, strides[name])
+            if limit:
+                indices = indices[:limit]
             reports[name] = crash_sweep(factory, indices=indices, seed=seed)
         _deniability_probe(recorder)
     serialized = {
@@ -280,6 +288,6 @@ def observed_crashsim(
         "crashsim",
         serialized,
         recorder,
-        extra={"params": {"strides": strides, "seed": seed}},
+        extra={"params": {"limit": limit, "seed": seed, "strides": strides}},
     )
     return reports, payload

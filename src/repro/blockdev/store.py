@@ -8,9 +8,8 @@ two gives the whole stack one seam where the storage substrate can be
 swapped without any simulated-behaviour change:
 
 * :class:`RamStore` — everything in process memory (a NumPy ``uint8``
-  array when the vector core is enabled, else a ``bytearray``; or a
-  per-block dict in sparse mode). Today's default and the fastest
-  backend for small devices.
+  array, or a per-block dict in sparse mode). Today's default and the
+  fastest backend for small devices.
 * :class:`MmapStore` — an unlinked sparse temporary file, ``mmap``\\ ed.
   A multi-GiB userdata partition costs page cache, not Python heap, so
   peak RSS is bounded independent of device size.
@@ -24,7 +23,7 @@ swapped without any simulated-behaviour change:
 Every backend is bit-identical at the device interface: same bytes out,
 same fill semantics for never-written and discarded blocks, and zero
 interaction with clocks or RNG streams. The equivalence battery in
-``tests/test_extent_equivalence.py`` asserts exactly that, per core.
+``tests/test_extent_equivalence.py`` asserts exactly that.
 
 The process-wide default backend is selected by the ``REPRO_STORE``
 environment variable (``ram`` (default) / ``mmap`` / ``cow``); CI runs a
@@ -41,7 +40,7 @@ import tempfile
 from abc import ABC, abstractmethod
 from typing import Dict, Optional, Tuple
 
-from repro.util.npgate import np, vector_enabled
+import numpy as np
 
 #: Environment variable naming the default BlockStore backend.
 STORE_ENV = "REPRO_STORE"
@@ -152,11 +151,9 @@ class BlockStore(ABC):
 class RamStore(BlockStore):
     """Process-memory backing: one flat buffer, or a dict in sparse mode.
 
-    Dense mode uses a NumPy ``uint8`` array when the vector core is
-    available (zero-copy slicing either way — the choice is invisible at
-    the interface) and a plain ``bytearray`` otherwise. Sparse mode keeps
-    only written blocks, keyed by block number, so phone-scale partitions
-    cost memory proportional to their churn.
+    Dense mode uses a NumPy ``uint8`` array (zero-copy slicing). Sparse
+    mode keeps only written blocks, keyed by block number, so phone-scale
+    partitions cost memory proportional to their churn.
     """
 
     def __init__(
@@ -171,10 +168,8 @@ class RamStore(BlockStore):
         if sparse:
             self._blocks: Dict[int, bytes] = {}
             self._buf = None
-        elif vector_enabled():
-            self._buf = np.full(num_blocks * block_size, fill, dtype=np.uint8)
         else:
-            self._buf = bytearray([fill]) * (num_blocks * block_size)
+            self._buf = np.full(num_blocks * block_size, fill, dtype=np.uint8)
 
     @property
     def sparse(self) -> bool:
@@ -187,10 +182,7 @@ class RamStore(BlockStore):
             return b"".join(get(start + i, fill) for i in range(count))
         lo = start * self.block_size
         hi = lo + count * self.block_size
-        buf = self._buf
-        if isinstance(buf, bytearray):
-            return bytes(buf[lo:hi])
-        return buf[lo:hi].tobytes()
+        return self._buf[lo:hi].tobytes()
 
     def write_extent(self, start: int, data: bytes) -> None:
         bs = self.block_size
@@ -200,11 +192,7 @@ class RamStore(BlockStore):
                 blocks[start + i] = bytes(data[i * bs : (i + 1) * bs])
             return
         lo = start * bs
-        buf = self._buf
-        if isinstance(buf, bytearray):
-            buf[lo : lo + len(data)] = data
-        else:
-            buf[lo : lo + len(data)] = np.frombuffer(data, dtype=np.uint8)
+        self._buf[lo : lo + len(data)] = np.frombuffer(data, dtype=np.uint8)
 
     def discard_extent(self, start: int, count: int) -> None:
         if self._sparse:

@@ -38,12 +38,8 @@ workload commands drive app-shaped traffic (``repro workload`` records a
 trace, ``repro replay`` re-drives one on any stack, ``repro fleet`` runs
 N simulated phones in parallel); see docs/workloads.md. Commands building
 small stacks directly share the ``--userdata-mib`` flag for the simulated
-userdata partition size. The global ``--reference-core`` flag runs any
-command on the pure-Python reference core instead of the vectorized NumPy
-core — outputs are bit-identical, only wall time changes (the same switch
-``REPRO_NO_NUMPY=1`` flips for a whole process). See EXPERIMENTS.md for
-the paper-vs-measured record and docs/observability.md for the telemetry
-guide.
+userdata partition size. See EXPERIMENTS.md for the paper-vs-measured
+record and docs/observability.md for the telemetry guide.
 """
 
 from __future__ import annotations
@@ -55,7 +51,6 @@ import sys
 from typing import List, Optional
 
 from repro import obs
-from repro.util import npgate
 from repro.adversary import (
     MobiCealHarness,
     MobiPlutoHarness,
@@ -66,6 +61,7 @@ from repro.adversary import (
 )
 from repro.android import Phone
 from repro.bench import (
+    CRASHSIM_STRIDES,
     observed_crashsim,
     observed_fig4,
     observed_table1,
@@ -241,64 +237,38 @@ def _cmd_sidechannel(args: argparse.Namespace) -> None:
 
 
 def _cmd_crashsim(args: argparse.Namespace) -> None:
-    from repro.testing.crashsim import (
-        SCENARIOS,
-        count_workload_writes,
-        crash_sweep,
-        stride_indices,
-    )
-
-    if args.stride < 1:
+    if args.stride is not None and args.stride < 1:
         raise SystemExit("repro crashsim: error: --stride must be >= 1")
     if args.limit < 0:
         raise SystemExit("repro crashsim: error: --limit must be >= 0")
-    names = sorted(SCENARIOS) if args.scenario == "all" else [args.scenario]
+    names = (
+        list(CRASHSIM_STRIDES) if args.scenario == "all" else [args.scenario]
+    )
+    strides = {
+        name: CRASHSIM_STRIDES[name] if args.stride is None else args.stride
+        for name in names
+    }
+    reports, payload = observed_crashsim(
+        strides=strides, seed=args.seed, limit=args.limit
+    )
     rows = []
-    serialized = {}
-    with obs.observe() as recorder:
-        for name in names:
-            factory = SCENARIOS[name]
-            total = count_workload_writes(factory, seed=args.seed)
-            indices = stride_indices(total, args.stride)
-            if args.limit:
-                indices = indices[: args.limit]
-            report = crash_sweep(factory, indices=indices, seed=args.seed)
-            print(report.render())
-            print()
-            rows.append(
-                [
-                    name,
-                    str(report.total_writes),
-                    str(report.attempted),
-                    str(len(report.failures)),
-                    f"{report.recovery_rate:.1%}",
-                ]
-            )
-            serialized[name] = {
-                "total_writes": report.total_writes,
-                "attempted": report.attempted,
-                "crashes": report.crashes,
-                "failed": len(report.failures),
-                "recovery_rate": report.recovery_rate,
-            }
+    for name, report in reports.items():
+        print(report.render())
+        print()
+        rows.append(
+            [
+                name,
+                str(report.total_writes),
+                str(report.attempted),
+                str(len(report.failures)),
+                f"{report.recovery_rate:.1%}",
+            ]
+        )
     print("Crash-recovery sweep — power cut at each sampled write index")
     print(
         render_table(
             ["scenario", "writes", "swept", "failed", "recovery rate"], rows
         )
-    )
-    payload = obs.bench_payload(
-        "crashsim",
-        serialized,
-        recorder,
-        extra={
-            "params": {
-                "scenario": args.scenario,
-                "stride": args.stride,
-                "limit": args.limit,
-                "seed": args.seed,
-            }
-        },
     )
     _write_json(args, "crashsim", payload)
 
@@ -801,13 +771,6 @@ def build_parser() -> argparse.ArgumentParser:
         "paper's tables and figures on the simulated stack.",
     )
     parser.add_argument("--seed", type=int, default=0, help="experiment seed")
-    parser.add_argument(
-        "--reference-core",
-        action="store_true",
-        help="run on the pure-Python reference core instead of the "
-        "vectorized NumPy core (results are bit-identical, only wall "
-        "time changes; equivalent to REPRO_NO_NUMPY=1)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fig4", help="Fig. 4: sequential throughput")
@@ -851,8 +814,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     p.add_argument(
-        "--stride", type=int, default=1,
-        help="sweep every Nth write index (1 = exhaustive)",
+        "--stride", type=int, default=None,
+        help="sweep every Nth write index (1 = exhaustive; default: the "
+        "per-scenario strides the benchmark suite uses)",
     )
     p.add_argument(
         "--limit", type=int, default=0,
@@ -1137,10 +1101,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.reference_core:
-        with npgate.reference_core():
-            args.func(args)
-        return 0
     args.func(args)
     return 0
 

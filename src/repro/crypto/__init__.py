@@ -16,7 +16,7 @@ from repro.crypto.stream import (
     Blake2Ctr,
     SectorCipher,
     constant_time_equal,
-    xor_bytes,
+    xor_buffers,
 )
 
 __all__ = [
@@ -36,5 +36,5 @@ __all__ = [
     "Blake2Ctr",
     "SectorCipher",
     "constant_time_equal",
-    "xor_bytes",
+    "xor_buffers",
 ]

@@ -18,9 +18,10 @@ import hashlib
 import hmac
 from abc import ABC, abstractmethod
 
+import numpy as np
+
 from repro.crypto.aes import AES
 from repro.errors import InvalidKeyError
-from repro.util.npgate import np, vector_enabled
 from repro.util.units import SECTOR_SIZE
 
 _CHUNK = 64  # BLAKE2b output size
@@ -37,30 +38,13 @@ def _chunk_counters(n: int) -> list:
     return cache[:n]
 
 
-def xor_bytes(a: bytes, b: bytes) -> bytes:
-    """Constant-width XOR of two equal-length byte strings, via big ints.
-
-    Orders of magnitude faster than a per-byte generator for the 4 KiB
-    payloads the block layer moves around. This is the reference XOR; the
-    vectorized core uses :func:`xor_buffers`.
-    """
-    n = len(a)
-    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(
-        n, "little"
-    )
-
-
 def xor_buffers(a: bytes, b: bytes) -> bytes:
     """XOR of two equal-length byte strings at array speed.
 
     Views both buffers as uint64 lanes (uint8 for lengths that are not a
     multiple of 8) and XORs them in one ``np.bitwise_xor`` — whole-extent
-    payloads never round-trip through Python ints. Falls back to
-    :func:`xor_bytes` when vectorization is disabled; the output is
-    byte-identical either way.
+    payloads never round-trip through Python ints.
     """
-    if not vector_enabled():
-        return xor_bytes(a, b)
     dtype = np.uint64 if len(a) % 8 == 0 else np.uint8
     return np.bitwise_xor(
         np.frombuffer(a, dtype=dtype), np.frombuffer(b, dtype=dtype)
@@ -118,15 +102,14 @@ class SectorCipher(ABC):
 class Blake2Ctr(SectorCipher):
     """Counter-mode stream cipher keyed with BLAKE2b (fast bulk cipher).
 
-    The extent path runs on the vectorized core when enabled: keystream
-    units are memoized in a per-unit cache (the keystream depends only on
-    ``(key, sector, counter)``, never on the payload, so rewriting an
-    extent — journal commits, hot files, bench rounds — skips
-    regeneration entirely), missing units are hashed through a pre-keyed
-    template in a tight loop, and the whole-extent XOR runs on uint64
-    lanes. The scalar per-sector path is the uncached reference
-    implementation; both produce identical bytes, as the keystream KATs
-    and the differential equivalence battery assert.
+    Keystream units are hashed through a pre-keyed template in one tight
+    loop (:meth:`_generate_units`) shared by the per-sector and extent
+    paths, and every XOR runs on uint64 lanes (:func:`xor_buffers`). The
+    extent path also memoizes units in a per-cipher cache: the keystream
+    depends only on ``(key, sector, counter)``, never on the payload, so
+    rewriting an extent — journal commits, hot files, bench rounds —
+    skips regeneration entirely. The per-sector path stays uncached. The
+    keystream KATs pin both paths against an independent hashlib fixture.
     """
 
     #: Cached keystream units per cipher instance (4 KiB units -> 8 MiB
@@ -149,18 +132,12 @@ class Blake2Ctr(SectorCipher):
         return self._key
 
     def _keystream(self, sector: int, nbytes: int) -> bytes:
-        prefix = sector.to_bytes(8, "little")
-        template = self._template
-        chunks = []
-        for counter in _chunk_counters((nbytes + _CHUNK - 1) // _CHUNK):
-            h = template.copy()
-            h.update(prefix + counter)
-            chunks.append(h.digest())
-        return b"".join(chunks)[:nbytes]
+        whole = -(-nbytes // _CHUNK) * _CHUNK
+        return self._generate_units([sector], whole)[0][:nbytes]
 
     def encrypt_sector(self, sector: int, plaintext: bytes) -> bytes:
         ks = self._keystream(sector, len(plaintext))
-        return xor_bytes(plaintext, ks)
+        return xor_buffers(plaintext, ks)
 
     def decrypt_sector(self, sector: int, ciphertext: bytes) -> bytes:
         return self.encrypt_sector(sector, ciphertext)  # XOR is symmetric
@@ -169,36 +146,15 @@ class Blake2Ctr(SectorCipher):
         """One-pass keystream for all units, XORed in a single operation.
 
         The keystream of unit ``u`` is exactly ``_keystream(sector + u*step,
-        unit_bytes)``, so the concatenated-XOR result is bitwise identical
-        to per-unit encryption. With the vectorized core enabled the
-        keystream comes from the unit cache / batched generator and the
-        XOR runs on uint64 lanes; otherwise the uncached reference loop
-        below runs. Both produce the same bytes.
+        unit_bytes)``, served from the unit cache, so the concatenated-XOR
+        result is bitwise identical to per-unit encryption.
         """
         if unit_bytes % _CHUNK != 0 or len(data) % unit_bytes != 0:
             return super().encrypt_extent(sector, data, unit_bytes)
-        if not vector_enabled():
-            return self._encrypt_extent_reference(sector, data, unit_bytes)
         ks = self._extent_keystream(
             sector, len(data) // unit_bytes, unit_bytes
         )
         return xor_buffers(data, ks)
-
-    def _encrypt_extent_reference(
-        self, sector: int, data: bytes, unit_bytes: int
-    ) -> bytes:
-        """The pure-Python extent path: per-chunk hashing, big-int XOR."""
-        step = unit_bytes // SECTOR_SIZE
-        template = self._template
-        counters = _chunk_counters(unit_bytes // _CHUNK)
-        chunks = []
-        for u in range(len(data) // unit_bytes):
-            prefix = (sector + u * step).to_bytes(8, "little")
-            for counter in counters:
-                h = template.copy()
-                h.update(prefix + counter)
-                chunks.append(h.digest())
-        return xor_bytes(data, b"".join(chunks))
 
     def _extent_keystream(
         self, sector: int, nunits: int, unit_bytes: int
@@ -224,8 +180,8 @@ class Blake2Ctr(SectorCipher):
         Message construction is plain bytes concatenation: assembling the
         ``sector || counter`` blocks as a NumPy matrix costs more than it
         saves, because BLAKE2b compression dominates the cold path. The
-        vectorized core's win here is the unit cache and the uint64-lane
-        XOR, not the hashing itself.
+        extent path's win is the unit cache and the uint64-lane XOR, not
+        the hashing itself.
         """
         template_copy = self._template.copy
         counters = _chunk_counters(unit_bytes // _CHUNK)

@@ -7,12 +7,9 @@ the i-th free block. Random allocation is what stops a multi-snapshot
 adversary from reading hidden-file size out of spatial clustering.
 
 Both strategies keep their free-structure synchronized with the pool's
-global bitmap through :meth:`mark_allocated` / :meth:`free`. Each backs
-its free-structure with NumPy arrays when the vectorized core is enabled
-at construction (phone-scale pools — millions of blocks — initialize and
-allocate in O(1)) and with plain Python containers otherwise. The two
-backends draw from the RNG identically and return identical blocks, so
-which one a pool was built with is unobservable in any experiment.
+global bitmap through :meth:`mark_allocated` / :meth:`free`, and back it
+with NumPy arrays, so phone-scale pools (millions of blocks) initialize
+in one vector pass and allocate in O(1).
 """
 
 from __future__ import annotations
@@ -20,9 +17,10 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Optional
 
+import numpy as np
+
 from repro.crypto.rng import Rng
 from repro.errors import PoolExhaustedError
-from repro.util.npgate import np, vector_enabled
 
 
 def _unpack_bitmap(num_blocks: int, bitmap: bytes):
@@ -31,15 +29,6 @@ def _unpack_bitmap(num_blocks: int, bitmap: bytes):
         np.frombuffer(bitmap, dtype=np.uint8), bitorder="little"
     )[:num_blocks]
     return bits.astype(bool)
-
-
-def _unpack_bitmap_py(num_blocks: int, bitmap: bytes) -> bytearray:
-    """Bitmap bytes -> bytearray of 0/1 flags (pure-Python backend)."""
-    used = bytearray(num_blocks)
-    for i in range(num_blocks):
-        if bitmap[i >> 3] & (1 << (i & 7)):
-            used[i] = 1
-    return used
 
 
 class Allocator(ABC):
@@ -81,36 +70,19 @@ class SequentialAllocator(Allocator):
         self, num_blocks: int, allocated_bitmap: Optional[bytes] = None
     ) -> None:
         super().__init__(num_blocks)
-        self._vectorized = vector_enabled()
-        if self._vectorized:
-            if allocated_bitmap is None:
-                self._used = np.zeros(num_blocks, dtype=bool)
-            else:
-                self._used = _unpack_bitmap(num_blocks, allocated_bitmap).copy()
-            self._free = int(num_blocks - np.count_nonzero(self._used))
+        if allocated_bitmap is None:
+            self._used = np.zeros(num_blocks, dtype=bool)
         else:
-            if allocated_bitmap is None:
-                self._used = bytearray(num_blocks)
-            else:
-                self._used = _unpack_bitmap_py(num_blocks, allocated_bitmap)
-            self._free = num_blocks - sum(self._used)
+            self._used = _unpack_bitmap(num_blocks, allocated_bitmap).copy()
+        self._free = int(num_blocks - np.count_nonzero(self._used))
         self._hint = 0
 
     def _scan_from_hint(self) -> int:
         """First free block at/after the hint, wrapping once (slow path)."""
-        if self._vectorized:
-            tail = np.nonzero(~self._used[self._hint :])[0]
-            if tail.size:
-                return self._hint + int(tail[0])
-            return int(np.nonzero(~self._used[: self._hint])[0][0])
-        used = self._used
-        for candidate in range(self._hint, self.num_blocks):
-            if not used[candidate]:
-                return candidate
-        for candidate in range(self._hint):
-            if not used[candidate]:
-                return candidate
-        raise AssertionError("unreachable: free_count was positive")
+        tail = np.nonzero(~self._used[self._hint :])[0]
+        if tail.size:
+            return self._hint + int(tail[0])
+        return int(np.nonzero(~self._used[: self._hint])[0][0])
 
     def allocate(self) -> int:
         if self._free == 0:
@@ -149,9 +121,9 @@ class RandomAllocator(Allocator):
     Maintains the free set as an array with swap-removal plus a position
     index, so drawing "the i-th free block" is constant time. The draw is
     exactly the paper's: ``i`` uniform in ``[1, x]`` where ``x`` is the
-    current number of free blocks. Both backends issue one ``randint``
-    per allocation and share swap-remove semantics, so the block sequence
-    for a given seed is backend-independent.
+    current number of free blocks, one ``randint`` per allocation. The
+    draw order and swap-remove semantics fix the block sequence for a
+    given seed; ``tests/oracles`` pins them against a list-backed twin.
     """
 
     def __init__(
@@ -162,31 +134,19 @@ class RandomAllocator(Allocator):
     ) -> None:
         super().__init__(num_blocks)
         self._rng = rng if rng is not None else Rng()
-        if vector_enabled():
-            self._free_arr = np.empty(num_blocks, dtype=np.int64)
-            self._pos = np.full(num_blocks, -1, dtype=np.int64)
-            if allocated_bitmap is None:
-                self._free_arr[:] = np.arange(num_blocks, dtype=np.int64)
-                self._count = num_blocks
-            else:
-                used = _unpack_bitmap(num_blocks, allocated_bitmap)
-                free_blocks = np.nonzero(~used)[0].astype(np.int64)
-                self._count = int(free_blocks.size)
-                self._free_arr[: self._count] = free_blocks
-            self._pos[self._free_arr[: self._count]] = np.arange(
-                self._count, dtype=np.int64
-            )
+        self._free_arr = np.empty(num_blocks, dtype=np.int64)
+        self._pos = np.full(num_blocks, -1, dtype=np.int64)
+        if allocated_bitmap is None:
+            self._free_arr[:] = np.arange(num_blocks, dtype=np.int64)
+            self._count = num_blocks
         else:
-            if allocated_bitmap is None:
-                free_blocks = list(range(num_blocks))
-            else:
-                used = _unpack_bitmap_py(num_blocks, allocated_bitmap)
-                free_blocks = [b for b in range(num_blocks) if not used[b]]
-            self._count = len(free_blocks)
-            self._free_arr = free_blocks + [0] * (num_blocks - self._count)
-            self._pos = [-1] * num_blocks
-            for index, block in enumerate(free_blocks):
-                self._pos[block] = index
+            used = _unpack_bitmap(num_blocks, allocated_bitmap)
+            free_blocks = np.nonzero(~used)[0].astype(np.int64)
+            self._count = int(free_blocks.size)
+            self._free_arr[: self._count] = free_blocks
+        self._pos[self._free_arr[: self._count]] = np.arange(
+            self._count, dtype=np.int64
+        )
 
     def allocate(self) -> int:
         x = self._count

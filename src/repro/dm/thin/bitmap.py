@@ -5,16 +5,15 @@ global bitmap in the block layer that tracks blocks used by public, hidden
 *and* dummy data (Sec. IV-A Q3). This class is that bitmap; the thin pool
 persists it in the metadata device.
 
-Bulk queries (iteration, load-time popcount) run on NumPy when the
-vectorized core is enabled and fall back to pure-Python bit twiddling
-otherwise; single-bit operations are plain Python either way.
+Bulk queries (iteration, load-time popcount) run on NumPy; single-bit
+operations are plain Python.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from repro.util.npgate import np, vector_enabled
+import numpy as np
 
 
 class Bitmap:
@@ -70,22 +69,10 @@ class Bitmap:
         )[: self._size]
 
     def iter_allocated(self) -> Iterator[int]:
-        if vector_enabled():
-            yield from (int(i) for i in np.nonzero(self._bits_array())[0])
-            return
-        bits = self._bits
-        for i in range(self._size):
-            if bits[i >> 3] & (1 << (i & 7)):
-                yield i
+        yield from (int(i) for i in np.nonzero(self._bits_array())[0])
 
     def iter_free(self) -> Iterator[int]:
-        if vector_enabled():
-            yield from (int(i) for i in np.nonzero(self._bits_array() == 0)[0])
-            return
-        bits = self._bits
-        for i in range(self._size):
-            if not bits[i >> 3] & (1 << (i & 7)):
-                yield i
+        yield from (int(i) for i in np.nonzero(self._bits_array() == 0)[0])
 
     # -- serialization -------------------------------------------------------
 
@@ -103,12 +90,9 @@ class Bitmap:
         for i in range(size, expected * 8):
             if data[i >> 3] & (1 << (i & 7)):
                 raise ValueError("bitmap has pad bits set beyond its size")
-        if vector_enabled():
-            bm._allocated = int(
-                np.unpackbits(np.frombuffer(data, dtype=np.uint8)).sum()
-            )
-        else:
-            bm._allocated = sum(bin(byte).count("1") for byte in data)
+        bm._allocated = int(
+            np.unpackbits(np.frombuffer(data, dtype=np.uint8)).sum()
+        )
         return bm
 
     def copy(self) -> "Bitmap":

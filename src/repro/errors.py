@@ -273,17 +273,3 @@ class DeviceExistsError(ServerError):
 
 class BadRequestError(ServerError):
     """A request payload was malformed or failed validation."""
-
-
-# ---------------------------------------------------------------------------
-# Optional acceleration
-# ---------------------------------------------------------------------------
-
-
-class MissingNumpyError(ReproError):
-    """A NumPy-only feature was requested but NumPy is unavailable.
-
-    Raised by :func:`repro.util.npgate.require_numpy` with a message that
-    names the feature and points at either installing NumPy or setting
-    ``REPRO_NO_NUMPY=1`` to force the pure-Python reference core.
-    """

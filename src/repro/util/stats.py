@@ -74,10 +74,8 @@ def shannon_entropy(data: bytes) -> float:
 def chi_square_uniform(data: bytes) -> float:
     """Chi-square statistic of *data* against the uniform byte distribution.
 
-    Returns the p-value. Random data yields p-values spread over (0, 1);
-    structured data yields p ~ 0. Falls back to a normal approximation when
-    scipy is unavailable at runtime (it is a hard dependency, but the
-    approximation keeps this function self-contained for tiny environments).
+    Returns the p-value from scipy's chi-square survival function. Random
+    data yields p-values spread over (0, 1); structured data yields p ~ 0.
     """
     if len(data) < 256:
         raise ValueError("need at least 256 bytes for a chi-square test")
@@ -86,17 +84,9 @@ def chi_square_uniform(data: bytes) -> float:
         counts[b] += 1
     expected = len(data) / 256
     stat = sum((c - expected) ** 2 / expected for c in counts)
-    try:
-        from scipy.stats import chi2
+    from scipy.stats import chi2  # deferred: scipy.stats is slow to import
 
-        return float(chi2.sf(stat, df=255))
-    except ImportError:  # pragma: no cover - scipy is a dependency
-        # Wilson-Hilferty normal approximation of the chi-square tail.
-        df = 255
-        z = ((stat / df) ** (1.0 / 3.0) - (1 - 2.0 / (9 * df))) / math.sqrt(
-            2.0 / (9 * df)
-        )
-        return 0.5 * math.erfc(z / math.sqrt(2))
+    return float(chi2.sf(stat, df=255))
 
 
 def mean_confidence_interval(

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -163,6 +164,17 @@ class TestExecution:
         payload = json.loads((tmp_path / "BENCH_crashsim.json").read_text())
         assert payload["results"]["metadata"]["attempted"] == 3
         assert "thin.meta.area-written" in payload["marks"]
+
+    def test_crashsim_defaults_write_the_committed_bench_bytes(self, tmp_path):
+        """``repro crashsim`` and ``pytest benchmarks`` share one payload."""
+        assert main(["crashsim", "--json-dir", str(tmp_path)]) == 0
+        committed = (
+            pathlib.Path(__file__).resolve().parent.parent
+            / "benchmarks" / "results" / "BENCH_crashsim.json"
+        )
+        assert (tmp_path / "BENCH_crashsim.json").read_bytes() == (
+            committed.read_bytes()
+        )
 
     def test_workload_records_and_replay_reuses_trace(self, capsys, tmp_path):
         trace_path = tmp_path / "mix.trace"

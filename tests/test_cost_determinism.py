@@ -6,8 +6,7 @@ charge. That must land every simulated-clock reading, every RNG draw and
 every latency histogram on *exactly* the values the block-at-a-time path
 (:func:`per_block_baseline`) produces — IEEE-754 addition is not
 associative, so any reordering shows up in the low bits. These tests
-check that over randomized schedules, and spot-check that fault-injection
-crash points land at unchanged write indices on either core.
+check that over randomized schedules.
 
 Nothing here uses approximate comparison: every assertion is ``==`` on
 floats. A failure means the replay changed summation order.
@@ -15,15 +14,10 @@ floats. A failure means the replay changed summation order.
 
 import random
 
-import pytest
-
 from repro import obs
 from repro.blockdev import EMMCDevice, LatencyModel, SimClock, per_block_baseline
 from repro.blockdev.device import ExtentCosts
-from repro.blockdev.faults import FaultPlan, FaultyBlockDevice
 from repro.crypto.rng import Rng
-from repro.errors import PowerCutError
-from repro.util.npgate import reference_core
 
 #: Charge magnitudes spanning the scales the latency models emit, chosen
 #: to provoke rounding differences if the fold order ever changes
@@ -117,46 +111,3 @@ def test_jittered_extent_costs_bit_identical():
     for seed in range(25):
         extent = _jittered_extent_run(seed, per_block=False)
         assert extent == _jittered_extent_run(seed, per_block=True), seed
-
-
-# ---------------------------------------------------------------------------
-# Crash-point spot-check
-# ---------------------------------------------------------------------------
-
-
-def _crash_indices(cut_after: int, use_reference: bool):
-    """Where does a power cut land, and what does it tear?"""
-    clock = SimClock()
-    emmc = EMMCDevice(256, clock=clock, latency=LatencyModel())
-    plan = FaultPlan(seed=3, power_cut_after_writes=cut_after, torn_writes=True)
-    faulty = FaultyBlockDevice(emmc, plan=plan)
-    payload = bytes((i % 251) for i in range(64 * emmc.block_size))
-
-    def run():
-        hits = []
-        for start in (0, 64, 128):
-            try:
-                faulty.write_blocks(start, payload)
-            except PowerCutError as exc:
-                hits.append((start, faulty.writes_since_arm, str(exc)))
-                faulty.revive(disarm=False)
-        return hits
-
-    if use_reference:
-        with reference_core():
-            hits = run()
-    else:
-        hits = run()
-    return hits, faulty.torn_write, clock.now
-
-
-@pytest.mark.parametrize("cut_after", [0, 1, 17, 63, 100])
-def test_crash_point_indices_unchanged_by_core(cut_after):
-    """Power cuts interrupt the same write index on either core.
-
-    The vectorized core must not change *when* a fault fires: an armed
-    FaultyBlockDevice decomposes extents per block, so the interrupted
-    write index, the torn-write sector count and the clock at the cut
-    are identical with and without the NumPy core underneath.
-    """
-    assert _crash_indices(cut_after, False) == _crash_indices(cut_after, True)

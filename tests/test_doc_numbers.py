@@ -1,11 +1,12 @@
 """Docs that quote benchmark numbers must agree with the BENCH files they cite.
 
 ``docs/performance.md`` quotes the extent-vs-per-block speedups of
-``benchmarks/results/BENCH_hotpath.json`` in its hotpath table. Whenever
-the bench is re-run and its payload committed, the table must be updated
-with it: every ``~Nx`` cell has to equal the committed speedup rounded to
-the precision the cell quotes (``~11x`` to the integer, ``~1.7x`` to one
-decimal).
+``benchmarks/results/BENCH_hotpath.json`` in its hotpath table, and the
+BlockStore results of ``benchmarks/results/BENCH_store.json`` in the
+bullets under "Pluggable BlockStore backends". Whenever a bench is re-run
+and its payload committed, the docs must be updated with it: every quoted
+number has to equal the committed value rounded to the precision the doc
+quotes (``~11x`` to the integer, ``~1.7x`` to one decimal).
 """
 
 import json
@@ -15,6 +16,7 @@ import re
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PERFORMANCE_MD = ROOT / "docs" / "performance.md"
 BENCH_HOTPATH = ROOT / "benchmarks" / "results" / "BENCH_hotpath.json"
+BENCH_STORE = ROOT / "benchmarks" / "results" / "BENCH_store.json"
 
 #: One hotpath table row: | `scenario` | ~N[.D]x | what it prices |
 _ROW = re.compile(r"^\|\s*`(\w+)`\s*\|\s*~(\d+(?:\.(\d+))?)x\s*\|")
@@ -41,3 +43,65 @@ def test_hotpath_table_matches_bench_payload():
             f"docs/performance.md quotes {name} at ~{text}x but "
             f"BENCH_hotpath.json says {scenarios[name]['speedup']:.3f}x"
         )
+
+
+#: A quoted store number: ``~N[.D]x``, ``~N ms``, ``~N KiB`` or ``ratio N.D``.
+_STORE_NUMBER = re.compile(
+    r"~(\d+(?:\.(\d+))?)\s*(x|ms|KiB)\b|ratio (\d+\.(\d+))"
+)
+
+#: Bullet title -> the BENCH_store.json path of each number it quotes, in
+#: order of appearance. Millisecond quotes read a seconds field.
+_STORE_QUOTES = {
+    "Mmap heap flatness": [
+        "mmap_rss.peaks_kib.256MiB",
+        "mmap_rss.peaks_kib.4GiB",
+        "mmap_rss.peak_ratio_4g_vs_256m",
+    ],
+    "CoW checkpoint": [
+        "cow_checkpoint.speedup",
+        "cow_checkpoint.cow_checkpoint_s",
+        "cow_checkpoint.full_reintern_s",
+    ],
+    "Fleet checkpoint (the SQLite half)": [
+        "fleet_checkpoint.delta_checkpoint_s",
+        "fleet_checkpoint.full_manifest_s",
+        "fleet_checkpoint.speedup",
+    ],
+    "Hotpath guard": ["hotpath_ram.emmc_seq_write.speedup"],
+}
+
+
+def _store_bullets():
+    """Bullet title -> its text, for the BlockStore results list."""
+    text = PERFORMANCE_MD.read_text()
+    start = text.index("Representative numbers from the committed baseline:")
+    end = text.index("## Reading `BENCH_hotpath.json`")
+    bullets = {}
+    for chunk in text[start:end].split("\n* **")[1:]:
+        title, _, body = chunk.partition(":**")
+        bullets[title] = " ".join(body.split())
+    return bullets
+
+
+def _lookup(payload, path):
+    for key in path.split("."):
+        payload = payload[key]
+    return payload
+
+
+def test_store_bullets_match_bench_payload():
+    payload = json.loads(BENCH_STORE.read_text())
+    bullets = _store_bullets()
+    assert set(bullets) == set(_STORE_QUOTES), sorted(bullets)
+    for title, paths in _STORE_QUOTES.items():
+        quotes = _STORE_NUMBER.findall(bullets[title])
+        assert len(quotes) == len(paths), (title, quotes)
+        for (num, dec, unit, ratio, ratio_dec), path in zip(quotes, paths):
+            text, decimals = (num, dec) if num else (ratio, ratio_dec)
+            value = _lookup(payload, path) * (1e3 if unit == "ms" else 1)
+            committed = f"{value:.{len(decimals)}f}"
+            assert text == committed, (
+                f"docs/performance.md quotes {title!r} as {text} but "
+                f"BENCH_store.json {path} is {value:.3f}"
+            )

@@ -7,14 +7,10 @@ random op mixes through two identically-seeded stacks, one using the
 extent path and one forced through the legacy per-block decomposition
 via :func:`per_block_baseline`, and require bit-exact agreement.
 
-The vectorized NumPy core adds a second axis to the same invariant: the
-vectorized keystream / allocator / block-store code must be unobservable
-next to the pure-Python reference core (:func:`reference_core`). The
-``*_core_equivalence`` tests run every stack through the full cross
-product {numpy, reference} x {extent, per-block} and require one single
-signature; under ``REPRO_NO_NUMPY=1`` the numpy leg degenerates to the
-reference leg and the tests still pass (trivially), so the battery is
-valid in both CI matrix legs.
+The NumPy sites underneath (allocators, thin bitmap, wide XOR) are pinned
+one by one against their plain-Python oracles in ``tests/test_oracles.py``;
+this battery covers their composition along the two I/O paths and, at the
+end, across the BlockStore backends.
 """
 
 import hashlib
@@ -39,7 +35,6 @@ from repro.dm.thin import ThinPool
 from repro.dm.thin.pool import ThinCosts
 from repro.errors import PowerCutError, TransientIOError
 from repro.fs.ext4 import Ext4Filesystem
-from repro.util.npgate import reference_core
 
 BS = 4096
 VOLUME_BLOCKS = 64
@@ -205,56 +200,7 @@ def test_ext4_extent_equivalence(seed, journal, ops):
     assert _fs_signature(fast) == _fs_signature(slow)
 
 
-# ---------------------------------------------------------------------------
-# NumPy core vs pure-Python reference core
-# ---------------------------------------------------------------------------
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10_000), ops=op_lists)
-def test_block_stack_core_equivalence(seed, ops):
-    """crypt-thin-eMMC under {numpy, reference} x {extent, per-block}.
-
-    The vectorized keystream engine, array-backed allocator and dense
-    block store must land on the same bytes, stats and simulated clock as
-    the pure-Python reference — one signature across all four legs.
-    """
-    legs = []
-    for use_reference in (False, True):
-        for use_per_block in (False, True):
-            stack = _build_block_stack(seed)
-            if use_reference:
-                with reference_core():
-                    if use_per_block:
-                        with per_block_baseline():
-                            reads = _run_block_ops(stack, ops)
-                    else:
-                        reads = _run_block_ops(stack, ops)
-            elif use_per_block:
-                with per_block_baseline():
-                    reads = _run_block_ops(stack, ops)
-            else:
-                reads = _run_block_ops(stack, ops)
-            legs.append((reads, _block_signature(stack)))
-    assert all(leg == legs[0] for leg in legs[1:])
-
-
-@settings(max_examples=8, deadline=None)
-@given(seed=st.integers(0, 10_000), journal=st.booleans(), ops=fs_op_lists)
-def test_ext4_core_equivalence(seed, journal, ops):
-    """ext4-over-crypt-over-eMMC: numpy core == reference core, bit-exact."""
-    fast = _build_fs_stack(seed, journal)
-    fast_reads = _run_fs_ops(fast, ops)
-
-    ref = _build_fs_stack(seed, journal)
-    with reference_core():
-        ref_reads = _run_fs_ops(ref, ops)
-
-    assert fast_reads == ref_reads
-    assert _fs_signature(fast) == _fs_signature(ref)
-
-
-def test_edge_extents_all_cores():
+def test_edge_extents_both_paths():
     """Zero-length, single-block, partial-tail and clamped extents.
 
     Deterministic sweep of the shapes Hypothesis hits rarely: empty
@@ -281,24 +227,15 @@ def test_edge_extents_all_cores():
         crypt.write_blocks(3, b"")
         return reads
 
-    legs = []
-    for use_reference in (False, True):
-        for use_per_block in (False, True):
-            stack = _build_block_stack(424242)
-            if use_reference:
-                with reference_core():
-                    if use_per_block:
-                        with per_block_baseline():
-                            reads = run(stack)
-                    else:
-                        reads = run(stack)
-            elif use_per_block:
-                with per_block_baseline():
-                    reads = run(stack)
-            else:
-                reads = run(stack)
-            legs.append((reads, _block_signature(stack)))
-    assert all(leg == legs[0] for leg in legs[1:])
+    fast = _build_block_stack(424242)
+    fast_reads = run(fast)
+
+    slow = _build_block_stack(424242)
+    with per_block_baseline():
+        slow_reads = run(slow)
+
+    assert fast_reads == slow_reads
+    assert _block_signature(fast) == _block_signature(slow)
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +293,9 @@ def _faulty_signature(stack, cross_path=False):
     kills an op mid-extent, the per-block path has already booked the
     completed blocks at layers above the fault while the extent path
     books only on full success — a long-standing (and documented-here)
-    semantic difference of exceptional partial completion, orthogonal to
-    the numpy/reference core split. Leaf stats, the simulated clock, the
-    medium image and all fault bookkeeping must still agree exactly.
+    semantic difference of exceptional partial completion. Leaf stats,
+    the simulated clock, the medium image and all fault bookkeeping must
+    still agree exactly.
     """
     clock, emmc, faulty, pool, crypt = stack
     sig = [
@@ -394,15 +331,13 @@ faulty_op_lists = st.lists(
     error_rate=st.sampled_from([0.0, 0.05, 0.2]),
 )
 def test_faulty_interleaving_equivalence(seed, ops, cut_after, error_rate):
-    """Armed fault plans: every core x path leg sees the same failures.
+    """Armed fault plans: both I/O paths see the same failures.
 
     An armed :class:`FaultyBlockDevice` decomposes extents per block and
     draws from the plan RNG per op, so transient errors, power cuts and
     torn writes must land at identical indices whether the surrounding
-    stack batches its replay or not, on either core. Core equivalence
-    (numpy vs reference) is asserted on the full signature; the extent
-    vs per-block comparison drops upper-layer stats (see
-    :func:`_faulty_signature`).
+    stack batches its replay or not. The comparison drops upper-layer
+    stats (see :func:`_faulty_signature`).
     """
 
     def plan():
@@ -415,37 +350,17 @@ def test_faulty_interleaving_equivalence(seed, ops, cut_after, error_rate):
             transient_error_budget=4,
         )
 
-    legs = {}
-    for use_reference in (False, True):
-        for use_per_block in (False, True):
-            stack = _build_faulty_stack(seed, plan())
-            if use_reference:
-                with reference_core():
-                    if use_per_block:
-                        with per_block_baseline():
-                            out = _run_faulty_ops(stack, ops)
-                    else:
-                        out = _run_faulty_ops(stack, ops)
-            elif use_per_block:
-                with per_block_baseline():
-                    out = _run_faulty_ops(stack, ops)
-            else:
-                out = _run_faulty_ops(stack, ops)
-            legs[(use_reference, use_per_block)] = (out, stack)
+    fast = _build_faulty_stack(seed, plan())
+    fast_out = _run_faulty_ops(fast, ops)
 
-    # core equivalence: full signature, per path mode
-    for per_block in (False, True):
-        numpy_out, numpy_stack = legs[(False, per_block)]
-        ref_out, ref_stack = legs[(True, per_block)]
-        assert numpy_out == ref_out
-        assert _faulty_signature(numpy_stack) == _faulty_signature(ref_stack)
+    slow = _build_faulty_stack(seed, plan())
+    with per_block_baseline():
+        slow_out = _run_faulty_ops(slow, ops)
 
-    # path equivalence: outcomes, clock, image, leaf stats, fault state
-    base_out, base_stack = legs[(False, False)]
-    base_sig = _faulty_signature(base_stack, cross_path=True)
-    for key, (out, stack) in legs.items():
-        assert out == base_out, key
-        assert _faulty_signature(stack, cross_path=True) == base_sig, key
+    assert fast_out == slow_out
+    assert _faulty_signature(fast, cross_path=True) == _faulty_signature(
+        slow, cross_path=True
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -454,29 +369,22 @@ def test_faulty_interleaving_equivalence(seed, ops, cut_after, error_rate):
 #
 # The store is a pure byte container below the extent IR; swapping it must
 # leave every observable — returned reads, device images, simulated clocks,
-# IOStats, RNG draw order — bit-identical, on either compute core. These
-# legs run the same stacks as above across the full
-# {ram, mmap, cow} x {numpy, reference} grid.
+# IOStats, RNG draw order — bit-identical. These legs run the same stacks
+# as above across {ram, mmap, cow}.
 
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 10_000), ops=op_lists)
 def test_block_stack_store_equivalence(seed, ops):
-    """crypt-thin-eMMC over every BlockStore backend x both cores."""
+    """crypt-thin-eMMC over every BlockStore backend."""
     legs = []
     for store in STORE_KINDS:
-        for use_reference in (False, True):
-            stack = _build_block_stack(seed, store=store)
-            if use_reference:
-                with reference_core():
-                    reads = _run_block_ops(stack, ops)
-            else:
-                reads = _run_block_ops(stack, ops)
-            legs.append(((store, use_reference), reads,
-                         _block_signature(stack)))
-    for key, reads, sig in legs[1:]:
-        assert reads == legs[0][1], key
-        assert sig == legs[0][2], key
+        stack = _build_block_stack(seed, store=store)
+        reads = _run_block_ops(stack, ops)
+        legs.append((store, reads, _block_signature(stack)))
+    for store, reads, sig in legs[1:]:
+        assert reads == legs[0][1], store
+        assert sig == legs[0][2], store
 
 
 @settings(max_examples=8, deadline=None)

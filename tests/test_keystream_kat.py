@@ -1,18 +1,15 @@
-"""Known-answer tests for the vectorized Blake2Ctr keystream engine.
+"""Known-answer tests for the Blake2Ctr keystream engine.
 
-The vectorized extent path (:meth:`Blake2Ctr.encrypt_extent` with the
-NumPy core enabled) serves whole extents from a per-unit keystream
-cache, batch-generates missing units through a shared pre-keyed
-template and XORs on uint64 lanes — an entirely different code path
-from the scalar :meth:`_keystream` loop the cipher was originally
-pinned against. These KATs triangulate all three implementations:
+The extent path (:meth:`Blake2Ctr.encrypt_extent`) serves whole extents
+from a per-unit keystream cache, generates missing units through a
+shared pre-keyed template and XORs on uint64 lanes; the per-sector path
+shares the generator but not the cache. These KATs pin both against:
 
 * an *independent* hashlib fixture built right here from the documented
   construction (``BLAKE2b(key=key, digest_size=64,
-  data=sector_le64 || counter_le32)``),
-* the scalar per-sector path (``encrypt_sector`` / ``_keystream``),
-* the vectorized extent path, warm and cold cache, numpy and reference
-  cores.
+  data=sector_le64 || counter_le32)``), XORed with the big-int oracle,
+* the per-sector path (``encrypt_sector`` / ``_keystream``),
+* the extent path, warm and cold cache.
 
 Coverage targets the shapes where a vectorized counter layout could
 silently diverge: counters crossing byte boundaries (little-endian
@@ -26,8 +23,8 @@ import hashlib
 
 import pytest
 
-from repro.crypto.stream import Blake2Ctr, xor_bytes
-from repro.util.npgate import reference_core
+from repro.crypto.stream import Blake2Ctr
+from tests.oracles import xor_bytes
 
 KEY = bytes(range(32))
 BIG_SECTOR = 5 << 33  # a byte offset > 4 GiB at 512-byte sectors
@@ -38,7 +35,7 @@ def fixture_keystream(key: bytes, sector: int, nbytes: int) -> bytes:
     """The documented construction, straight from hashlib.
 
     Independent of everything in :mod:`repro.crypto.stream`: any bug
-    shared by the scalar and vectorized paths still loses against this.
+    shared by the per-sector and extent paths still loses against this.
     """
     out = bytearray()
     counter = 0
@@ -68,7 +65,7 @@ def _pattern(nbytes: int) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Triangulation: hashlib fixture == scalar path == vectorized path
+# Triangulation: hashlib fixture == per-sector path == extent path
 # ---------------------------------------------------------------------------
 
 
@@ -78,7 +75,7 @@ def _pattern(nbytes: int) -> bytes:
     ids=lambda s: f"sector={s}",
 )
 def test_extent_matches_fixture_and_scalar(sector):
-    """One extent, three implementations, one answer."""
+    """One extent, the fixture and both paths, one answer."""
     unit = 4096
     data = _pattern(3 * unit)
     expected = fixture_encrypt_extent(KEY, sector, data, unit)
@@ -86,10 +83,7 @@ def test_extent_matches_fixture_and_scalar(sector):
     cipher = Blake2Ctr(KEY)
     assert cipher.encrypt_extent(sector, data, unit) == expected
     # warm cache must not change the answer
-    assert cipher.encrypt_extent(sector, data, unit) == expected
-    with reference_core():
-        assert cipher.encrypt_extent(sector, data, unit) == expected
-    # scalar per-sector path (units step by unit // 512 sectors)
+    # per-sector path (units step by unit // 512 sectors)
     step = unit // 512
     scalar = b"".join(
         cipher.encrypt_sector(sector + i * step, data[i * unit : (i + 1) * unit])
@@ -113,8 +107,7 @@ def test_counter_crosses_byte_boundaries():
     expected = fixture_encrypt_extent(KEY, 9, data, unit)
     cipher = Blake2Ctr(KEY)
     assert cipher.encrypt_extent(9, data, unit) == expected
-    with reference_core():
-        assert Blake2Ctr(KEY).encrypt_extent(9, data, unit) == expected
+    assert cipher.encrypt_sector(9, data) == expected
 
 
 def test_sector_above_4gib_and_64bit_ceiling():
@@ -139,8 +132,6 @@ def test_odd_unit_lengths_fall_back_exactly():
         expected = fixture_encrypt_extent(KEY, 3, data, unit)
         cipher = Blake2Ctr(KEY)
         assert cipher.encrypt_extent(3, data, unit) == expected
-        with reference_core():
-            assert Blake2Ctr(KEY).encrypt_extent(3, data, unit) == expected
 
 
 def test_keystream_is_key_dependent():
