@@ -707,6 +707,13 @@ def _cmd_serve(args: argparse.Namespace) -> None:
 
     async def _serve() -> None:
         await server.start()
+        # handlers first: a SIGTERM sent on seeing the banner stops cleanly
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            try:
+                loop.add_signal_handler(sig, server.request_stop)
+            except NotImplementedError:  # pragma: no cover - non-unix
+                pass
         print(
             f"repro serve: listening on http://{server.host}:{server.port} "
             f"(db {args.db}, stream dir {args.stream_dir}, "
@@ -714,12 +721,6 @@ def _cmd_serve(args: argparse.Namespace) -> None:
             f"{server.resumed_devices} device(s) resumed)",
             flush=True,
         )
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, server.request_stop)
-            except NotImplementedError:  # pragma: no cover - non-unix
-                pass
         await server.run()
 
     asyncio.run(_serve())

@@ -59,7 +59,7 @@ import pathlib
 import threading
 import time
 import urllib.parse
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.crypto.rng import Rng
 from repro.errors import (
@@ -172,6 +172,10 @@ class PDEServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._stop: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+        # keep-alive connections parked between requests; close() shuts
+        # them so shutdown never waits on a client's idle socket
+        self._idle: Set[asyncio.StreamWriter] = set()
+        self._closing = False
         self.resumed_devices = 0
 
     # -- lifecycle -------------------------------------------------------------
@@ -219,9 +223,17 @@ class PDEServer:
             self._loop.call_soon_threadsafe(self._stop.set)
 
     async def close(self) -> None:
-        """Stop accepting, close device spools, release the db and pool."""
+        """Stop accepting, close device spools, release the db and pool.
+
+        Idle keep-alive connections are closed at once (their clients see
+        EOF); a connection with a request in flight answers it with
+        ``Connection: close`` and then closes.
+        """
+        self._closing = True
         if self._server is not None:
             self._server.close()
+            for writer in list(self._idle):
+                writer.close()
             await self._server.wait_closed()
             self._server = None
         for device in self.devices.values():
@@ -240,7 +252,8 @@ class PDEServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            while True:
+            while not self._closing:
+                self._idle.add(writer)
                 try:
                     parsed = await self._read_request(reader)
                 except _HttpProblem as exc:
@@ -250,6 +263,8 @@ class PDEServer:
                         keep_alive=False,
                     )
                     return
+                finally:
+                    self._idle.discard(writer)
                 if parsed is None:
                     return  # clean EOF between requests
                 method, path, query, body, headers, keep_alive = parsed
@@ -337,6 +352,7 @@ class PDEServer:
         keep_alive: bool,
         trace: Optional[TraceContext],
     ) -> bytes:
+        keep_alive = keep_alive and not self._closing  # last one if stopping
         lines = [
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
             f"Server: {_SERVER_NAME}",

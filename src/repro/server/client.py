@@ -6,10 +6,13 @@ One method per route, JSON in / JSON out, with ``http.client`` underneath
 responses become :class:`ServerAPIError` carrying the status code and the
 decoded ``{"error", "detail"}`` body.
 
-Thread-safe by construction: every call opens its own connection — the
-concurrency tests drive eight clients from eight threads against eight
-devices without sharing a socket. (``last_trace`` is per-client state:
-give each thread its own client when asserting trace continuity.)
+Connections are kept alive, one per calling thread (``threading.local``),
+so a client shared by many threads never shares a socket. A connection is
+dropped when a response says it will close, and a request whose *reused*
+connection fails before any response arrives (closed by the server while
+idle) is resent once on a fresh one. Telemetry streams open their own
+connection, which the server closes. ``last_trace`` is per-client state:
+give each thread its own client when asserting trace continuity.
 
 Tracing: set :attr:`ServerClient.trace_id` (lowercase hex) and every
 request carries it as ``X-Repro-Trace``; after any call,
@@ -23,6 +26,7 @@ from __future__ import annotations
 import base64
 import http.client
 import json
+import threading
 import time
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -35,6 +39,15 @@ class ServerAPIError(Exception):
         super().__init__(f"HTTP {status}: {detail}")
         self.status = status
         self.payload = payload
+
+
+def _api_error(status: int, raw: bytes) -> ServerAPIError:
+    """Decode an error body (``{"error", "detail"}`` JSON, or plain text)."""
+    try:
+        decoded = json.loads(raw) if raw else {}
+    except json.JSONDecodeError:
+        decoded = {"detail": raw.decode("utf-8", "replace")}
+    return ServerAPIError(status, decoded)
 
 
 class ServerClient:
@@ -55,6 +68,7 @@ class ServerClient:
         #: the ``X-Repro-Trace`` header of the most recent response
         #: (``trace_id:span_id``), or None if the daemon sent none
         self.last_trace: Optional[str] = None
+        self._local = threading.local()  # .conn: this thread's connection
 
     # -- plumbing --------------------------------------------------------------
 
@@ -64,35 +78,54 @@ class ServerClient:
         )
 
     def _headers(self) -> Dict[str, str]:
-        headers = {"Connection": "close"}
-        if self.trace_id is not None:
-            headers["X-Repro-Trace"] = self.trace_id
-        return headers
+        return {} if self.trace_id is None else {"X-Repro-Trace": self.trace_id}
+
+    def close(self) -> None:
+        """Drop the calling thread's persistent connection, if any."""
+        conn, self._local.conn = getattr(self._local, "conn", None), None
+        if conn is not None:
+            conn.close()
+
+    def _exchange(
+        self, method: str, path: str, payload: Optional[Dict[str, object]] = None
+    ) -> bytes:
+        """One request on this thread's persistent connection; returns the
+        body of a < 400 response, raises :class:`ServerAPIError` otherwise."""
+        body, headers = None, self._headers()
+        if payload is not None:
+            body = json.dumps(payload).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        while True:
+            conn = getattr(self._local, "conn", None)
+            reused = conn is not None
+            conn = self._local.conn = conn or self._connect()
+            try:
+                try:
+                    conn.request(method, path, body=body, headers=headers)
+                    response = conn.getresponse()
+                except ConnectionError:
+                    if not reused:
+                        raise
+                    # the server closed it while idle: resend, once
+                    self.close()
+                    continue
+                raw = response.read()
+            except BaseException:
+                self.close()
+                raise
+            if response.will_close:
+                self.close()
+            self.last_trace = response.getheader("X-Repro-Trace")
+            if response.status >= 400:
+                raise _api_error(response.status, raw)
+            return raw
 
     def request(
         self, method: str, path: str, payload: Optional[Dict[str, object]] = None
     ) -> Dict[str, object]:
         """One JSON round-trip; raises :class:`ServerAPIError` on >= 400."""
-        body = None
-        headers = self._headers()
-        if payload is not None:
-            body = json.dumps(payload).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        conn = self._connect()
-        try:
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
-            raw = response.read()
-            self.last_trace = response.getheader("X-Repro-Trace")
-            try:
-                decoded = json.loads(raw) if raw else {}
-            except json.JSONDecodeError:
-                decoded = {"detail": raw.decode("utf-8", "replace")}
-            if response.status >= 400:
-                raise ServerAPIError(response.status, decoded)
-            return decoded
-        finally:
-            conn.close()
+        raw = self._exchange(method, path, payload)
+        return json.loads(raw) if raw else {}
 
     # -- fleet -----------------------------------------------------------------
 
@@ -104,23 +137,7 @@ class ServerClient:
 
     def metrics_prom(self) -> str:
         """``GET /metrics?format=prom`` — the raw text exposition body."""
-        conn = self._connect()
-        try:
-            conn.request(
-                "GET", "/metrics?format=prom", headers=self._headers()
-            )
-            response = conn.getresponse()
-            raw = response.read()
-            self.last_trace = response.getheader("X-Repro-Trace")
-            if response.status >= 400:
-                try:
-                    decoded = json.loads(raw) if raw else {}
-                except json.JSONDecodeError:
-                    decoded = {"detail": raw.decode("utf-8", "replace")}
-                raise ServerAPIError(response.status, decoded)
-            return raw.decode("utf-8")
-        finally:
-            conn.close()
+        return self._exchange("GET", "/metrics?format=prom").decode("utf-8")
 
     def devices(self) -> List[Dict[str, object]]:
         return self.request("GET", "/devices")["devices"]
@@ -154,20 +171,14 @@ class ServerClient:
         )
 
     def write(self, device_id: int, path: str, data: bytes) -> Dict[str, object]:
+        encoded = base64.b64encode(data).decode("ascii")
         return self.request(
-            "POST",
-            f"/devices/{device_id}/write",
-            {
-                "path": path,
-                "data_b64": base64.b64encode(data).decode("ascii"),
-            },
+            "POST", f"/devices/{device_id}/write",
+            {"path": path, "data_b64": encoded},
         )
 
     def read_file(self, device_id: int, path: str) -> bytes:
-        out = self.request(
-            "GET",
-            f"/devices/{device_id}/file?path=" + path,
-        )
+        out = self.request("GET", f"/devices/{device_id}/file?path=" + path)
         return base64.b64decode(out["data_b64"])
 
     def crash(self, device_id: int) -> Dict[str, object]:
@@ -190,29 +201,17 @@ class ServerClient:
         max_s: float = 30.0,
     ) -> Iterator[Dict[str, object]]:
         """Yield parsed ``telemetry.v1`` events from the chunked stream."""
-        query = f"?follow={'1' if follow else '0'}&max_s={max_s}"
+        query = f"follow={int(follow)}&max_s={max_s}"
         conn = self._connect()
         try:
-            conn.request(
-                "GET",
-                f"/devices/{device_id}/telemetry{query}",
-                headers=self._headers(),
-            )
+            conn.request("GET", f"/devices/{device_id}/telemetry?{query}",
+                         headers=self._headers())
             response = conn.getresponse()
             self.last_trace = response.getheader("X-Repro-Trace")
             if response.status >= 400:
-                raw = response.read()
-                try:
-                    decoded = json.loads(raw) if raw else {}
-                except json.JSONDecodeError:
-                    decoded = {"detail": raw.decode("utf-8", "replace")}
-                raise ServerAPIError(response.status, decoded)
-            while True:
-                line = response.readline()
-                if not line:
-                    break
-                line = line.strip()
-                if line:
+                raise _api_error(response.status, response.read())
+            for line in response:  # de-chunked, one JSONL event per line
+                if line.strip():
                     yield json.loads(line)
         finally:
             conn.close()

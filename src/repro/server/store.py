@@ -25,6 +25,13 @@ LBAs are interned and only the chunk rows holding a changed LBA are
 rewritten. With the copy-on-write capture in front (O(dirty) hashing),
 the whole checkpoint is O(blocks touched since the last one).
 
+File databases run in WAL journal mode with ``synchronous=FULL``: a
+commit appends its pages to ``{db}-wal`` and fsyncs that file once, so a
+kill after ``COMMIT`` returns keeps the checkpoint and a kill before it
+keeps the previous one. The mode is set only after the schema gate has
+passed (a refused file is never touched), and a file that SQLite will not
+switch to WAL is refused too.
+
 All methods are safe to call from the executor's worker threads: one
 connection guarded by one lock (operations are short — the daemon's
 concurrency lives in the simulated devices, not in SQLite).
@@ -142,6 +149,8 @@ class FleetStore:
                     f"fleet db {self.path} has schema version {row[0]}, "
                     f"this daemon speaks {STORE_SCHEMA_VERSION}"
                 )
+            if self.path != ":memory:":
+                self._use_wal_locked()
             self._conn.executescript(_SCHEMA)
             if row is None:
                 self._conn.execute(
@@ -149,6 +158,18 @@ class FleetStore:
                     ("schema_version", str(STORE_SCHEMA_VERSION)),
                 )
                 self._conn.commit()
+
+    def _use_wal_locked(self) -> None:
+        """Switch a file db to WAL with FULL sync (see the module docs);
+        a file SQLite keeps in another journal mode is refused."""
+        (mode,) = self._conn.execute("PRAGMA journal_mode=WAL").fetchone()
+        if mode.lower() != "wal":
+            self._conn.close()
+            raise ServerError(
+                f"fleet db {self.path} stayed in journal mode {mode!r}, "
+                "not wal"
+            )
+        self._conn.execute("PRAGMA synchronous=FULL")
 
     # -- devices ---------------------------------------------------------------
 

@@ -67,11 +67,13 @@ class RunningServer:
         assert ready.wait(15), "daemon did not come up"
         if failure:
             raise failure[0]
-        return ServerClient("127.0.0.1", self.server.port)
+        self.client = ServerClient("127.0.0.1", self.server.port)
+        return self.client
 
     def __exit__(self, *exc):
         self.server.request_stop()
         self.thread.join(15)
+        self.client.close()
         assert not self.thread.is_alive(), "daemon did not shut down"
 
 
@@ -306,6 +308,7 @@ def _drive(client, device_id):
     client.boot(device_id, "decoy")
     client.write(device_id, "/sdcard/c", b"c" * 2048)
     last = client.snapshot(device_id, label="end")
+    client.close()  # this thread's keep-alive connection
     return first["digest"], last["digest"]
 
 
@@ -317,6 +320,8 @@ class TestConcurrencyDeterminism:
         byte-identical (per snapshot digest) to the same eight driven one
         after another: each device is a sealed simulation (own clock, own
         RNG) and the executor serializes per-device ops in request order.
+        The threads drive either one client each or one shared client,
+        whose keep-alive connections are per thread.
         """
         names = [f"d{i}" for i in range(8)]
 
@@ -326,19 +331,147 @@ class TestConcurrencyDeterminism:
                 device_id = int(client.create_device(name, seed=i)["id"])
                 serial[name] = _drive(client, device_id)
 
-        with RunningServer(tmp_path / "parallel") as client:
-            ids = {
-                name: int(client.create_device(name, seed=i)["id"])
-                for i, name in enumerate(names)
-            }
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = {
-                    name: pool.submit(_drive, client, ids[name])
-                    for name in names
+        for shared in (False, True):
+            with RunningServer(tmp_path / f"parallel-{shared}") as client:
+                ids = {
+                    name: int(client.create_device(name, seed=i)["id"])
+                    for i, name in enumerate(names)
                 }
-                parallel = {name: f.result() for name, f in futures.items()}
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = {
+                        name: pool.submit(
+                            _drive,
+                            client if shared
+                            else ServerClient(client.host, client.port),
+                            ids[name],
+                        )
+                        for name in names
+                    }
+                    parallel = {
+                        name: f.result() for name, f in futures.items()
+                    }
+            assert parallel == serial, f"shared client: {shared}"
 
-        assert parallel == serial
+
+def _local_port(client):
+    """The local port of the calling thread's keep-alive connection."""
+    return client._local.conn.sock.getsockname()[1]
+
+
+def _wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+def _count_connects(client):
+    """Wrap the client's connection factory; returns the call log."""
+    calls = []
+    connect = client._connect
+
+    def counted():
+        calls.append(1)
+        return connect()
+
+    client._connect = counted
+    return calls
+
+
+class TestKeepAlive:
+    def test_requests_reuse_one_connection_per_thread(self, tmp_path):
+        with RunningServer(tmp_path) as client:
+            client.healthz()
+            port = _local_port(client)
+            device_id = int(client.create_device("k")["id"])
+            client.boot(device_id, "decoy")
+            client.metrics_prom()
+            assert _local_port(client) == port
+
+            def from_another_thread():
+                client.healthz()
+                try:
+                    return _local_port(client)
+                finally:
+                    client.close()
+
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                other = pool.submit(from_another_thread).result()
+            assert other != port
+
+    def test_server_closed_connection_is_replaced_once(self, tmp_path):
+        """A keep-alive socket the server closed while idle fails before
+        any response byte; the client resends on one fresh connection and
+        the daemon applies the POST exactly once."""
+        running = RunningServer(tmp_path)
+        with running as client:
+            server = running.server
+            device_id = int(client.create_device("k")["id"])
+            client.boot(device_id, "decoy")
+            client.write(device_id, "/sdcard/a", b"a" * 4096)
+            before = client.device(device_id)["counters"]["server.ops.write"]
+            port = _local_port(client)
+            # the daemon drops the client's parked connection under it
+            _wait_until(lambda: len(server._idle) == 1)
+            server._loop.call_soon_threadsafe(
+                lambda: [writer.close() for writer in list(server._idle)]
+            )
+            _wait_until(lambda: not server._idle)
+            connects = _count_connects(client)
+            client.write(device_id, "/sdcard/b", b"b" * 4096)
+            assert len(connects) == 1
+            assert _local_port(client) != port
+            state = client.device(device_id)
+            assert state["counters"]["server.ops.write"] == before + 1
+            assert client.read_file(device_id, "/sdcard/b") == b"b" * 4096
+
+    def test_retries_at_most_once_and_never_on_a_fresh_connection(
+        self, tmp_path
+    ):
+        with RunningServer(tmp_path) as client:
+            client.healthz()
+        # the daemon is gone: the stale socket fails, its one retry is
+        # refused, and the refusal surfaces
+        connects = _count_connects(client)
+        with pytest.raises(ConnectionRefusedError):
+            client.healthz()
+        assert len(connects) == 1
+        # a fresh connection that fails is not retried
+        with pytest.raises(ConnectionRefusedError):
+            client.healthz()
+        assert len(connects) == 2
+
+    def test_shutdown_closes_idle_keepalive_sockets(self, tmp_path):
+        running = RunningServer(tmp_path)
+        with running as client:
+            server = running.server
+            conn = http.client.HTTPConnection(
+                client.host, client.port, timeout=10
+            )
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            response.read()
+            assert response.getheader("Connection") == "keep-alive"
+            _wait_until(lambda: len(server._idle) == 1)
+            # close() must have shut the idle connection itself by the
+            # time it releases the db, not leave it to task cancellation
+            still_open = []
+            store_close = server.store.close
+
+            def close_store():
+                still_open.extend(
+                    w for w in server._idle if not w.is_closing()
+                )
+                store_close()
+
+            server.store.close = close_store
+            started = time.monotonic()
+        # __exit__ joined the daemon thread; an idle client never holds
+        # shutdown up, and its socket sees EOF
+        assert time.monotonic() - started < 5.0
+        assert still_open == []
+        assert conn.sock.recv(1) == b""
+        conn.close()
 
 
 class TestTracing:
@@ -500,6 +633,7 @@ def _storm(client, device_id):
     client.healthz()
     client.metrics()
     client.metrics_prom()
+    client.close()  # this thread's keep-alive connection
 
 
 class TestMetricsDeterminism:

@@ -520,19 +520,17 @@ class TestDeltaCheckpoint:
         )
         conn.commit()
         conn.close()
+        before = path.read_bytes()
         with pytest.raises(ServerError) as exc:
             FleetStore(path)
         message = str(exc.value)
         assert "schema version 1" in message
         assert f"speaks {STORE_SCHEMA_VERSION}" in message
         assert STORE_SCHEMA_VERSION == 2
-        # refusing a file must not modify it
-        conn = sqlite3.connect(path)
-        tables = {r[0] for r in conn.execute(
-            "SELECT name FROM sqlite_master WHERE type = 'table'"
-        )}
-        conn.close()
-        assert tables == {"meta", "images"}
+        # refusing a file must not modify it: same bytes (still in the
+        # rollback-journal mode it was written in), and no WAL sidecars
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v1.db"]
 
     def test_snapshot_diff_from_manifests_matches_block_diff(self, tmp_path):
         db = FleetStore(tmp_path / "f.db")
@@ -556,6 +554,71 @@ class TestDeltaCheckpoint:
         assert delta == expected
         assert delta.changed_blocks == (0, 1, 2, 99, 150, DELTA_BLOCKS - 1)
         assert db.stats()["blocks"] == blocks_before + 1
+        db.close()
+
+
+class TestDurableJournal:
+    """File databases commit through a WAL with FULL sync; ``:memory:``
+    stores keep SQLite's in-memory journal."""
+
+    def test_fresh_file_db_runs_wal_with_full_sync(self, tmp_path):
+        db = FleetStore(tmp_path / "f.db")
+        assert db._conn.execute("PRAGMA journal_mode").fetchone() == ("wal",)
+        assert db._conn.execute("PRAGMA synchronous").fetchone() == (2,)
+        db.close()
+
+    def test_file_db_left_out_of_wal_is_refused(self, tmp_path, monkeypatch):
+        connect = sqlite3.connect
+
+        class KeepsJournal:
+            """A connection on which the switch to WAL does nothing."""
+
+            def __init__(self, conn):
+                self.conn = conn
+
+            def __getattr__(self, name):
+                return getattr(self.conn, name)
+
+            def execute(self, sql, *args):
+                if sql.lower().startswith("pragma journal_mode="):
+                    sql = "PRAGMA journal_mode"
+                return self.conn.execute(sql, *args)
+
+        monkeypatch.setattr(
+            sqlite3, "connect", lambda *a, **k: KeepsJournal(connect(*a, **k))
+        )
+        with pytest.raises(ServerError, match="journal mode 'delete', not wal"):
+            FleetStore(tmp_path / "f.db")
+
+    def test_reopen_after_close_loads_the_same_image(self, tmp_path):
+        path = tmp_path / "f.db"
+        db = FleetStore(path)
+        device_id = db.create_device("d", {})
+        device = _cow_device()
+        device.poke_extent(7, _block(7))
+        image = capture(device)
+        db.checkpoint(device_id, {"userdata": image}, {"gen": 1})
+        assert (tmp_path / "f.db-wal").exists()
+        db.close()
+        # the last connection's close folds the WAL back into the file
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.db"]
+        db = FleetStore(path)
+        assert db._conn.execute("PRAGMA journal_mode").fetchone() == ("wal",)
+        loaded = db.load_image(device_id, "userdata")
+        assert loaded.blocks == image.blocks
+        assert loaded.manifest_digest() == image.manifest_digest()
+        assert db.get_device(device_id)["state"] == {"gen": 1}
+        db.close()
+
+    def test_memory_store_keeps_working(self):
+        db = FleetStore(":memory:")
+        assert db._conn.execute("PRAGMA journal_mode").fetchone() == (
+            "memory",
+        )
+        device_id = db.create_device("d", {})
+        image = capture(_cow_device())
+        db.checkpoint(device_id, {"userdata": image})
+        assert db.load_image(device_id, "userdata").blocks == image.blocks
         db.close()
 
 
