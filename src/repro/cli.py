@@ -609,11 +609,7 @@ def _cmd_fleet(args: argparse.Namespace) -> None:
         userdata_blocks=_userdata_blocks(args),
         processes=args.processes,
     )
-    payload = run_fleet(
-        fleet,
-        stream_dir=args.stream_dir,
-        max_inflight_reports=args.max_inflight_reports,
-    )
+    payload = run_fleet(fleet, stream_dir=args.stream_dir)
     print(render_fleet_report(payload))
     if args.stream_dir:
         from repro.obs import health as obs_health
@@ -878,9 +874,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--stream-dir", default=None, metavar="DIR",
-        help="stream telemetry.v1 spools (one JSONL file per device) "
-        "under DIR and fold the merged telemetry incrementally from them "
-        "— bounded memory no matter the fleet size; also scores fleet "
+        help="keep the telemetry.v1 spools (one JSONL file per device) "
+        "under DIR instead of a temporary directory; also scores fleet "
         "health (health.jsonl + BENCH_fleet_health.json) and makes the "
         "run tailable with `repro top DIR`",
     )
@@ -888,12 +883,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--force", action="store_true",
         help="with --stream-dir: delete stale spool files from a previous "
         "run instead of refusing the non-empty directory",
-    )
-    p.add_argument(
-        "--max-inflight-reports", type=int, default=None, metavar="N",
-        help="on the legacy in-RAM path, warn loudly when the fleet "
-        "holds more than N device reports at once (the streaming path "
-        "never does)",
     )
     _add_userdata_mib(p)
     _add_json_dir(p)

@@ -53,7 +53,6 @@ from repro.obs.export import (
     SCHEMA_VERSION,
     bench_payload,
     dump_json,
-    merge_recorder_payloads,
     recorder_payload,
     render_metrics,
     render_span_aggregates,
@@ -74,7 +73,6 @@ from repro.obs.chrometrace import (
 )
 from repro.obs.flame import folded_stacks, parse_folded, render_folded
 from repro.obs.sketch import (
-    HistogramSketch,
     MetricSnapshot,
     QuantileSketch,
     median,
@@ -146,13 +144,11 @@ __all__ = [
     "SCHEMA_VERSION",
     "bench_payload",
     "dump_json",
-    "merge_recorder_payloads",
     "recorder_payload",
     "render_metrics",
     "render_span_aggregates",
     "render_span_tree",
     "write_bench_json",
-    "HistogramSketch",
     "MetricSnapshot",
     "QuantileSketch",
     "median",

@@ -14,11 +14,12 @@ fail on uncommitted drift in ``benchmarks/results/``).
 from __future__ import annotations
 
 import json
-import math
 import pathlib
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ObsError
+from repro.obs.metrics import Histogram
 from repro.obs.recorder import Recorder, SpanRecord
 
 #: Version of the BENCH_*.json schema. Bump on incompatible layout changes.
@@ -74,80 +75,6 @@ def bench_payload(
     return payload
 
 
-class _HistogramFold:
-    """Incremental fold of serialized histogram dicts for one metric name.
-
-    Accumulates counts, totals, extremes and labeled buckets one shard at
-    a time — the same left-to-right float additions the old list-then-sum
-    merge performed, so folding incrementally is bit-identical to folding
-    from a materialized list. Percentiles are re-estimated at
-    :meth:`result` time from the merged labeled buckets with the same
-    interpolation :class:`~repro.obs.metrics.Histogram` uses, clamped to
-    the merged min/max (the ``inf`` overflow bucket clamps to the max).
-    """
-
-    __slots__ = ("count", "total", "minimum", "maximum", "buckets")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-        self.buckets: Dict[str, int] = {}
-
-    def add(self, hist: Dict[str, object]) -> None:
-        count = int(hist["count"])
-        self.count += count
-        self.total += float(hist["mean_s"]) * count
-        if count:
-            low = float(hist["min_s"])
-            if low < self.minimum:
-                self.minimum = low
-            high = float(hist["max_s"])
-            if high > self.maximum:
-                self.maximum = high
-        for label, n in hist.get("buckets", {}).items():
-            self.buckets[label] = self.buckets.get(label, 0) + int(n)
-
-    def result(self) -> Dict[str, object]:
-        if self.count == 0:
-            return {
-                "count": 0, "mean_s": 0.0, "min_s": 0.0, "max_s": 0.0,
-                "p50_s": 0.0, "p95_s": 0.0, "p99_s": 0.0, "buckets": {},
-            }
-
-        def bound(label: str) -> float:
-            return math.inf if label == "inf" else float(label)
-
-        ordered = sorted(self.buckets.items(), key=lambda item: bound(item[0]))
-        minimum, maximum, count = self.minimum, self.maximum, self.count
-
-        def percentile(q: float) -> float:
-            target = q * count
-            cumulative = 0
-            previous_bound = minimum
-            for label, n in ordered:
-                cumulative += n
-                hi = min(bound(label), maximum)
-                if cumulative >= target:
-                    fraction = (target - (cumulative - n)) / n
-                    value = previous_bound + fraction * (hi - previous_bound)
-                    return min(max(value, minimum), maximum)
-                previous_bound = hi
-            return maximum  # pragma: no cover - cumulative always reaches
-
-        return {
-            "count": count,
-            "mean_s": self.total / count,
-            "min_s": minimum,
-            "max_s": maximum,
-            "p50_s": percentile(0.50),
-            "p95_s": percentile(0.95),
-            "p99_s": percentile(0.99),
-            "buckets": {label: n for label, n in ordered},
-        }
-
-
 class PayloadAccumulator:
     """Incremental merge of per-device :func:`recorder_payload` dicts.
 
@@ -155,25 +82,27 @@ class PayloadAccumulator:
     at a time, so merging N devices needs memory proportional to the
     metric-name universe (plus one float per device per gauge for the
     ``gauges_per_device`` section), never to N full payloads.
-    :func:`merge_recorder_payloads` is this class applied to a
-    materialized list — the two produce byte-identical output because the
-    accumulator performs the identical float additions in the identical
-    order.
 
     Counters, marks, I/O tallies and span counts/totals are summed;
-    span/histogram means are recomputed from the merged sums; histogram
-    percentiles are re-estimated from the merged buckets; gauges
-    (point-in-time values such as bitmap occupancy) are averaged across
-    the devices that reported them, with per-device values preserved in
-    ``gauges_per_device``.
+    span/histogram means are recomputed from the merged sums; histograms
+    fold into a live :class:`~repro.obs.metrics.Histogram`
+    (:meth:`~repro.obs.metrics.Histogram.fold`), whose percentiles the
+    merged payload reports; gauges (point-in-time values such as bitmap
+    occupancy) are averaged across the devices that reported them, with
+    per-device values preserved in ``gauges_per_device``.
+
+    Every float sum is kept as an exact :class:`~fractions.Fraction` and
+    rounded once, in :meth:`result`, so the merged output does not depend
+    on the order devices are added in, and folding one payload alone
+    reproduces it.
     """
 
     def __init__(self) -> None:
-        self._spans: Dict[str, Dict[str, float]] = {}
+        self._spans: Dict[str, Dict[str, object]] = {}
         self._marks: Dict[str, int] = {}
-        self._counters: Dict[str, float] = {}
+        self._counters: Dict[str, Fraction] = {}
         self._gauge_values: Dict[str, List[float]] = {}
-        self._histograms: Dict[str, _HistogramFold] = {}
+        self._histograms: Dict[str, Histogram] = {}
         self._io_events = 0
         self._io_by_op: Dict[str, int] = {}
         self._added = 0
@@ -193,23 +122,23 @@ class PayloadAccumulator:
             )
         for name, agg in payload.get("spans", {}).items():
             out = self._spans.setdefault(
-                name, {"count": 0, "total_s": 0.0, "max_s": 0.0}
+                name, {"count": 0, "total_s": Fraction(0), "max_s": 0.0}
             )
             out["count"] += agg["count"]
-            out["total_s"] += agg["total_s"]
+            out["total_s"] += Fraction(agg["total_s"])
             out["max_s"] = max(out["max_s"], agg["max_s"])
         for name, hits in payload.get("marks", {}).items():
             self._marks[name] = self._marks.get(name, 0) + hits
         metrics = payload.get("metrics", {})
         for name, value in metrics.get("counters", {}).items():
-            self._counters[name] = self._counters.get(name, 0.0) + value
+            self._counters[name] = self._counters.get(name, 0) + Fraction(value)
         for name, value in metrics.get("gauges", {}).items():
             self._gauge_values.setdefault(name, []).append(value)
         for name, hist in metrics.get("histograms", {}).items():
-            fold = self._histograms.get(name)
-            if fold is None:
-                fold = self._histograms[name] = _HistogramFold()
-            fold.add(hist)
+            merged = self._histograms.get(name)
+            if merged is None:
+                merged = self._histograms[name] = Histogram(name)
+            merged.fold(hist)
         io = payload.get("io", {})
         self._io_events += io.get("events", 0)
         for op, n in io.get("by_op", {}).items():
@@ -219,21 +148,29 @@ class PayloadAccumulator:
     def result(self) -> Dict[str, object]:
         """The merged aggregate payload (same shape every device emits)."""
         spans = {
-            name: dict(agg) for name, agg in self._spans.items()
+            name: {
+                "count": agg["count"],
+                "total_s": float(agg["total_s"]),
+                "max_s": agg["max_s"],
+                "mean_s": (
+                    float(agg["total_s"] / agg["count"])
+                    if agg["count"] else 0.0
+                ),
+            }
+            for name, agg in self._spans.items()
         }
-        for agg in spans.values():
-            agg["mean_s"] = (
-                agg["total_s"] / agg["count"] if agg["count"] else 0.0
-            )
         return {
             "schema_version": SCHEMA_VERSION,
             "merged_from": self._added,
             "spans": spans,
             "marks": dict(self._marks),
             "metrics": {
-                "counters": dict(sorted(self._counters.items())),
+                "counters": {
+                    name: float(total)
+                    for name, total in sorted(self._counters.items())
+                },
                 "gauges": {
-                    name: sum(values) / len(values)
+                    name: float(sum(map(Fraction, values)) / len(values))
                     for name, values in sorted(self._gauge_values.items())
                 },
                 "gauges_per_device": {
@@ -241,29 +178,12 @@ class PayloadAccumulator:
                     for name, values in sorted(self._gauge_values.items())
                 },
                 "histograms": {
-                    name: fold.result()
-                    for name, fold in sorted(self._histograms.items())
+                    name: merged.as_dict()
+                    for name, merged in sorted(self._histograms.items())
                 },
             },
             "io": {"events": self._io_events, "by_op": dict(self._io_by_op)},
         }
-
-
-def merge_recorder_payloads(
-    payloads: Sequence[Dict[str, object]]
-) -> Dict[str, object]:
-    """Merge per-device :func:`recorder_payload` dicts into one aggregate.
-
-    This is how the legacy (hold-everything) fleet path folds N
-    materialized observations into a single report; the streaming path
-    (:func:`repro.obs.stream.reduce_spools`) drives the same
-    :class:`PayloadAccumulator` one spooled payload at a time and produces
-    byte-identical output.
-    """
-    accumulator = PayloadAccumulator()
-    for payload in payloads:
-        accumulator.add(payload)
-    return accumulator.result()
 
 
 def dump_json(payload: Dict[str, object]) -> str:

@@ -11,7 +11,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterable, Optional, Tuple
+
+from repro.errors import ObsError
 
 #: Default latency buckets in seconds: 1-2-5 decades from 1 µs to 10 s.
 #: Wide enough for everything the stack models, from a single eMMC read
@@ -20,6 +24,12 @@ from typing import Dict, Iterable, Optional, Tuple
 DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = tuple(
     m * 10.0 ** e for e in range(-6, 1) for m in (1.0, 2.0, 5.0)
 ) + (10.0,)
+
+
+@lru_cache(maxsize=None)
+def _bucket_labels(bounds: Tuple[float, ...]) -> Tuple[str, ...]:
+    """Serialized bucket labels by index: ``f"{bound:g}"``, then ``inf``."""
+    return tuple(f"{bound:g}" for bound in bounds) + ("inf",)
 
 
 class Counter:
@@ -63,7 +73,8 @@ class Histogram:
     bound land in an implicit overflow bucket. Percentiles interpolate
     linearly within the bucket the target rank falls in and clamp to the
     observed min/max, so estimates are exact at the extremes and never
-    outside the observed range.
+    outside the observed range. ``total`` is a float while observing and
+    an exact rational once :meth:`fold` has merged serialized histograms.
     """
 
     __slots__ = (
@@ -94,38 +105,36 @@ class Histogram:
         if value > self._max:
             self._max = value
 
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Fold *other* into this histogram exactly, in place.
+    def fold(self, data: Dict[str, object]) -> None:
+        """Fold one serialized :meth:`as_dict` histogram into this one.
 
-        Both histograms must share the same bucket bounds: counts sum
-        bucket by bucket (no re-bucketing, so nothing is lost), min/max
-        take the extremes, and the running totals add. Returns ``self``.
-        Counts, min and max merge exactly order-independently; the float
-        ``total`` is a single IEEE addition per merge — when shard-merge
-        order must be *bit*-unobservable, merge through
-        :class:`repro.obs.sketch.HistogramSketch`, which carries an exact
-        rational total.
+        Bucket labels map back to indices through the labels
+        :meth:`bucket_counts` writes; counts add and min/max take the
+        extremes. The total becomes an exact :class:`~fractions.Fraction`
+        (``mean_s * count`` per dict), so any fold order yields the same
+        :attr:`mean` to the bit. A label these bounds do not produce
+        raises :class:`~repro.errors.ObsError`: serialized histograms come
+        from spool files, i.e. from outside the process.
         """
-        if other._bounds != self._bounds:
-            raise ValueError(
-                f"cannot merge histogram {other.name!r} into {self.name!r}: "
-                "bucket bounds differ"
-            )
-        for i, n in enumerate(other._counts):
-            self._counts[i] += n
-        self.count += other.count
-        self.total += other.total
-        if other._min < self._min:
-            self._min = other._min
-        if other._max > self._max:
-            self._max = other._max
-        return self
+        labels = _bucket_labels(self._bounds)
+        for label, n in data.get("buckets", {}).items():
+            if label not in labels:
+                raise ObsError(
+                    f"histogram {self.name!r}: unknown bucket label {label!r}"
+                )
+            self._counts[labels.index(label)] += int(n)
+        count = int(data["count"])
+        self.count += count
+        self.total = Fraction(self.total) + Fraction(data["mean_s"]) * count
+        if count:
+            self._min = min(self._min, float(data["min_s"]))
+            self._max = max(self._max, float(data["max_s"]))
 
     # -- derived statistics -------------------------------------------------
 
     @property
     def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
+        return float(self.total / self.count) if self.count else 0.0
 
     @property
     def minimum(self) -> float:
@@ -188,13 +197,8 @@ class Histogram:
 
     def bucket_counts(self) -> Dict[str, int]:
         """Non-empty buckets keyed by upper bound (``inf`` = overflow)."""
-        out: Dict[str, int] = {}
-        for i, bucket_count in enumerate(self._counts):
-            if not bucket_count:
-                continue
-            label = f"{self._bounds[i]:g}" if i < len(self._bounds) else "inf"
-            out[label] = bucket_count
-        return out
+        labels = _bucket_labels(self._bounds)
+        return {labels[i]: n for i, n in enumerate(self._counts) if n}
 
     def as_dict(self) -> Dict[str, object]:
         return {

@@ -9,15 +9,12 @@ rational addition is associative *and* commutative, unlike float
 addition). ``tests/test_sketch.py`` property-tests associativity and
 commutativity down to byte-identical serialization.
 
-Three sketches:
+Two sketches:
 
 * :class:`QuantileSketch` — a DDSketch-style bounded quantile sketch
   (log-spaced buckets at fixed relative accuracy, clamped index range)
   for wall-clock metrics whose scale is unknown up front. Memory is a
   hard constant regardless of how many values are observed.
-* :class:`HistogramSketch` — the mergeable, serialized form of a
-  :class:`~repro.obs.metrics.Histogram`: same fixed buckets, same
-  percentile interpolation, exact total.
 * :class:`MetricSnapshot` — point-in-time counter/gauge capture with
   delta computation, the unit the periodic ``telemetry.v1`` snapshot
   events are built from.
@@ -27,10 +24,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import ObsError
-from repro.obs.metrics import Histogram, MetricRegistry
+from repro.obs.metrics import MetricRegistry
 
 #: Default relative accuracy of :class:`QuantileSketch` quantiles.
 DEFAULT_ALPHA = 0.01
@@ -209,93 +206,6 @@ class QuantileSketch:
             "p95": self.p95,
             "p99": self.p99,
         }
-
-
-class HistogramSketch:
-    """The mergeable, serialized form of a fixed-bucket latency histogram.
-
-    Carries the same bucket layout and percentile interpolation as
-    :class:`~repro.obs.metrics.Histogram`, but stores the running total as
-    an exact :class:`~fractions.Fraction` so shard merges are associative
-    and commutative down to the serialized byte. Built either from a live
-    histogram (:meth:`from_histogram`) or a serialized one
-    (:meth:`from_dict`).
-    """
-
-    __slots__ = ("bounds", "counts", "count", "total", "_min", "_max")
-
-    def __init__(self, bounds: Tuple[float, ...]) -> None:
-        self.bounds = tuple(float(b) for b in bounds)
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.total = Fraction(0)
-        self._min = math.inf
-        self._max = -math.inf
-
-    @classmethod
-    def from_histogram(cls, histogram: Histogram) -> "HistogramSketch":
-        sketch = cls(histogram._bounds)
-        sketch.counts = list(histogram._counts)
-        sketch.count = histogram.count
-        sketch.total = Fraction(histogram.total)
-        if histogram.count:
-            sketch._min = histogram.minimum
-            sketch._max = histogram.maximum
-        return sketch
-
-    def merge(self, other: "HistogramSketch") -> "HistogramSketch":
-        """Fold *other* into this sketch in place; returns ``self``."""
-        if other.bounds != self.bounds:
-            raise ObsError(
-                "cannot merge histogram sketches with different bucket "
-                "bounds"
-            )
-        for i, n in enumerate(other.counts):
-            self.counts[i] += n
-        self.count += other.count
-        self.total += other.total
-        if other._min < self._min:
-            self._min = other._min
-        if other._max > self._max:
-            self._max = other._max
-        return self
-
-    def as_histogram(self) -> Histogram:
-        """A live :class:`Histogram` holding this sketch's merged state.
-
-        The histogram's float ``total`` is the correctly rounded value of
-        the exact rational total.
-        """
-        histogram = Histogram("merged", self.bounds)
-        histogram._counts = list(self.counts)
-        histogram.count = self.count
-        histogram.total = float(self.total)
-        if self.count:
-            histogram._min = self._min
-            histogram._max = self._max
-        return histogram
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "bounds": list(self.bounds),
-            "counts": list(self.counts),
-            "count": self.count,
-            "total": [self.total.numerator, self.total.denominator],
-            "min": self._min if self.count else None,
-            "max": self._max if self.count else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "HistogramSketch":
-        sketch = cls(tuple(data["bounds"]))
-        sketch.counts = [int(n) for n in data["counts"]]
-        sketch.count = int(data["count"])
-        num, den = data["total"]
-        sketch.total = Fraction(int(num), int(den))
-        if sketch.count:
-            sketch._min = float(data["min"])
-            sketch._max = float(data["max"])
-        return sketch
 
 
 class MetricSnapshot:

@@ -1,11 +1,10 @@
 """Streaming fleet telemetry: ``telemetry.v1`` spools and the reducer.
 
-The bounded-memory replacement for hold-everything-then-merge fleet
-telemetry. Each fleet worker appends schema-versioned JSONL events to a
-per-shard **spool file** while its device runs; any number of spools can
-then be folded into the same merged percentile telemetry the in-RAM path
-produces — incrementally, one payload at a time — and tailed live by
-``python -m repro top`` while the fleet is still in flight.
+The fleet's only telemetry pipeline. Each fleet worker appends
+schema-versioned JSONL events to a per-shard **spool file** while its
+device runs; any number of spools can then be folded into merged
+percentile telemetry — incrementally, one payload at a time — and tailed
+live by ``python -m repro top`` while the fleet is still in flight.
 
 Event stream (one JSON object per line, envelope fields ``schema`` /
 ``event`` / ``device`` / ``seq`` / ``sim_t``):
@@ -36,9 +35,9 @@ them.
 
 The reducer (:func:`reduce_spools`) folds spools in sorted-filename order
 through :class:`~repro.obs.export.PayloadAccumulator`, so its merged
-output is byte-identical to
-:func:`~repro.obs.export.merge_recorder_payloads` over the same devices
-while holding O(metric names) state — never O(devices) payloads. Fleet
+output is byte-identical to that accumulator's fold of the same devices'
+:func:`~repro.workload.runner.run_device` payloads, in any order, while
+holding O(metric names) state — never O(devices) payloads. Fleet
 wall-time and throughput percentiles come from
 :class:`~repro.obs.sketch.QuantileSketch`, whose merges are exactly
 order-independent.
@@ -250,7 +249,8 @@ class DeviceTelemetryStreamer:
     cumulative counters, counter deltas and current gauges is emitted.
     The streamer only ever *reads* recorder state, so a streamed run's
     recorder payload is bit-identical to an unstreamed one — which is
-    what lets the spool reducer reproduce the in-RAM merge exactly.
+    what lets the spool reducer reproduce the fold of unstreamed runs
+    exactly.
     """
 
     def __init__(
@@ -333,9 +333,9 @@ class DeviceTelemetryStreamer:
 class ReducedStream:
     """The fold of a spool set: merged telemetry plus fleet-level views.
 
-    ``merged`` is byte-identical to
-    :func:`~repro.obs.export.merge_recorder_payloads` over the same
-    devices' payloads (the differential contract
+    ``merged`` is byte-identical to the
+    :class:`~repro.obs.export.PayloadAccumulator` fold of the same
+    devices' unstreamed payloads (the differential contract
     ``tests/test_stream.py`` and CI's fleet-stream smoke enforce).
     """
 
@@ -401,8 +401,9 @@ def reduce_spools(
     ``device_finish`` payload is folded into a
     :class:`~repro.obs.export.PayloadAccumulator` and dropped. Files are
     processed in sorted-filename order (the writer's zero-padded device
-    naming makes that device order), so the merged output is byte-
-    identical to :func:`merge_recorder_payloads` over the same devices.
+    naming makes that device order); the fold is exact, so the merged
+    output would be the same in any order. A histogram bucket label the
+    fold does not know raises :class:`ObsError`.
 
     *keep_summaries* retains a small per-device summary row (the health
     scorer's input); pass ``False`` for the strict O(sketch) fold the

@@ -14,7 +14,7 @@ under realistic mobile traffic instead of synthetic dd-style streams:
 - :mod:`repro.workload.runner` — single-device runs, recording and
   cross-stack replay.
 - :mod:`repro.workload.fleet` — N simulated phones across a process pool,
-  merged into one aggregate report.
+  streamed to telemetry spools and reduced into one aggregate report.
 """
 
 from repro.workload.engine import (
@@ -28,7 +28,6 @@ from repro.workload.engine import (
 from repro.workload.fleet import (
     FleetSpec,
     device_specs,
-    merge_reports,
     render_fleet_report,
     run_fleet,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "dumps_trace",
     "load_trace",
     "loads_trace",
-    "merge_reports",
     "op_payload",
     "record_device",
     "render_fleet_report",

@@ -3,15 +3,17 @@
 The first scale-out axis of the reproduction: every device of a
 :class:`FleetSpec` is an independent simulated phone (its own seed, clock,
 stack and personality run), so the fleet is embarrassingly parallel and is
-executed across a :mod:`multiprocessing` pool. Per-device reports — the
-same dicts :func:`~repro.workload.runner.run_device` returns standalone —
-are merged into one aggregate payload whose observability section is the
-metric-level merge of every device's recorder
-(:func:`repro.obs.export.merge_recorder_payloads`).
+executed across a :mod:`multiprocessing` pool. Every worker streams its
+device's ``telemetry.v1`` spool and returns a small summary; the
+aggregate payload's observability section is the fold of every spooled
+recorder payload (:func:`repro.obs.stream.reduce_spools`), so memory is
+bounded by the metric-name universe, not by the fleet size.
 
-Determinism contract: device *i* runs at seed ``base_seed + i`` and its
-section of the merged report is identical to ``run_device()`` at that
-seed, whether the fleet ran serially or across processes.
+Determinism contract: device *i* runs at seed ``base_seed + i``; its
+summary's spec, result and gauges, and its spooled recorder payload, are
+identical to ``run_device()`` at that seed, whether the fleet ran
+serially or across processes. The merged section does not depend on the
+fold order.
 """
 
 from __future__ import annotations
@@ -20,17 +22,16 @@ import dataclasses
 import functools
 import multiprocessing
 import os
-import warnings
+import tempfile
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.errors import WorkloadError
-from repro.obs.export import SCHEMA_VERSION, merge_recorder_payloads
+from repro.obs.export import SCHEMA_VERSION
 from repro.obs.stream import reduce_spools
 from repro.workload.runner import (
     DEFAULT_USERDATA_BLOCKS,
     DeviceSpec,
-    run_device,
     run_device_streamed,
 )
 
@@ -101,50 +102,33 @@ def _map_devices(
         return [worker(spec) for spec in specs]
 
 
-def run_fleet(
-    fleet: FleetSpec,
-    stream_dir=None,
-    max_inflight_reports: Optional[int] = None,
-) -> Dict[str, object]:
-    """Execute every device of *fleet* and merge the reports.
+def run_fleet(fleet: FleetSpec, stream_dir=None) -> Dict[str, object]:
+    """Execute every device of *fleet*, streaming, and reduce the spools.
 
     Devices run across a process pool (``fleet.processes`` workers; pass 1
-    to force the serial path — results are identical either way). The
-    returned payload carries the ordered per-device reports, fleet-level
-    totals, and the merged observability section.
+    to force the serial path — results are identical either way). Each
+    worker writes its ``telemetry.v1`` spool under *stream_dir* and the
+    merged observability section is folded from the spools one payload at
+    a time (:func:`repro.obs.stream.reduce_spools`). Without *stream_dir*
+    the spools go to a temporary directory that is removed after the
+    reduce, and the payload's ``stream.dir`` and each summary's ``spool``
+    are ``None``.
 
-    With *stream_dir* set, workers stream ``telemetry.v1`` spools there
-    and the merged observability section is folded incrementally from the
-    spools (:func:`repro.obs.stream.reduce_spools`) — byte-identical to
-    the in-RAM merge, but in O(metric names) memory instead of holding
-    every device's report at once. The legacy in-RAM path accepts
-    *max_inflight_reports* as a guard: fleets larger than it still run,
-    but with a loud :class:`RuntimeWarning` pointing at the streaming
-    path instead of silently marching toward OOM.
+    The returned payload carries the ordered per-device summaries,
+    fleet-level totals, the merged observability section and the stream
+    tallies.
     """
     fleet.validate()
-    specs = device_specs(fleet)
-    if stream_dir is not None:
-        return _run_fleet_streamed(fleet, specs, stream_dir)
-    if max_inflight_reports is not None and len(specs) > max_inflight_reports:
-        warnings.warn(
-            f"fleet of {len(specs)} devices exceeds max_inflight_reports="
-            f"{max_inflight_reports}: the in-RAM merge holds every device "
-            "report simultaneously; run with stream_dir= "
-            "(repro fleet --stream-dir) for bounded-memory telemetry",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    reports = _map_devices(run_device, specs, fleet.processes)
-    return merge_reports(fleet, reports)
-
-
-def _run_fleet_streamed(
-    fleet: FleetSpec, specs: List[DeviceSpec], stream_dir
-) -> Dict[str, object]:
-    """The bounded-memory fleet path: spool per device, reduce after."""
+    if stream_dir is None:
+        with tempfile.TemporaryDirectory(prefix="repro-fleet-") as tmp:
+            payload = run_fleet(fleet, stream_dir=tmp)
+        # the spools went away with the temporary directory
+        payload["stream"]["dir"] = None
+        for summary in payload["devices"]:
+            summary["spool"] = None
+        return payload
     worker = functools.partial(run_device_streamed, stream_dir=stream_dir)
-    summaries = _map_devices(worker, specs, fleet.processes)
+    summaries = _map_devices(worker, device_specs(fleet), fleet.processes)
     reduced = reduce_spools(stream_dir)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -189,23 +173,6 @@ def _totals(results: Iterable[Dict[str, object]]) -> Dict[str, object]:
         totals["busy_s_total"] += result["busy_s"]
         totals["write_mb_s_sum"] += result["write_mb_s"]
     return totals
-
-
-def merge_reports(
-    fleet: FleetSpec, reports: List[Dict[str, object]]
-) -> Dict[str, object]:
-    """Merge ordered per-device reports into the aggregate fleet payload."""
-    totals = _totals(report["result"] for report in reports)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "experiment": "fleet",
-        "params": dataclasses.asdict(fleet),
-        "devices": reports,
-        "totals": totals,
-        "obs_merged": merge_recorder_payloads(
-            [report["obs"] for report in reports]
-        ),
-    }
 
 
 def render_fleet_report(payload: Dict[str, object]) -> str:

@@ -253,18 +253,6 @@ class TestExecution:
         assert payload["stream"]["finished"] == 2
         assert payload["obs_merged"]["merged_from"] == 2
 
-    def test_fleet_max_inflight_warns(self, tmp_path):
-        import warnings
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["fleet", "--devices", "2", "--ops", "10",
-                         "--userdata-mib", "4", "--processes", "1",
-                         "--max-inflight-reports", "1",
-                         "--json-dir", str(tmp_path)]) == 0
-        assert any("max_inflight_reports=1" in str(w.message)
-                   for w in caught)
-
     def test_top_renders_a_streamed_fleet(self, capsys, tmp_path):
         spools = tmp_path / "spools"
         assert main(["fleet", "--devices", "2", "--ops", "15",

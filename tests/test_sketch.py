@@ -1,8 +1,9 @@
-"""Tests for the mergeable metric sketches (repro.obs.sketch).
+"""Tests for the mergeable metric sketches and the histogram fold.
 
-The load-bearing property battery: sketch merges must be associative and
-commutative down to **byte-identical serialization**, so the fleet
-reducer's shard-merge order is unobservable in the output.
+The load-bearing property battery: sketch merges and the recorder-payload
+fold must be associative and commutative down to **byte-identical
+serialization**, so the fleet reducer's shard-merge order is
+unobservable in the output.
 """
 
 import json
@@ -13,16 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ObsError
-from repro.obs.metrics import Histogram
+from repro.obs.export import SCHEMA_VERSION, dump_json
+from repro.obs.metrics import Histogram, MetricRegistry
 from repro.obs.sketch import (
     DEFAULT_ALPHA,
     MIN_TRACKED,
-    HistogramSketch,
     MetricSnapshot,
     QuantileSketch,
     median,
 )
-from repro.obs.metrics import MetricRegistry
+from tests.folding import fold_payloads
 
 #: Positive magnitudes spanning the sketch's tracked range, plus the
 #: zero-bucket corner (values below MIN_TRACKED).
@@ -170,70 +171,98 @@ def _hist(values, name="h"):
     return hist
 
 
-class TestHistogramSketch:
-    @settings(max_examples=60, deadline=None)
-    @given(a=hist_values, b=hist_values, c=hist_values)
-    def test_merge_associative_and_commutative(self, a, b, c):
-        def canon(sketch):
-            return json.dumps(sketch.to_dict(), sort_keys=True)
-
-        sa, sb, sc = (
-            HistogramSketch.from_histogram(_hist(v)) for v in (a, b, c)
-        )
-        left = HistogramSketch.from_dict(sa.to_dict())
-        left.merge(sb).merge(sc)
-        right_tail = HistogramSketch.from_dict(sb.to_dict()).merge(sc)
-        right = HistogramSketch.from_dict(sa.to_dict()).merge(right_tail)
-        assert canon(left) == canon(right)
-        ab = HistogramSketch.from_dict(sa.to_dict()).merge(sb)
-        ba = HistogramSketch.from_dict(sb.to_dict()).merge(sa)
-        assert canon(ab) == canon(ba)
-
-    @settings(max_examples=40, deadline=None)
-    @given(a=hist_values, b=hist_values)
-    def test_matches_live_histogram_merge(self, a, b):
-        sketch = HistogramSketch.from_histogram(_hist(a))
-        sketch.merge(HistogramSketch.from_histogram(_hist(b)))
-        live = _hist(a).merge(_hist(b))
-        back = sketch.as_histogram()
-        assert back._counts == live._counts
-        assert back.count == live.count
-        assert back.minimum == live.minimum
-        assert back.maximum == live.maximum
-        assert back.total == pytest.approx(live.total)
-        assert back.p50 == pytest.approx(live.p50)
-        assert back.p99 == pytest.approx(live.p99)
-
-    def test_rejects_bound_mismatch(self):
-        a = HistogramSketch.from_histogram(Histogram("a"))
-        b = HistogramSketch.from_histogram(Histogram("b", bounds=(1.0, 2.0)))
-        with pytest.raises(ObsError):
-            a.merge(b)
+def _payload(values, span_total, counter, gauge):
+    """A recorder payload whose histogram observed *values*."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "spans": {
+            "stack.write": {
+                "count": 1 + len(values),
+                "total_s": span_total,
+                "max_s": span_total,
+                "mean_s": span_total / (1 + len(values)),
+            }
+        },
+        "marks": {"gc.pass": 1},
+        "metrics": {
+            "counters": {"workload.bytes_written": counter},
+            "gauges": {"pde.bitmap_occupancy": gauge},
+            "histograms": {"io.write_s": _hist(values).as_dict()},
+        },
+        "io": {"events": len(values), "by_op": {"write": len(values)}},
+    }
 
 
-class TestHistogramMerge:
-    """The live Histogram.merge used by in-process shard folding."""
+finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+payload_strategy = st.builds(_payload, hist_values, finite, finite, finite)
+
+
+class TestHistogramFold:
+    """Histogram.fold: the one merge path for serialized histograms."""
 
     @settings(max_examples=40, deadline=None)
     @given(a=hist_values, b=hist_values)
-    def test_merge_equals_observing_everything(self, a, b):
-        merged = _hist(a).merge(_hist(b))
+    def test_fold_equals_observing_everything(self, a, b):
+        folded = Histogram("h")
+        folded.fold(_hist(a).as_dict())
+        folded.fold(_hist(b).as_dict())
         whole = _hist(a + b)
-        assert merged._counts == whole._counts
-        assert merged.count == whole.count
-        assert merged.minimum == whole.minimum
-        assert merged.maximum == whole.maximum
-        assert merged.total == pytest.approx(whole.total)
-        assert merged.p95 == pytest.approx(whole.p95)
+        assert folded._counts == whole._counts
+        assert folded.count == whole.count
+        assert folded.minimum == whole.minimum
+        assert folded.maximum == whole.maximum
+        assert folded.mean == pytest.approx(whole.mean)
+        for q in (0.5, 0.95, 0.99):
+            assert folded.percentile(q) == whole.percentile(q)
 
-    def test_merge_in_place_returns_self(self):
-        target = _hist([0.1, 0.2])
-        assert target.merge(_hist([0.3])) is target
-        assert target.count == 3
+    @settings(max_examples=40, deadline=None)
+    @given(values=hist_values)
+    def test_fold_of_one_reproduces_it(self, values):
+        own = _hist(values).as_dict()
+        folded = Histogram("h")
+        folded.fold(own)
+        assert json.dumps(folded.as_dict()) == json.dumps(own)
 
-    def test_bound_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            Histogram("a").merge(Histogram("b", bounds=(1.0,)))
+    def test_unknown_label_raises(self):
+        data = _hist([0.003]).as_dict()
+        data["buckets"] = {"0.003": 1}
+        with pytest.raises(ObsError, match="unknown bucket label '0.003'"):
+            Histogram("h").fold(data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(payloads=st.lists(payload_strategy, max_size=8), data=st.data())
+    def test_any_partition_any_order_folds_identically(self, payloads, data):
+        """Cut the payloads into shards, fold the shards in any order and
+        each shard in either direction: the merged payload serializes
+        byte-identically. Only the per-device gauge list keeps the fold
+        order, by design, so it is compared as a multiset."""
+        cuts = sorted(
+            data.draw(st.lists(st.integers(0, len(payloads)), max_size=3))
+        )
+        shards, previous = [], 0
+        for cut in cuts + [len(payloads)]:
+            shards.append(payloads[previous:cut])
+            previous = cut
+        order = data.draw(st.permutations(range(len(shards))))
+        flips = data.draw(
+            st.lists(st.booleans(), min_size=len(shards),
+                     max_size=len(shards))
+        )
+        shuffled = [
+            payload
+            for i in order
+            for payload in (shards[i][::-1] if flips[i] else shards[i])
+        ]
+
+        def canon(merged):
+            per_device = merged["metrics"].pop("gauges_per_device")
+            return dump_json(merged), {
+                name: sorted(values) for name, values in per_device.items()
+            }
+
+        assert canon(fold_payloads(shuffled)) == (
+            canon(fold_payloads(payloads))
+        )
 
 
 class TestMetricSnapshot:

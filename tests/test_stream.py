@@ -2,9 +2,10 @@
 
 The acceptance contract lives here: a streamed device's spooled payload
 is byte-identical to the unstreamed run, and the incremental spool
-reducer reproduces ``merge_recorder_payloads`` byte-for-byte.
+reducer reproduces the fold of the unstreamed payloads byte-for-byte.
 """
 
+import copy
 import json
 
 import pytest
@@ -13,8 +14,9 @@ from repro import obs
 from repro.errors import ObsError
 from repro.obs import health as obs_health
 from repro.obs import stream
-from repro.obs.export import dump_json, merge_recorder_payloads
+from repro.obs.export import dump_json
 from repro.workload.runner import DeviceSpec, run_device, run_device_streamed
+from tests.folding import fold_payloads
 
 SPECS = [
     DeviceSpec(index=i, ops=12, seed=5 + i, userdata_blocks=1024)
@@ -249,7 +251,7 @@ class TestReduceSpools:
         """The tentpole's differential contract."""
         directory, _ = spool_dir
         reduced = stream.reduce_spools(directory)
-        merged = merge_recorder_payloads([r["obs"] for r in plain_reports])
+        merged = fold_payloads([r["obs"] for r in plain_reports])
         assert dump_json(reduced.merged) == dump_json(merged)
 
     def test_counts_and_summaries(self, spool_dir):
@@ -281,6 +283,20 @@ class TestReduceSpools:
         path = stream.spool_path(tmp_path, 0)
         path.write_text(json.dumps({"schema": "nope", "event": "x"}) + "\n")
         with pytest.raises(ObsError, match="invalid telemetry event"):
+            stream.reduce_spools(tmp_path)
+
+    def test_unknown_bucket_label_is_fatal_for_the_reducer(
+        self, tmp_path, plain_reports
+    ):
+        payload = copy.deepcopy(plain_reports[0]["obs"])
+        hist = next(iter(payload["metrics"]["histograms"].values()))
+        hist["buckets"]["0.0015"] = 1
+        with stream.SpoolWriter(stream.spool_path(tmp_path, 0), 0) as writer:
+            writer.emit(
+                "device_finish", 1.0,
+                result=plain_reports[0]["result"], obs=payload, wall_s=0.1,
+            )
+        with pytest.raises(ObsError, match="unknown bucket label '0.0015'"):
             stream.reduce_spools(tmp_path)
 
     def test_malformed_line_is_fatal_for_the_reducer(self, tmp_path):
