@@ -302,6 +302,9 @@ class MultiSnapshotGame:
         return guess == b
 
     def run(self, adversary: Adversary, games: int = 20) -> GameResult:
+        # zero games would score a win rate of 0, i.e. a perfect distinguisher
+        if games < 1:
+            raise ValueError(f"games must be >= 1, got {games}")
         wins = sum(
             1 for g in range(games) if self.play_one(adversary, g)
         )
@@ -316,7 +319,8 @@ def best_advantage(
     """Sweep thresholds, return (best_threshold, best_advantage).
 
     Models a strong adversary that picked the best distinguishing
-    threshold for the system under attack.
+    threshold for the system under attack. Raises :class:`ValueError` when
+    *games_per_threshold* is below 1.
     """
     best = (thresholds[0], -1.0)
     for threshold in thresholds:

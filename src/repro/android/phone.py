@@ -43,7 +43,7 @@ class Phone:
         self.clock = SimClock()
         self.rng = Rng(seed)
         if userdata_device is not None:
-            # bring-your-own medium (e.g. an FTL-backed device); the caller
+            # bring-your-own medium (e.g. a fault injector); the caller
             # is responsible for wiring its latency model to a clock
             if userdata_device.block_size != profile.block_size:
                 raise ValueError("userdata device block size != profile's")

@@ -22,13 +22,6 @@ from repro.blockdev.faults import (
     crash_point,
     inject,
 )
-from repro.blockdev.ftl import (
-    FTLDevice,
-    FTLStats,
-    NandFlash,
-    NandGeometry,
-    NandTimings,
-)
 from repro.blockdev.latency import FREE, LatencyModel
 from repro.blockdev.store import (
     BlockStore,
@@ -79,11 +72,6 @@ __all__ = [
     "FaultyBlockDevice",
     "crash_point",
     "inject",
-    "FTLDevice",
-    "FTLStats",
-    "NandFlash",
-    "NandGeometry",
-    "NandTimings",
     "FREE",
     "LatencyModel",
     "Snapshot",

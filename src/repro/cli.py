@@ -91,6 +91,19 @@ def _userdata_blocks(args: argparse.Namespace) -> int:
     return mib * 1024 * 1024 // _BLOCK_SIZE
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _write_json(args: argparse.Namespace, experiment: str, payload) -> None:
     path = obs.write_bench_json(args.json_dir, experiment, payload)
     print(f"[telemetry: {path}]")
@@ -758,7 +771,9 @@ def _add_workload_params(p: argparse.ArgumentParser) -> None:
         "--setting", choices=list(FIG4_SETTINGS), default="mc-p",
         help="storage stack to run against",
     )
-    p.add_argument("--ops", type=int, default=150, help="operations to run")
+    p.add_argument(
+        "--ops", type=_positive_int, default=150, help="operations to run"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -771,24 +786,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fig4", help="Fig. 4: sequential throughput")
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--file-mib", type=int, default=4)
+    p.add_argument("--trials", type=_positive_int, default=5)
+    p.add_argument("--file-mib", type=_positive_int, default=4)
     _add_json_dir(p)
     p.set_defaults(func=_cmd_fig4)
 
     p = sub.add_parser("table1", help="Table I: overhead comparison")
-    p.add_argument("--file-mib", type=int, default=4)
+    p.add_argument("--file-mib", type=_positive_int, default=4)
     _add_json_dir(p)
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("table2", help="Table II: init/boot/switch times")
-    p.add_argument("--trials", type=int, default=2)
+    p.add_argument("--trials", type=_positive_int, default=2)
     _add_json_dir(p)
     p.set_defaults(func=_cmd_table2)
 
     p = sub.add_parser("game", help="multi-snapshot security game")
-    p.add_argument("--games", type=int, default=12)
-    p.add_argument("--rounds", type=int, default=3)
+    p.add_argument("--games", type=_positive_int, default=12)
+    p.add_argument("--rounds", type=_positive_int, default=3)
     p.add_argument(
         "--workload-trace", default=None, metavar="FILE",
         help="recorded workload trace to use as the game's public cover "
@@ -858,7 +873,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--personality", default="mixed_daily",
         help="app traffic personality to record",
     )
-    p.add_argument("--ops", type=int, default=150)
+    p.add_argument("--ops", type=_positive_int, default=150)
     _add_userdata_mib(p)
     _add_json_dir(p)
     p.set_defaults(func=_cmd_workloads_bench)
@@ -866,7 +881,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "fleet", help="run N simulated phones across a process pool"
     )
-    p.add_argument("--devices", type=int, default=4)
+    p.add_argument("--devices", type=_positive_int, default=4)
     _add_workload_params(p)
     p.add_argument(
         "--processes", type=int, default=None,
@@ -1016,7 +1031,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--setting", choices=list(settings), default="mc-p",
             help="stack for personality workloads",
         )
-        p.add_argument("--ops", type=int, default=150)
+        p.add_argument("--ops", type=_positive_int, default=150)
         _add_userdata_mib(p)
 
     p = sub.add_parser(
@@ -1077,10 +1092,10 @@ def build_parser() -> argparse.ArgumentParser:
     pb.set_defaults(func=_cmd_bench_compare)
 
     p = sub.add_parser("all", help="run every experiment")
-    p.add_argument("--trials", type=int, default=2)
-    p.add_argument("--file-mib", type=int, default=2)
-    p.add_argument("--games", type=int, default=8)
-    p.add_argument("--rounds", type=int, default=3)
+    p.add_argument("--trials", type=_positive_int, default=2)
+    p.add_argument("--file-mib", type=_positive_int, default=2)
+    p.add_argument("--games", type=_positive_int, default=8)
+    p.add_argument("--rounds", type=_positive_int, default=3)
     _add_userdata_mib(p)
     _add_json_dir(p)
     p.set_defaults(func=_cmd_all)

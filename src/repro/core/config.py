@@ -31,10 +31,7 @@ class MobiCealConfig:
     allocation: str = "random"
     #: whether dummy writes are enabled at all (ablation knob)
     dummy_writes_enabled: bool = True
-    #: filesystem deployed on the public and hidden volumes — MobiCeal is
-    #: file-system friendly (Sec. I): any block-based filesystem works
-    fstype: str = "ext4"
-    #: format volume filesystems with a metadata journal (ext4 only).
+    #: format the ext4 volume filesystems with a metadata journal.
     #: Off by default to keep the paper-calibrated I/O profile; the
     #: crash-recovery experiments turn it on.
     fs_journal: bool = False
@@ -65,10 +62,6 @@ class MobiCealConfig:
             raise ConfigError("stored_rand_refresh_s must be positive")
         if self.allocation not in ("random", "sequential"):
             raise ConfigError(f"unknown allocation strategy {self.allocation!r}")
-        if self.fstype not in ("ext4", "fat32"):
-            raise ConfigError(f"unsupported volume filesystem {self.fstype!r}")
-        if self.fs_journal and self.fstype != "ext4":
-            raise ConfigError("fs_journal requires fstype 'ext4'")
         if not 0.001 <= self.metadata_fraction <= 0.25:
             raise ConfigError("metadata_fraction must be in [0.001, 0.25]")
         if self.gc_shape <= 0:

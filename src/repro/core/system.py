@@ -43,7 +43,6 @@ from repro.errors import (
     NotInitializedError,
     PDEError,
 )
-from repro.fs import make_filesystem
 from repro.fs.ext4 import Ext4Filesystem
 from repro.fs.tmpfs import TmpFilesystem
 from repro.fs.vfs import Filesystem
@@ -287,9 +286,7 @@ class MobiCealSystem:
         self._charge(phone.profile.dmsetup_s, "dmsetup")
         public_dev = self._volume_device(PUBLIC_VOLUME_ID, decoy_key,
                                          skip_verifier=False)
-        make_filesystem(
-            self.config.fstype, public_dev, journal=self.config.fs_journal
-        ).format()
+        Ext4Filesystem(public_dev, journal=self.config.fs_journal).format()
 
         # Hidden volumes: verifier block + ext4 under each hidden key.
         for pwd, k in zip(hidden_passwords, ks):
@@ -298,9 +295,7 @@ class MobiCealSystem:
             self._write_verifier(k, pwd, hidden_key)
             self._charge(phone.profile.dmsetup_s, "dmsetup")
             hidden_dev = self._volume_device(k, hidden_key, skip_verifier=True)
-            make_filesystem(
-                self.config.fstype, hidden_dev, journal=self.config.fs_journal
-            ).format()
+            Ext4Filesystem(hidden_dev, journal=self.config.fs_journal).format()
 
         # cache and devlog partitions
         for dev in (phone.cache_dev, phone.devlog_dev):
@@ -393,7 +388,7 @@ class MobiCealSystem:
             self._charge(phone.profile.dmsetup_s, "dmsetup")
             public_dev = self._volume_device(PUBLIC_VOLUME_ID, key,
                                              skip_verifier=False)
-            fs = make_filesystem(self.config.fstype, public_dev)
+            fs = Ext4Filesystem(public_dev)
             self._charge(phone.profile.mount_s, "mount")
             try:
                 fs.mount()
@@ -419,7 +414,7 @@ class MobiCealSystem:
             raise BadPasswordError("password matches no volume")
         self._charge(phone.profile.dmsetup_s, "dmsetup")
         hidden_dev = self._volume_device(k, key, skip_verifier=True)
-        fs = make_filesystem(self.config.fstype, hidden_dev)
+        fs = Ext4Filesystem(hidden_dev)
         self._charge(phone.profile.mount_s, "mount")
         fs.mount()
         self._fs = fs
@@ -520,7 +515,7 @@ class MobiCealSystem:
             phone.framework.note_secret_in_ram(password)
             self._charge(phone.profile.dmsetup_s, "dmsetup")
             hidden_dev = self._volume_device(k, key, skip_verifier=True)
-            fs = make_filesystem(self.config.fstype, hidden_dev)
+            fs = Ext4Filesystem(hidden_dev)
             self._charge(phone.profile.mount_s, "mount")
             fs.mount()
             obs.mark("system.switch.hidden-mounted")
@@ -556,7 +551,7 @@ class MobiCealSystem:
         key = footer.unlock(decoy_password)
         public_dev = self._volume_device(PUBLIC_VOLUME_ID, key,
                                          skip_verifier=False)
-        fs = make_filesystem(self.config.fstype, public_dev)
+        fs = Ext4Filesystem(public_dev)
         try:
             fs.mount()
         except NotFormattedError as exc:

@@ -81,10 +81,6 @@ class InvalidKeyError(CryptoError):
     """A key had the wrong length or failed verification."""
 
 
-class AuthenticationError(CryptoError):
-    """Decryption or verification of an authenticated payload failed."""
-
-
 # ---------------------------------------------------------------------------
 # Device mapper / thin provisioning
 # ---------------------------------------------------------------------------
@@ -208,10 +204,6 @@ class NotInitializedError(PDEError):
 
 class ModeError(PDEError):
     """An operation was invalid in the current mode (public vs hidden)."""
-
-
-class DeniabilityError(PDEError):
-    """An operation would have compromised deniability and was refused."""
 
 
 class ConfigError(PDEError):

@@ -1,8 +1,7 @@
-"""Filesystem substrate: VFS interface plus ext4-like and FAT32-like implementations."""
+"""Filesystem substrate: VFS interface plus ext4-like and tmpfs implementations."""
 
 from repro.fs.ext4 import Ext4Filesystem
-from repro.fs.fat32 import Fat32Filesystem
-from repro.fs.fsck import fsck_ext4, fsck_fat32
+from repro.fs.fsck import fsck_ext4
 from repro.fs.tmpfs import TmpFilesystem
 from repro.fs.vfs import (
     FileHandle,
@@ -15,9 +14,7 @@ from repro.fs.vfs import (
 
 __all__ = [
     "Ext4Filesystem",
-    "Fat32Filesystem",
     "fsck_ext4",
-    "fsck_fat32",
     "TmpFilesystem",
     "FileHandle",
     "FileStat",
@@ -27,17 +24,3 @@ __all__ = [
     "split_path",
 ]
 
-
-def make_filesystem(fstype: str, device, journal: bool = False) -> Filesystem:
-    """Factory keyed by name: ``"ext4"`` or ``"fat32"``.
-
-    *journal* enables ext4's metadata journal (crash consistency); FAT32
-    has no journal, so the flag raises there rather than silently lying.
-    """
-    if fstype == "ext4":
-        return Ext4Filesystem(device, journal=journal)
-    if fstype == "fat32":
-        if journal:
-            raise ValueError("fat32 does not support journaling")
-        return Fat32Filesystem(device)
-    raise ValueError(f"unknown filesystem type: {fstype!r}")

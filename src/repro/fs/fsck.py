@@ -1,8 +1,8 @@
-"""Filesystem consistency checkers (fsck).
+"""Filesystem consistency checker (fsck) for the ext4-like filesystem.
 
 Used by the crash-consistency and property-based tests: after arbitrary
 operation sequences (and simulated crashes), the on-disk structures must
-stay internally consistent. Each checker returns a list of human-readable
+stay internally consistent. The checker returns a list of human-readable
 inconsistency descriptions; an empty list means the filesystem is clean.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 from repro.fs.ext4 import MODE_DIR, MODE_FILE, Ext4Filesystem
-from repro.fs.fat32 import FAT_EOC, FAT_FREE, Fat32Filesystem
 
 
 def fsck_ext4(fs: Ext4Filesystem) -> List[str]:
@@ -83,53 +82,3 @@ def fsck_ext4(fs: Ext4Filesystem) -> List[str]:
                 issues.append(f"inode {number} reachable but marked free")
     return issues
 
-
-def fsck_fat32(fs: Fat32Filesystem) -> List[str]:
-    """Cross-check the FAT against the directory tree.
-
-    Verifies that (1) every chain reachable from the root terminates at
-    EOC without touching a free cluster, (2) no cluster belongs to two
-    chains, and (3) every non-free FAT entry belongs to a reachable chain.
-    """
-    issues: List[str] = []
-    if not fs.mounted:
-        issues.append("filesystem is not mounted")
-        return issues
-
-    cluster_owner: Dict[int, str] = {}
-
-    def claim_chain(first, path: str) -> None:
-        cluster = first
-        seen: Set[int] = set()
-        while cluster is not None and cluster != FAT_EOC:
-            if not 0 <= cluster < fs._clusters:
-                issues.append(f"{path}: chain leaves device at {cluster}")
-                return
-            if cluster in seen:
-                issues.append(f"{path}: chain loops at cluster {cluster}")
-                return
-            seen.add(cluster)
-            if cluster in cluster_owner:
-                issues.append(
-                    f"cluster {cluster} shared by {cluster_owner[cluster]} "
-                    f"and {path}"
-                )
-            cluster_owner[cluster] = path
-            value = fs._fat[cluster]
-            if value == FAT_FREE:
-                issues.append(f"{path}: chain enters free cluster {cluster}")
-                return
-            cluster = None if value == FAT_EOC else value
-
-    def visit(entry, path: str) -> None:
-        claim_chain(entry.first_cluster, path)
-        if entry.is_dir:
-            for name, child in fs._read_dir(entry).items():
-                visit(child, f"{path.rstrip('/')}/{name}")
-
-    visit(fs._root_entry(), "/")
-
-    for cluster, value in enumerate(fs._fat):
-        if value != FAT_FREE and cluster not in cluster_owner:
-            issues.append(f"cluster {cluster} allocated but unreachable")
-    return issues

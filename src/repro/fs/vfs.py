@@ -1,10 +1,10 @@
 """VFS: the filesystem interface the rest of the stack programs against.
 
 MobiCeal is "file system friendly" — any block-based filesystem can sit on
-top of its encrypted thin volumes (Sec. I). We reproduce that property by
-giving every filesystem the same interface, with ext4-like and FAT32-like
-implementations, and by writing all workloads, examples and the Android
-model against this interface only.
+top of its encrypted thin volumes (Sec. I), because the scheme lives in the
+block layer. The volumes carry an ext4-like filesystem and the Android model
+mounts tmpfs beside it; workloads, examples and the Android model program
+against this interface only.
 
 Paths are absolute, ``/``-separated. All content I/O can be streamed
 through :class:`FileHandle` so dd/Bonnie++-style workloads behave like the
@@ -105,7 +105,7 @@ class FileHandle(ABC):
 class Filesystem(ABC):
     """Common filesystem API (format, mount, namespace and file ops)."""
 
-    #: short identifier, e.g. "ext4" / "fat32"
+    #: short identifier, e.g. "ext4" / "tmpfs"
     fstype: str = "abstract"
 
     # -- lifecycle ----------------------------------------------------------

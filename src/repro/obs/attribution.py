@@ -36,7 +36,6 @@ LAYER_BY_PREFIX: Dict[str, str] = {
     "pool": "thin",
     "thin": "thin",
     "ext4": "ext4",
-    "fat32": "fs",
     "system": "system",
     "pde": "pde",
     "crypto": "crypto",
@@ -46,7 +45,7 @@ LAYER_BY_PREFIX: Dict[str, str] = {
 
 #: Display order for the report (unknown layers sort after, alphabetically).
 _LAYER_ORDER = (
-    "system", "workload", "ext4", "fs", "thin", "crypt", "crypto",
+    "system", "workload", "ext4", "thin", "crypt", "crypto",
     "pde", "emmc", "ram", "other",
 )
 

@@ -249,112 +249,3 @@ class TestDefyDevice:
     def test_insufficient_spare_rejected(self):
         with pytest.raises(BlockDeviceError):
             DefyDevice(RAMBlockDevice(32), 20, key=b"d" * 32)
-
-
-class TestDataLairDevice:
-    def make(self, public=32, hidden=16, seed=0, decoy_period=4):
-        from repro.baselines import DataLairDevice
-
-        backing = RAMBlockDevice(public + hidden * 3 + 1)
-        return DataLairDevice(
-            backing, public, hidden, key=b"dl" * 16, rng=Rng(seed),
-            decoy_period=decoy_period,
-        ), backing
-
-    def test_public_roundtrip(self):
-        dl, _ = self.make()
-        dl.public.write_block(3, block(1))
-        assert dl.public.read_block(3) == block(1)
-
-    def test_hidden_roundtrip(self):
-        dl, _ = self.make()
-        dl.hidden.write_block(5, block(9))
-        assert dl.hidden.read_block(5) == block(9)
-
-    def test_public_is_encrypted_on_medium(self):
-        dl, backing = self.make()
-        marker = (b"DATALAIRPUB " * 342)[:BS]
-        dl.public.write_block(0, marker)
-        for i in range(backing.num_blocks):
-            assert b"DATALAIRPUB" not in backing.read_block(i)
-
-    def test_decoy_accesses_amortized(self):
-        dl, _ = self.make(decoy_period=4)
-        for i in range(16):
-            dl.public.write_block(i, block(i))
-        assert dl.decoy_accesses == 4
-
-    def test_decoys_churn_hidden_region_without_hidden_data(self):
-        """The deniability core: hidden-region blocks change between
-        snapshots even when NO hidden data exists."""
-        dl, backing = self.make(public=16, hidden=8, decoy_period=1, seed=2)
-        before = capture(backing)
-        for i in range(8):
-            dl.public.write_block(i, block(i))
-        after = capture(backing)
-        hidden_region_start = 16
-        changed_hidden = [
-            i for i in range(hidden_region_start, backing.num_blocks)
-            if before.block(i) != after.block(i)
-        ]
-        assert len(changed_hidden) > 0
-
-    def test_hidden_writes_look_like_decoys(self):
-        """Per-write change counts are identical for decoys and real
-        hidden writes (both are one ORAM access)."""
-        dl, backing = self.make(public=8, hidden=8, decoy_period=1, seed=3)
-        dl.public.write_block(0, block(1))  # decoy access
-        s1 = capture(backing)
-        dl.public.write_block(1, block(2))  # another decoy
-        s2 = capture(backing)
-        dl.hidden.write_block(0, block(3))  # real hidden write
-        s3 = capture(backing)
-        hidden_start = 8
-        decoy_changes = sum(
-            1 for i in range(hidden_start, backing.num_blocks)
-            if s1.block(i) != s2.block(i)
-        )
-        hidden_changes = sum(
-            1 for i in range(hidden_start, backing.num_blocks)
-            if s2.block(i) != s3.block(i)
-        )
-        assert decoy_changes == hidden_changes
-
-    def test_backing_too_small(self):
-        from repro.baselines import DataLairDevice
-        from repro.errors import BlockDeviceError
-
-        with pytest.raises(BlockDeviceError):
-            DataLairDevice(RAMBlockDevice(10), 8, 8, key=b"dl" * 16)
-
-    def test_public_overhead_between_raw_and_hive(self):
-        """DataLair's pitch: cheaper public path than HIVE, dearer than raw."""
-        from repro.baselines import DataLairDevice
-        from repro.blockdev import EMMCDevice, SimClock
-        from repro.android.profiles import SSD_I7
-
-        def write_cost(builder):
-            clock = SimClock()
-            dev = builder(clock)
-            for i in range(32):
-                dev.write_block(i % dev.num_blocks, block(i))
-            return clock.now
-
-        def raw(clock):
-            return EMMCDevice(256, clock=clock, latency=SSD_I7.emmc)
-
-        def hive(clock):
-            backing = EMMCDevice(256, clock=clock, latency=SSD_I7.emmc)
-            return WriteOnlyORAMDevice(backing, 64, key=b"k" * 32,
-                                       rng=Rng(4), clock=clock)
-
-        def datalair_public(clock):
-            backing = EMMCDevice(256, clock=clock, latency=SSD_I7.emmc)
-            dl = DataLairDevice(backing, 64, 32, key=b"dl" * 16, rng=Rng(5),
-                                decoy_period=4, clock=clock)
-            return dl.public
-
-        raw_cost = write_cost(raw)
-        hive_cost = write_cost(hive)
-        dl_cost = write_cost(datalair_public)
-        assert raw_cost < dl_cost < hive_cost

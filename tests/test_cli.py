@@ -56,6 +56,36 @@ class TestParser:
         )
         assert args.userdata_mib == 32
 
+    @pytest.mark.parametrize("argv", [
+        ["fig4", "--trials", "0"],
+        ["fig4", "--file-mib", "0"],
+        ["table1", "--file-mib", "-1"],
+        ["table2", "--trials", "0"],
+        ["game", "--games", "0"],
+        ["game", "--rounds", "0"],
+        ["fleet", "--devices", "0"],
+        ["fleet", "--ops", "-3"],
+        ["workload", "--ops", "0"],
+        ["workloads", "--ops", "0"],
+        ["profile", "--ops", "0"],
+        ["all", "--games", "0"],
+        ["game", "--games", "two"],
+    ])
+    def test_counts_must_be_positive(self, argv, capsys):
+        """Count flags fail at parse time: exit 2 with a usage message."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro")
+        assert f"argument {argv[1]}:" in err
+
+    def test_zero_keeps_meaning_unlimited(self):
+        parser = build_parser()
+        assert parser.parse_args(["crashsim", "--limit", "0"]).limit == 0
+        args = parser.parse_args(["top", "/tmp/spools", "--iterations", "0"])
+        assert args.iterations == 0
+
 
 class TestExecution:
     def test_table1_runs(self, capsys, tmp_path):

@@ -14,7 +14,7 @@ from repro.errors import (
     PDEError,
     ReproError,
 )
-from repro.fs import Ext4Filesystem, Fat32Filesystem
+from repro.fs import Ext4Filesystem
 
 DECOY, HIDDEN = "decoy", "hidden"
 
@@ -102,33 +102,6 @@ class TestExt4EdgeCases:
             fs.write_file("/boundary", data)
             assert fs.read_file("/boundary") == data
         fs.unlink("/boundary")
-
-
-class TestFat32EdgeCases:
-    def test_single_byte_files(self):
-        dev = RAMBlockDevice(512)
-        fs = Fat32Filesystem(dev)
-        fs.format()
-        fs.mount()
-        for i in range(10):
-            fs.write_file(f"/b{i}", bytes([i]))
-        for i in range(10):
-            assert fs.read_file(f"/b{i}") == bytes([i])
-
-    def test_directory_spanning_clusters(self):
-        dev = RAMBlockDevice(1024)
-        fs = Fat32Filesystem(dev)
-        fs.format()
-        fs.mount()
-        fs.mkdir("/big")
-        # enough entries that the directory payload spans several clusters
-        for i in range(300):
-            fs.write_file(f"/big/entry_{i:04d}", b"")
-        assert len(fs.listdir("/big")) == 300
-        fs.unmount()
-        fs2 = Fat32Filesystem(dev)
-        fs2.mount()
-        assert len(fs2.listdir("/big")) == 300
 
 
 class TestPDEValidation:
@@ -233,16 +206,3 @@ class TestDiscardOnDelete:
         grown = pool.allocated_data_blocks
         fs.unlink("/big.bin")
         assert pool.allocated_data_blocks == grown  # no discard passdown
-
-    def test_ftl_trim_through_filesystem(self):
-        from repro.blockdev.ftl import FTLDevice, NandFlash, NandGeometry
-        from repro.fs import Ext4Filesystem
-
-        nand = NandFlash(NandGeometry(erase_blocks=64, pages_per_block=32))
-        ftl = FTLDevice(nand, overprovision=0.15)
-        fs = Ext4Filesystem(ftl, discard_on_delete=True)
-        fs.format()
-        fs.mount()
-        fs.write_file("/f.bin", b"x" * (50 * 4096))
-        fs.unlink("/f.bin")
-        assert ftl.ftl_stats.trims >= 50

@@ -1,4 +1,4 @@
-"""Tests shared across all three filesystems (ext4-like, FAT32-like, tmpfs)."""
+"""Tests shared across the filesystems (ext4-like and tmpfs)."""
 
 import random
 
@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.blockdev import RAMBlockDevice
+from repro.crypto import Rng
+from repro.dm.thin import ThinPool
+from repro.dm.thin.metadata import MAGIC as THIN_MAGIC
 from repro.errors import (
     DirectoryNotEmptyError,
     FileExistsInFS,
@@ -16,7 +19,7 @@ from repro.errors import (
     NotADirectoryFSError,
     NotFormattedError,
 )
-from repro.fs import Ext4Filesystem, Fat32Filesystem, TmpFilesystem
+from repro.fs import Ext4Filesystem, TmpFilesystem
 from repro.fs.ext4 import _first_clear
 from repro.fs.vfs import parent_and_name, split_path
 
@@ -28,15 +31,14 @@ def make_fs(kind, blocks=2048):
         fs.mount()
         return fs
     dev = RAMBlockDevice(blocks)
-    cls = Ext4Filesystem if kind == "ext4" else Fat32Filesystem
-    fs = cls(dev)
+    fs = Ext4Filesystem(dev)
     fs.format()
     fs.mount()
     return fs
 
 
-KINDS = ["ext4", "fat32", "tmpfs"]
-DISK_KINDS = ["ext4", "fat32"]
+KINDS = ["ext4", "tmpfs"]
+DISK_KINDS = ["ext4"]
 
 
 class TestPathHelpers:
@@ -221,34 +223,31 @@ class TestCommonSemantics:
 class TestDiskPersistence:
     def test_remount_sees_data(self, kind):
         dev = RAMBlockDevice(2048)
-        cls = Ext4Filesystem if kind == "ext4" else Fat32Filesystem
-        fs = cls(dev)
+        fs = Ext4Filesystem(dev)
         fs.format()
         fs.mount()
         fs.makedirs("/x/y")
         fs.write_file("/x/y/data.bin", b"D" * 50000)
         fs.unmount()
-        fs2 = cls(dev)
+        fs2 = Ext4Filesystem(dev)
         fs2.mount()
         assert fs2.read_file("/x/y/data.bin") == b"D" * 50000
 
     def test_mount_blank_fails(self, kind):
-        cls = Ext4Filesystem if kind == "ext4" else Fat32Filesystem
         with pytest.raises(NotFormattedError):
-            cls(RAMBlockDevice(2048)).mount()
+            Ext4Filesystem(RAMBlockDevice(2048)).mount()
 
     def test_mount_other_fs_fails(self, kind):
+        """A foreign on-disk format (thin-pool metadata) is refused."""
         dev = RAMBlockDevice(2048)
-        other = Fat32Filesystem if kind == "ext4" else Ext4Filesystem
-        mine = Ext4Filesystem if kind == "ext4" else Fat32Filesystem
-        other(dev).format()
+        ThinPool.format(dev, RAMBlockDevice(256), rng=Rng(0))
+        assert dev.read_block(0).startswith(THIN_MAGIC)
         with pytest.raises(NotFormattedError):
-            mine(dev).mount()
+            Ext4Filesystem(dev).mount()
 
     def test_no_space(self, kind):
         dev = RAMBlockDevice(64)
-        cls = Ext4Filesystem if kind == "ext4" else Fat32Filesystem
-        fs = cls(dev)
+        fs = Ext4Filesystem(dev)
         fs.format()
         fs.mount()
         with pytest.raises(NoSpaceError):
@@ -256,8 +255,7 @@ class TestDiskPersistence:
 
     def test_delete_frees_space(self, kind):
         dev = RAMBlockDevice(128)
-        cls = Ext4Filesystem if kind == "ext4" else Fat32Filesystem
-        fs = cls(dev)
+        fs = Ext4Filesystem(dev)
         fs.format()
         fs.mount()
         # fill/delete repeatedly: space must be reusable
@@ -409,41 +407,6 @@ def _bitwise_allocate(fs, goal):
         if offset is not None:
             return 1 + g * fs._bpg + offset
     return None
-
-
-class TestFat32Specifics:
-    def test_sequential_cluster_allocation(self):
-        """FAT allocates from the lowest free cluster — the paper's premise."""
-        dev = RAMBlockDevice(1024)
-        fs = Fat32Filesystem(dev)
-        fs.format()
-        fs.mount()
-        fs.write_file("/a", b"x" * 4096 * 4)
-        entry = fs._resolve("/a")
-        chain = fs._chain(entry.first_cluster)
-        assert chain == sorted(chain)
-        assert chain[0] <= 3  # near the start of the data area
-
-    def test_fat_chain_reuse_after_delete(self):
-        dev = RAMBlockDevice(512)
-        fs = Fat32Filesystem(dev)
-        fs.format()
-        fs.mount()
-        fs.write_file("/a", b"x" * 4096 * 4)
-        first_chain = fs._chain(fs._resolve("/a").first_cluster)
-        fs.unlink("/a")
-        fs.write_file("/b", b"y" * 4096 * 4)
-        second_chain = fs._chain(fs._resolve("/b").first_cluster)
-        assert first_chain == second_chain  # lowest-first reuse
-
-    def test_free_cluster_count(self):
-        dev = RAMBlockDevice(512)
-        fs = Fat32Filesystem(dev)
-        fs.format()
-        fs.mount()
-        before = fs.free_cluster_count()
-        fs.write_file("/a", b"x" * 4096 * 3)
-        assert fs.free_cluster_count() < before
 
 
 @pytest.mark.parametrize("kind", DISK_KINDS)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.blockdev import RAMBlockDevice, capture, restore
 from repro.crypto import Rng
 from repro.dm.thin import MetadataStore, ThinPool
-from repro.fs import Ext4Filesystem, Fat32Filesystem, fsck_ext4, fsck_fat32
+from repro.fs import Ext4Filesystem, fsck_ext4
 
 
 def make_ext4(blocks=1024):
@@ -17,22 +17,10 @@ def make_ext4(blocks=1024):
     return fs, dev
 
 
-def make_fat(blocks=1024):
-    dev = RAMBlockDevice(blocks)
-    fs = Fat32Filesystem(dev)
-    fs.format()
-    fs.mount()
-    return fs, dev
-
-
 class TestFsckClean:
     def test_fresh_ext4_clean(self):
         fs, _ = make_ext4()
         assert fsck_ext4(fs) == []
-
-    def test_fresh_fat_clean(self):
-        fs, _ = make_fat()
-        assert fsck_fat32(fs) == []
 
     def test_unmounted_reported(self):
         fs, _ = make_ext4()
@@ -65,33 +53,12 @@ class TestFsckClean:
         issues = fsck_ext4(fs)
         assert any("free in bitmap" in issue for issue in issues)
 
-    def test_fat_fsck_detects_orphan_chain(self):
-        fs, _ = make_fat()
-        from repro.fs.fat32 import FAT_EOC
-
-        fs._fat[10] = FAT_EOC  # allocated, not referenced by any entry
-        issues = fsck_fat32(fs)
-        assert any("unreachable" in issue for issue in issues)
-
-    def test_fat_fsck_detects_chain_into_free(self):
-        fs, _ = make_fat()
-        fs.write_file("/f", b"x" * 8192 * 2)
-        entry = fs._resolve("/f")
-        chain = fs._chain(entry.first_cluster)
-        from repro.fs.fat32 import FAT_FREE
-
-        fs._fat[chain[-1]] = 5          # point the tail into...
-        fs._fat[5] = FAT_FREE           # ...a free cluster
-        issues = fsck_fat32(fs)
-        assert issues
-
 
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
-@pytest.mark.parametrize("kind", ["ext4", "fat32"])
+@pytest.mark.parametrize("kind", ["ext4"])
 def test_fsck_clean_after_random_ops(kind, data):
-    fs, _ = make_ext4() if kind == "ext4" else make_fat()
-    fsck = fsck_ext4 if kind == "ext4" else fsck_fat32
+    fs, _ = make_ext4()
     names = [f"/f{i}" for i in range(5)]
     live = set()
     ops = data.draw(
@@ -115,7 +82,7 @@ def test_fsck_clean_after_random_ops(kind, data):
         elif op == "mkdir":
             fs.mkdir(f"/d{dirs}")
             dirs += 1
-    assert fsck(fs) == []
+    assert fsck_ext4(fs) == []
 
 
 class TestCrashConsistency:

@@ -9,6 +9,7 @@ from repro.adversary import (
     MobiPlutoHarness,
     MultiSnapshotGame,
     UnaccountableAllocationAdversary,
+    best_advantage,
     make_pattern_pairs,
     pattern_pairs_from_trace,
     trace_pairs_factory,
@@ -96,6 +97,25 @@ class TestGameResult:
         assert GameResult(games=20, wins=20).advantage == 0.5
         assert GameResult(games=20, wins=0).advantage == 0.5
         assert GameResult(games=0, wins=0).win_rate == 0.0
+
+
+class TestGameCount:
+    """A batch of no games has no win rate; it must not score as 0.5."""
+
+    def make_game(self):
+        return MultiSnapshotGame(
+            lambda i: MobiPlutoHarness(seed=700 + i, userdata_blocks=4096),
+            rounds=1,
+        )
+
+    @pytest.mark.parametrize("games", [0, -1])
+    def test_run_rejects_non_positive_games(self, games):
+        with pytest.raises(ValueError, match="games must be >= 1"):
+            self.make_game().run(UnaccountableAllocationAdversary(0.5), games)
+
+    def test_best_advantage_rejects_zero_games(self):
+        with pytest.raises(ValueError, match="games must be >= 1"):
+            best_advantage(self.make_game(), [0.5, 5.0], games_per_threshold=0)
 
 
 class TestHarnesses:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.android import Phone
 from repro.blockdev import RAMBlockDevice
-from repro.blockdev.ftl import FTLDevice, NandFlash, NandGeometry
 from repro.core import Mode, MobiCealConfig, MobiCealSystem
 from repro.crypto import AesCtrEssiv, Rng
 from repro.dm import DMDevice, LinearTarget, TableEntry, create_crypt_device
@@ -13,37 +12,12 @@ from repro.dm.thin import ThinPool, ThinTarget
 DECOY, HIDDEN = "decoy", "hidden"
 
 
-class TestMobiCealOverFTL:
-    """The entire PDE system over raw NAND + FTL instead of the eMMC model."""
-
-    def make(self, seed=8):
-        nand = NandFlash(NandGeometry(erase_blocks=160, pages_per_block=32))
-        ftl = FTLDevice(nand, overprovision=0.15)
-        phone = Phone(seed=seed, userdata_device=ftl)
-        system = MobiCealSystem(phone, MobiCealConfig(num_volumes=4))
-        phone.framework.power_on()
-        system.initialize(DECOY, hidden_passwords=(HIDDEN,))
-        return phone, system, ftl
-
-    def test_full_lifecycle_over_ftl(self):
-        phone, system, ftl = self.make()
-        system.boot_with_password(DECOY)
-        system.start_framework()
-        system.store_file("/p.bin", b"p" * 30000)
-        assert system.screenlock.enter_password(HIDDEN)
-        system.store_file("/h.bin", b"h" * 30000)
-        system.reboot()
-        system.boot_with_password(HIDDEN)
-        assert system.read_file("/h.bin") == b"h" * 30000
-        assert ftl.ftl_stats.host_writes > 0
+class TestPhoneUserdata:
+    """A bring-your-own userdata medium must match the profile's geometry."""
 
     def test_block_size_mismatch_rejected(self):
-        nand = NandFlash(
-            NandGeometry(erase_blocks=16, pages_per_block=8, page_size=512)
-        )
-        ftl = FTLDevice(nand)
         with pytest.raises(ValueError):
-            Phone(userdata_device=ftl)
+            Phone(userdata_device=RAMBlockDevice(4096, block_size=512))
 
 
 class TestThinTargetInDMTables:

@@ -1,4 +1,4 @@
-"""Tests for rename and statfs across the three filesystems."""
+"""Tests for rename and statfs across the filesystems."""
 
 import pytest
 
@@ -8,7 +8,7 @@ from repro.errors import (
     FileNotFoundInFS,
     FilesystemError,
 )
-from repro.fs import Ext4Filesystem, Fat32Filesystem, TmpFilesystem
+from repro.fs import Ext4Filesystem, TmpFilesystem, fsck_ext4
 
 
 def make_fs(kind, blocks=2048):
@@ -18,14 +18,13 @@ def make_fs(kind, blocks=2048):
         fs.mount()
         return fs
     dev = RAMBlockDevice(blocks)
-    cls = Ext4Filesystem if kind == "ext4" else Fat32Filesystem
-    fs = cls(dev)
+    fs = Ext4Filesystem(dev)
     fs.format()
     fs.mount()
     return fs
 
 
-KINDS = ["ext4", "fat32", "tmpfs"]
+KINDS = ["ext4", "tmpfs"]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -77,14 +76,13 @@ class TestRename:
         if kind == "tmpfs":
             pytest.skip("tmpfs does not persist")
         dev = RAMBlockDevice(2048)
-        cls = Ext4Filesystem if kind == "ext4" else Fat32Filesystem
-        fs = cls(dev)
+        fs = Ext4Filesystem(dev)
         fs.format()
         fs.mount()
         fs.write_file("/before", b"data")
         fs.rename("/before", "/after")
         fs.unmount()
-        fs2 = cls(dev)
+        fs2 = Ext4Filesystem(dev)
         fs2.mount()
         assert fs2.read_file("/after") == b"data"
         assert not fs2.exists("/before")
@@ -92,18 +90,15 @@ class TestRename:
     def test_rename_keeps_fsck_clean(self, kind):
         if kind == "tmpfs":
             pytest.skip("no fsck for tmpfs")
-        from repro.fs import fsck_ext4, fsck_fat32
-
         fs = make_fs(kind)
-        fsck = fsck_ext4 if kind == "ext4" else fsck_fat32
         fs.makedirs("/a/b")
         fs.write_file("/a/b/f", b"q" * 30000)
         fs.rename("/a/b/f", "/top.bin")
         fs.rename("/a", "/z")
-        assert fsck(fs) == []
+        assert fsck_ext4(fs) == []
 
 
-@pytest.mark.parametrize("kind", ["ext4", "fat32"])
+@pytest.mark.parametrize("kind", ["ext4"])
 class TestStatfs:
     def test_free_shrinks_on_write(self, kind):
         fs = make_fs(kind)
