@@ -9,35 +9,20 @@ Table II) run deterministically and in milliseconds of wall time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List
+from dataclasses import dataclass
 
 
 @dataclass
 class SimClock:
-    """A monotonically advancing simulated clock, in seconds.
-
-    The clock also keeps a list of observers so tests and the bench harness
-    can trace where simulated time is spent.
-    """
+    """A monotonically advancing simulated clock, in seconds."""
 
     now: float = 0.0
-    _observers: List[Callable[[float, str], None]] = field(default_factory=list)
 
     def advance(self, seconds: float, reason: str = "") -> None:
         """Advance the clock by *seconds* (must be non-negative)."""
         if seconds < 0:
             raise ValueError(f"cannot advance clock by negative time: {seconds}")
         self.now += seconds
-        for observer in self._observers:
-            observer(seconds, reason)
-
-    def subscribe(self, observer: Callable[[float, str], None]) -> None:
-        """Register *observer(delta, reason)* to be called on each advance."""
-        self._observers.append(observer)
-
-    def unsubscribe(self, observer: Callable[[float, str], None]) -> None:
-        self._observers.remove(observer)
 
 
 class Stopwatch:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import threading
 from abc import ABC, abstractmethod
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Tuple
 
@@ -160,20 +160,13 @@ def replay_per_block(costs: Optional["ExtentCosts"], count: int):
         costs.replay_post()
 
 
-class _RecoveryDepth(threading.local):
-    """Per-thread depth of nested :func:`recovery_io` sections.
-
-    While positive, every device touched *by this thread* books its I/O
-    under the recovery_* counters instead of the workload counters, so
-    crash-recovery I/O never pollutes bench measurements — and a
-    crash→attach on one daemon worker thread never reclassifies the
-    concurrent I/O of devices served by other threads.
-    """
-
-    depth = 0
-
-
-_RECOVERY = _RecoveryDepth()
+#: Depth of nested :func:`recovery_io` sections in the calling context.
+#: While positive, every device touched *by this thread* (or asyncio task)
+#: books its I/O under the recovery_* counters instead of the workload
+#: counters, so crash-recovery I/O never pollutes bench measurements — and
+#: a crash→attach on one daemon worker thread never reclassifies the
+#: concurrent I/O of devices served by other threads.
+_RECOVERY_DEPTH: ContextVar[int] = ContextVar("repro_recovery_depth", default=0)
 
 
 @contextlib.contextmanager
@@ -184,18 +177,18 @@ def recovery_io() -> Iterator[None]:
     reconciliation) wrap themselves in this context manager; all devices
     then count their reads/writes under ``IOStats.recovery_reads`` /
     ``IOStats.recovery_writes``. Nesting is allowed and cheap. The
-    section is scoped to the calling thread.
+    section is scoped to the calling context (thread or asyncio task).
     """
-    _RECOVERY.depth += 1
+    token = _RECOVERY_DEPTH.set(_RECOVERY_DEPTH.get() + 1)
     try:
         yield
     finally:
-        _RECOVERY.depth -= 1
+        _RECOVERY_DEPTH.reset(token)
 
 
 def in_recovery() -> bool:
-    """True while this thread executes inside a :func:`recovery_io` section."""
-    return _RECOVERY.depth > 0
+    """True while this context executes inside a :func:`recovery_io` section."""
+    return _RECOVERY_DEPTH.get() > 0
 
 
 @dataclass
@@ -370,7 +363,7 @@ class BlockDevice(ABC):
             return self._read_per_block(start, count, costs)
         self._check_extent(start, count)
         data = self._read_extent(start, count, costs)
-        if _RECOVERY.depth:
+        if _RECOVERY_DEPTH.get():
             self.stats.recovery_reads += count
         else:
             self.stats.reads += count
@@ -391,7 +384,7 @@ class BlockDevice(ABC):
             return
         self._check_extent(start, count)
         self._write_extent(start, data, costs)
-        if _RECOVERY.depth:
+        if _RECOVERY_DEPTH.get():
             self.stats.recovery_writes += count
         else:
             self.stats.writes += count

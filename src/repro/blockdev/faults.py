@@ -24,6 +24,7 @@ naming convention.
 from __future__ import annotations
 
 import contextlib
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -352,7 +353,11 @@ class CrashPointRegistry:
 #: Process-wide registry of crash points reached while a plan was active.
 REGISTRY = CrashPointRegistry()
 
-_ACTIVE_PLANS: List[FaultPlan] = []
+#: Plans active in the calling context (thread or asyncio task): a plan
+#: injected on one thread never fires at a crash point another reaches.
+_ACTIVE_PLANS: ContextVar[Tuple[FaultPlan, ...]] = ContextVar(
+    "repro_fault_plans", default=()
+)
 
 
 def crash_point(name: str) -> None:
@@ -363,18 +368,20 @@ def crash_point(name: str) -> None:
     framework mid-switch, ...). With no active plan this is a near-no-op,
     so instrumentation is free in production paths.
     """
-    if not _ACTIVE_PLANS:
+    plans = _ACTIVE_PLANS.get()
+    if not plans:
         return
     REGISTRY.note(name)
-    for plan in list(_ACTIVE_PLANS):
+    for plan in plans:
         plan.on_crash_point(name)
 
 
 @contextlib.contextmanager
 def inject(plan: FaultPlan) -> Iterator[FaultPlan]:
-    """Activate *plan* for crash points within the ``with`` body."""
-    _ACTIVE_PLANS.append(plan)
+    """Activate *plan* for crash points the calling context reaches
+    within the ``with`` body."""
+    token = _ACTIVE_PLANS.set(_ACTIVE_PLANS.get() + (plan,))
     try:
         yield plan
     finally:
-        _ACTIVE_PLANS.remove(plan)
+        _ACTIVE_PLANS.reset(token)

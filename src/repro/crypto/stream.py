@@ -14,6 +14,7 @@ can be instantiated with either (tests exercise both).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 from abc import ABC, abstractmethod
@@ -26,16 +27,13 @@ from repro.util.units import SECTOR_SIZE
 
 _CHUNK = 64  # BLAKE2b output size
 
-# Little-endian 4-byte chunk counters, extended on demand and shared by
-# every Blake2Ctr instance (counter i is the same bytes for any key).
-_COUNTER_CACHE: list = []
 
-
-def _chunk_counters(n: int) -> list:
-    cache = _COUNTER_CACHE
-    while len(cache) < n:
-        cache.append(len(cache).to_bytes(4, "little"))
-    return cache[:n]
+@functools.lru_cache(maxsize=None)
+def _chunk_counters(n: int) -> tuple:
+    """Little-endian 4-byte chunk counters ``0..n-1``, shared by every
+    :class:`Blake2Ctr` (counter i is the same bytes for any key). Each
+    result is an immutable tuple, so concurrent ciphers can share it."""
+    return tuple(i.to_bytes(4, "little") for i in range(n))
 
 
 def xor_buffers(a: bytes, b: bytes) -> bytes:

@@ -15,10 +15,13 @@ active (inside :func:`observe`), instrumented code records
 * **metrics** — counters, gauges and latency histograms via the attached
   :class:`~repro.obs.metrics.MetricRegistry`.
 
-With no recorder active every entry point degenerates to a cheap
-``is None`` check (and, for :func:`mark`, the pre-existing crash-point
-no-op), so production paths and the calibrated benches pay nothing:
-**no events are ever retained while observability is disabled**.
+The active recorder lives in a :class:`contextvars.ContextVar`, so each
+thread (and each asyncio task) observes independently: the daemon's
+worker threads each run a request under their own recorder. With no
+recorder active every entry point degenerates to a context-variable read
+and an ``is None`` check (and, for :func:`mark`, the pre-existing
+crash-point no-op), so production paths and the calibrated benches pay
+nothing: **no events are ever retained while observability is disabled**.
 
 The recorder never draws randomness and never advances a clock, so
 enabling it cannot perturb a seeded experiment — bench text outputs are
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -260,49 +264,50 @@ class _NullSpan:
 
 
 _NULL_SPAN = _NullSpan()
-_CURRENT: Optional[Recorder] = None
+
+#: The active recorder of the calling context: each thread (and each
+#: asyncio task) sees its own, so concurrent observations never share one.
+_CURRENT: ContextVar[Optional[Recorder]] = ContextVar(
+    "repro_obs_recorder", default=None
+)
 
 
 def current() -> Optional[Recorder]:
     """The active recorder, or None while observability is disabled."""
-    return _CURRENT
+    return _CURRENT.get()
 
 
 def enabled() -> bool:
-    return _CURRENT is not None
+    return _CURRENT.get() is not None
 
 
 @contextlib.contextmanager
 def observe(
-    clock=None, wall: bool = False, deep: bool = False, stack: bool = False
+    clock=None, wall: bool = False, deep: bool = False
 ) -> Iterator[Recorder]:
     """Activate a fresh :class:`Recorder` for the ``with`` body.
 
-    Opening an observation while another recorder is already active is
-    almost always a bug — the inner recorder would silently swallow every
-    event the outer one expected — so it raises :class:`ObsError` unless
-    the caller opts in with ``stack=True``, in which case the inner
-    recorder deliberately shadows the outer one and the outer is restored
-    on exit (instrumentation only ever reports to the innermost active
-    recorder).
+    The recorder is context-local: it collects what the calling thread
+    (or asyncio task) instruments, and nothing another thread does.
+    Opening an observation while this context already has one active
+    raises :class:`ObsError` — the inner recorder would silently swallow
+    every event the outer one expected.
 
     ``wall=True`` additionally captures wall-clock timings on every span
     and mark (stripped from all deterministic payloads); ``deep=True``
     enables the per-extent hot-path spans (see :func:`deep_span`).
     """
-    global _CURRENT
-    if _CURRENT is not None and not stack:
+    if _CURRENT.get() is not None:
         raise ObsError(
-            "observe() called while another recorder is active; pass "
-            "stack=True to deliberately shadow the outer recorder"
+            "observe() called while another recorder is active in this "
+            "context; observations do not nest"
         )
     recorder = Recorder(clock=clock, wall=wall, deep=deep)
-    previous = _CURRENT
-    _CURRENT = recorder
+    token = _CURRENT.set(recorder)
     try:
         yield recorder
     finally:
-        _CURRENT = previous
+        _CURRENT.reset(token)
 
 
 # -- instrumentation entry points (all no-ops when disabled) -----------------
@@ -310,7 +315,7 @@ def observe(
 
 def span(name: str, clock=None, **attrs):
     """Open a span; returns a shared no-op when observability is off."""
-    rec = _CURRENT
+    rec = _CURRENT.get()
     if rec is None:
         return _NULL_SPAN
     return rec.span(name, clock=clock, **attrs)
@@ -325,7 +330,7 @@ def deep_span(name: str, clock=None, **attrs):
     set, while ``repro profile`` / ``repro flame`` get leaf-level
     attribution.
     """
-    rec = _CURRENT
+    rec = _CURRENT.get()
     if rec is None or not rec.deep:
         return _NULL_SPAN
     return rec.span(name, clock=clock, **attrs)
@@ -340,20 +345,20 @@ def mark(name: str, clock=None) -> None:
     recorded *before* the crash point fires so an injected power cut still
     leaves the site visible in the timeline.
     """
-    rec = _CURRENT
+    rec = _CURRENT.get()
     if rec is not None:
         rec.mark(name, clock)
     crash_point(name)
 
 
 def counter_add(name: str, value: float = 1.0) -> None:
-    rec = _CURRENT
+    rec = _CURRENT.get()
     if rec is not None:
         rec.metrics.counter(name).add(value)
 
 
 def gauge_set(name: str, value: float) -> None:
-    rec = _CURRENT
+    rec = _CURRENT.get()
     if rec is not None:
         rec.metrics.gauge(name).set(value)
         rec.sample_gauge(name, value)
@@ -361,13 +366,13 @@ def gauge_set(name: str, value: float) -> None:
 
 def observe_latency(name: str, seconds: float) -> None:
     """Feed one operation latency into the named histogram."""
-    rec = _CURRENT
+    rec = _CURRENT.get()
     if rec is not None:
         rec.metrics.histogram(name).observe(seconds)
 
 
 def publish_io(event) -> None:
     """Publish a block-trace event onto the shared timeline."""
-    rec = _CURRENT
+    rec = _CURRENT.get()
     if rec is not None:
         rec.io_events.append(event)

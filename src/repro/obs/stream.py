@@ -55,6 +55,7 @@ from repro.obs.export import (
     PayloadAccumulator,
     _render_table,
 )
+from repro.obs.metrics import MetricRegistry
 from repro.obs.recorder import Recorder
 from repro.obs.sketch import MetricSnapshot, QuantileSketch
 
@@ -241,32 +242,36 @@ class SpoolWriter:
 
 
 class DeviceTelemetryStreamer:
-    """Incrementally streams one device's observation into its spool.
+    """Incrementally streams one device's metrics into its spool.
 
-    Hooks the recorder's mark spine (:meth:`Recorder.add_listener`) as a
-    heartbeat: whenever the simulated clock has advanced at least
-    *interval_s* since the last snapshot, a ``snapshot`` event with
-    cumulative counters, counter deltas and current gauges is emitted.
-    The streamer only ever *reads* recorder state, so a streamed run's
-    recorder payload is bit-identical to an unstreamed one — which is
-    what lets the spool reducer reproduce the fold of unstreamed runs
-    exactly.
+    *metrics* is the registry whose counters and gauges the ``snapshot``
+    events carry. With a *heartbeat* recorder, the streamer hooks its mark
+    spine (:meth:`Recorder.add_listener`): whenever the simulated clock
+    has advanced at least *interval_s* since the last snapshot, a
+    ``snapshot`` event with cumulative counters, counter deltas and
+    current gauges is emitted. Without one (the daemon's devices), the
+    owner calls :meth:`emit_snapshot` itself, once per op. The streamer
+    only ever *reads* metric state, so a streamed run's recorder payload
+    is bit-identical to an unstreamed one — which is what lets the spool
+    reducer reproduce the fold of unstreamed runs exactly.
     """
 
     def __init__(
         self,
         writer: SpoolWriter,
-        recorder: Recorder,
+        metrics: MetricRegistry,
         interval_s: float = DEFAULT_SNAPSHOT_INTERVAL_S,
+        heartbeat: Optional[Recorder] = None,
     ) -> None:
         self.writer = writer
-        self.recorder = recorder
+        self.metrics = metrics
         self.interval_s = interval_s
         #: sim clock snapshots are stamped from; set once the stack exists
         self.clock = None
         self._last_emit_t: Optional[float] = None
         self._previous: Optional[MetricSnapshot] = None
-        recorder.add_listener(self._on_mark)
+        if heartbeat is not None:
+            heartbeat.add_listener(self._on_mark)
 
     def _now(self, fallback: float = 0.0) -> float:
         return self.clock.now if self.clock is not None else fallback
@@ -280,17 +285,25 @@ class DeviceTelemetryStreamer:
             return
         self.emit_snapshot(now)
 
-    def emit_snapshot(self, sim_t: Optional[float] = None) -> None:
-        """Emit one periodic metric snapshot at *sim_t* (default: now)."""
+    def emit_snapshot(
+        self, sim_t: Optional[float] = None, trace: Optional[str] = None
+    ) -> None:
+        """Emit one metric snapshot at *sim_t* (default: now).
+
+        *trace* stamps the event with the id of the request that caused
+        it, joining the snapshot to that request's access-log line.
+        """
         if sim_t is None:
             sim_t = self._now()
-        snapshot = MetricSnapshot.capture(self.recorder.metrics)
+        snapshot = MetricSnapshot.capture(self.metrics)
+        extra = {} if trace is None else {"trace": trace}
         self.writer.emit(
             "snapshot",
             sim_t,
             counters=snapshot.counters,
             counter_deltas=snapshot.delta(self._previous),
             gauges=snapshot.gauges,
+            **extra,
         )
         self._previous = snapshot
         self._last_emit_t = sim_t

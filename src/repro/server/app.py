@@ -32,13 +32,14 @@ error body is ``{"error": ..., "detail": ...}``.
 **Request tracing.** Every request is minted a deterministic
 :class:`~repro.server.trace.TraceContext` (``X-Repro-Trace`` inbound is
 honored, every response echoes ``trace_id:span_id``), threaded through
-the executor and the device so the op runs under a per-request span
-recorder (``http.{route}`` → ``queue.wait`` + ``device.{op}`` →
-``checkpoint``), and finished with one ``access.v1`` JSONL line in
-``{stream_dir}/access.jsonl`` — route template, status, wall and queue
-latency, byte counts, trace id. Requests slower than ``slow_request_s``
-auto-export their span tree as a chrome-trace artifact next to the spool.
-``tracing=False`` turns all of it off (no ids, no spans, no access log).
+the executor and the device so the op runs under a per-request
+:func:`repro.obs.observe` (``http.{route}`` → ``queue.wait`` +
+``device.{op}`` → the stack's spans and ``checkpoint``), and finished
+with one ``access.v1`` JSONL line in ``{stream_dir}/access.jsonl`` —
+route template, status, wall and queue latency, byte counts, trace id.
+Requests slower than ``slow_request_s`` auto-export their span tree as
+a chrome-trace artifact next to the spool. ``tracing=False`` turns all
+of it off (no ids, no spans, no access log).
 
 **Metric determinism.** The daemon keeps two registries. ``metrics``
 holds only request-sequence-derived values (counters, device-count
@@ -556,7 +557,7 @@ class PDEServer:
         fn, *args, **kwargs,
     ):
         """One traced, device-locked op: the executor stamps the queue
-        wait, the device runs it under its per-request span recorder."""
+        wait, the device runs it under a per-request recorder."""
         if trace is not None:
             trace.device = device.id
         return await self.executor.run(

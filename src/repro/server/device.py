@@ -10,10 +10,14 @@ every clock advance and RNG draw a device makes is a pure function of its
 seed and its op sequence, so eight devices driven concurrently are
 byte-identical to the same eight driven one after another.
 
-Deliberately none of this uses the global :mod:`repro.obs` recorder (a
-process-wide current-recorder slot — exactly what a multi-device daemon
-must not share). Each device owns a private
-:class:`~repro.obs.metrics.MetricRegistry`, confined to its lock.
+Devices share the fleet's instrumentation path. Each device owns a
+:class:`~repro.obs.metrics.MetricRegistry`, confined to its lock, and
+streams its ``telemetry.v1`` spool through the same
+:class:`~repro.obs.stream.DeviceTelemetryStreamer` the fleet runner uses.
+A traced request runs under its own :func:`repro.obs.observe` on its
+worker thread — the recorder is context-local, so concurrent requests
+on other devices never share it — and the stack's own spans nest under
+the request's ``device.{op}`` span.
 
 After every mutating op the device checkpoints: ``sync()`` if booted,
 then a block-interned image of every medium plus the lifecycle state row
@@ -34,11 +38,11 @@ from __future__ import annotations
 
 import base64
 import binascii
-import contextlib
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro import obs
 from repro.android.framework import PhoneState
 from repro.android.phone import SMALL_USERDATA_BLOCKS, Phone
 from repro.android.screenlock import UnlockResult
@@ -53,17 +57,13 @@ from repro.errors import (
 )
 from repro.obs.chrometrace import render_chrome_trace
 from repro.obs.export import SCHEMA_VERSION
-from repro.obs.gauges import pool_deniability_gauges
+from repro.obs.gauges import record_deniability_gauges
 from repro.obs.metrics import MetricRegistry
-from repro.obs.recorder import Recorder
-from repro.obs.sketch import MetricSnapshot
-from repro.obs.stream import SpoolWriter, spool_path
+from repro.obs.stream import DeviceTelemetryStreamer, SpoolWriter, spool_path
 
 #: Hard ceiling on hosted device size — the daemon keeps every device's
 #: medium in RAM, so one request must not be able to allocate gigabytes.
 MAX_USERDATA_BLOCKS = 1 << 20
-
-_NULL_CONTEXT = contextlib.nullcontext()
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,8 @@ class ServerDevice:
         self.system = MobiCealSystem(self.phone, config.mobiceal_config())
         self.metrics = MetricRegistry()
         self.writer = SpoolWriter(spool_path(stream_dir, device_id), device_id)
-        self._prev_snapshot: Optional[MetricSnapshot] = None
+        self.streamer = DeviceTelemetryStreamer(self.writer, self.metrics)
+        self.streamer.clock = self.phone.clock
         self.needs_recovery = False
         self.image_digest: Optional[str] = None
         self.created_wall = time.monotonic()
@@ -241,9 +242,8 @@ class ServerDevice:
         #: must be thread-safe — it is invoked from worker threads
         self.wall_cb = wall_cb
         # the request currently executing under this device's lock; only
-        # run_op sets these, so they are lock-confined like everything else
+        # run_op sets it, so it is lock-confined like everything else
         self._trace = None
-        self._trace_recorder: Optional[Recorder] = None
 
     # -- construction ----------------------------------------------------------
 
@@ -322,17 +322,18 @@ class ServerDevice:
     # -- lifecycle ops (executor-thread, device-locked) ------------------------
 
     def run_op(self, trace, op: str, fn, *args, **kwargs):
-        """Run one op under a per-request span recorder.
+        """Run one op under a per-request recorder.
 
         With *trace* ``None`` (tracing disabled) this is a bare call —
         zero overhead, zero behavior change. When traced, the op runs
-        inside a fresh private :class:`Recorder` on the device's sim
-        clock (wall capture on), producing the nested span tree
-        ``http.{route}`` → ``queue.wait`` + ``device.{op}`` →
-        ``checkpoint``. The recorder is per-request and discarded after
-        the op — a resident daemon must not accumulate span history — and
-        it only *reads* the sim clock, so a traced op is byte-identical
-        to an untraced one.
+        under :func:`repro.obs.observe` on the device's sim clock (wall
+        capture on), producing the nested span tree ``http.{route}`` →
+        ``queue.wait`` + ``device.{op}`` → the stack's own spans
+        (``pool.commit``, ``ext4.flush``, ...) and ``checkpoint``. The
+        recorder is per-request and discarded after the op — a resident
+        daemon must not accumulate span history — and it only *reads*
+        the sim clock, so a traced op is byte-identical to an untraced
+        one.
 
         If the op's wall time reaches ``slow_request_s``, the whole span
         tree is exported as a chrome-trace artifact next to the device's
@@ -341,34 +342,32 @@ class ServerDevice:
         """
         if trace is None:
             return fn(*args, **kwargs)
-        recorder = Recorder(clock=self.phone.clock, wall=True)
         self._trace = trace
-        self._trace_recorder = recorder
         started_wall = time.monotonic()
         try:
-            with recorder.span(
-                f"http.{trace.route}",
-                trace=trace.trace_id,
-                span=trace.span_id,
-                method=trace.method,
-                device=self.id,
-            ):
-                with recorder.span(
-                    "queue.wait", wait_s=round(trace.queue_wait_s, 6)
+            with obs.observe(clock=self.phone.clock, wall=True) as recorder:
+                with obs.span(
+                    f"http.{trace.route}",
+                    trace=trace.trace_id,
+                    span=trace.span_id,
+                    method=trace.method,
+                    device=self.id,
                 ):
-                    pass
-                with recorder.span(f"device.{op}", trace=trace.trace_id):
-                    result = fn(*args, **kwargs)
+                    with obs.span(
+                        "queue.wait", wait_s=round(trace.queue_wait_s, 6)
+                    ):
+                        pass
+                    with obs.span(f"device.{op}", trace=trace.trace_id):
+                        result = fn(*args, **kwargs)
         finally:
             self._trace = None
-            self._trace_recorder = None
         trace.sim_t = self.phone.clock.now
         wall_s = time.monotonic() - started_wall
         if self.slow_request_s is not None and wall_s >= self.slow_request_s:
             trace.slow_capture = self._export_slow_trace(trace, recorder)
         return result
 
-    def _export_slow_trace(self, trace, recorder: Recorder) -> str:
+    def _export_slow_trace(self, trace, recorder: obs.Recorder) -> str:
         """Drop the request's chrome trace next to the telemetry spool."""
         name = f"slow-{trace.trace_id}-{trace.span_id}.chrome.json"
         # trace ids are validated lowercase hex (server.trace), so the
@@ -504,17 +503,8 @@ class ServerDevice:
             "metrics": self.metrics.as_dict(),
             "io": {"events": 0, "by_op": {}},
         }
-        gauges = payload["metrics"]["gauges"]
-        for name in sorted(gauges):
-            self.writer.emit(
-                "gauge_sample", sim_t, gauge=name, value=gauges[name]
-            )
-        self.writer.emit(
-            "device_finish",
-            sim_t,
-            result=result,
-            obs=payload,
-            wall_s=time.monotonic() - self.created_wall,
+        self.streamer.finish(
+            result, payload, time.monotonic() - self.created_wall
         )
         self.writer.close()
 
@@ -531,23 +521,12 @@ class ServerDevice:
         if bytes_written:
             self.metrics.counter("workload.bytes_written").add(bytes_written)
         if self.system._pool is not None:
-            for name, value in pool_deniability_gauges(self.system.pool).items():
-                self.metrics.gauge(name).set(value)
-        snapshot = MetricSnapshot.capture(self.metrics)
-        extra: Dict[str, object] = {}
-        if self._trace is not None:
-            # traced requests stamp their telemetry: the snapshot this op
-            # produced is joinable to the access-log line that caused it
-            extra["trace"] = self._trace.trace_id
-        self.writer.emit(
-            "snapshot",
-            self.phone.clock.now,
-            counters=snapshot.counters,
-            counter_deltas=snapshot.delta(self._prev_snapshot),
-            gauges=snapshot.gauges,
-            **extra,
+            record_deniability_gauges(self.metrics, pool=self.system.pool)
+        # traced requests stamp their telemetry: the snapshot this op
+        # produced is joinable to the access-log line that caused it
+        self.streamer.emit_snapshot(
+            trace=None if self._trace is None else self._trace.trace_id
         )
-        self._prev_snapshot = snapshot
         self._checkpoint()
 
     def _media(self):
@@ -570,14 +549,8 @@ class ServerDevice:
         since its last commit, so the steady-state checkpoint is
         O(blocks touched since the last one) end to end.
         """
-        recorder = self._trace_recorder
-        span = (
-            recorder.span("checkpoint", device=self.id)
-            if recorder is not None
-            else _NULL_CONTEXT
-        )
         started_wall = time.monotonic()
-        with span:
+        with obs.span("checkpoint", device=self.id):
             if self.system.mode in (Mode.PUBLIC, Mode.HIDDEN):
                 self.system.sync()
             for mountpoint in ("/cache", "/devlog"):

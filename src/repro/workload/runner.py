@@ -142,7 +142,8 @@ def run_device_streamed(
     with obs_stream.SpoolWriter(path, spec.index) as writer:
         with obs.observe() as recorder:
             streamer = obs_stream.DeviceTelemetryStreamer(
-                writer, recorder, interval_s=snapshot_interval_s
+                writer, recorder.metrics, interval_s=snapshot_interval_s,
+                heartbeat=recorder,
             )
             writer.emit("device_start", 0.0, spec=dataclasses.asdict(spec))
             try:

@@ -45,14 +45,6 @@ class TestSimClock:
         with pytest.raises(ValueError):
             SimClock().advance(-1)
 
-    def test_observer(self):
-        clock = SimClock()
-        seen = []
-        clock.subscribe(lambda d, r: seen.append((d, r)))
-        clock.advance(2.0, "io")
-        assert seen == [(2.0, "io")]
-        clock.unsubscribe(clock._observers[0])
-
     def test_stopwatch(self):
         clock = SimClock()
         with Stopwatch(clock) as sw:

@@ -30,14 +30,21 @@ _SCALES = (1e-9, 1e-6, 1e-3, 1.0, 1e3)
 # ---------------------------------------------------------------------------
 
 
+class _TallyClock(SimClock):
+    """A clock that also hands every charge to *tally(delta, reason)*."""
+
+    def __init__(self, tally) -> None:
+        super().__init__()
+        self._tally = tally
+
+    def advance(self, seconds: float, reason: str = "") -> None:
+        super().advance(seconds, reason)
+        self._tally(seconds, reason)
+
+
 def _jittered_extent_run(seed: int, per_block: bool):
     """Random extents with random cost schedules on a jittered eMMC."""
     rng = random.Random(seed)
-    clock, other = SimClock(), SimClock()
-    dev = EMMCDevice(
-        256, clock=clock, latency=LatencyModel(),
-        jitter=0.3 if seed % 5 else 0.0, jitter_rng=Rng(seed),
-    )
     ticks = {"pre": 0, "post": 0}
     # what the device actually charged, per histogram, in charge order
     charged = {"emmc.read": [0, 0.0], "emmc.write": [0, 0.0]}
@@ -48,7 +55,11 @@ def _jittered_extent_run(seed: int, per_block: bool):
             entry[0] += 1
             entry[1] += delta
 
-    clock.subscribe(tally)
+    clock, other = _TallyClock(tally), SimClock()
+    dev = EMMCDevice(
+        256, clock=clock, latency=LatencyModel(),
+        jitter=0.3 if seed % 5 else 0.0, jitter_rng=Rng(seed),
+    )
 
     def schedule():
         costs = ExtentCosts()

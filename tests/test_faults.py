@@ -236,6 +236,34 @@ class TestCrashPoints:
         assert REGISTRY.hits("thin.meta.superblock-written") >= 1
         REGISTRY.reset()
 
+    def test_plan_fires_only_in_the_injecting_thread(self):
+        """A plan injected on one thread is invisible to every other: a
+        daemon worker reaching the named site while another worker runs
+        a crash sweep must not lose power."""
+        REGISTRY.reset()
+        plan = FaultPlan(seed=1, crash_point="ctx.site")
+        outcome = {}
+
+        def other_thread():
+            try:
+                crash_point("ctx.site")
+                outcome["other"] = "ok"
+            except PowerCutError:  # pragma: no cover - the bug
+                outcome["other"] = "power cut"
+
+        with inject(plan):
+            worker = threading.Thread(target=other_thread)
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            assert outcome == {"other": "ok"}
+            assert not plan.fired
+            assert REGISTRY.hits("ctx.site") == 0
+            with pytest.raises(PowerCutError):
+                crash_point("ctx.site")
+        assert plan.fired
+        REGISTRY.reset()
+
 
 class TestRecoveryIOAccounting:
     """Satellite: recovery I/O must never be booked as workload I/O."""

@@ -20,10 +20,12 @@ accidental layout changes.
 """
 
 import hashlib
+import sys
+import threading
 
 import pytest
 
-from repro.crypto.stream import Blake2Ctr
+from repro.crypto.stream import Blake2Ctr, _chunk_counters
 from tests.oracles import xor_bytes
 
 KEY = bytes(range(32))
@@ -177,6 +179,64 @@ def test_ciphers_do_not_share_cache_across_keys():
     ea = a.encrypt_extent(0, data, 4096)  # warms a's cache
     assert b.encrypt_extent(0, data, 4096) != ea
     assert a.encrypt_extent(0, data, 4096) == ea
+
+
+# ---------------------------------------------------------------------------
+# Thread safety: the shared counter table is immutable per length
+# ---------------------------------------------------------------------------
+
+
+def _race(fn, threads=4):
+    """Run ``fn(i)`` on *threads* threads released together by a barrier,
+    with a tiny GIL switch interval so interleavings are dense."""
+    barrier = threading.Barrier(threads, timeout=30)
+    results = [None] * threads
+
+    def run(i):
+        barrier.wait()
+        results[i] = fn(i)
+
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(threads)]
+    for t in workers:
+        t.start()
+    for t in workers:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in workers)
+    return results
+
+
+@pytest.fixture
+def dense_switching():
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
+        _chunk_counters.cache_clear()
+
+
+def test_chunk_counters_survive_concurrent_first_use(dense_switching):
+    """Threads asking for a counter length nobody asked for yet all get
+    ``counters[i] == i`` — a shared append-grown table could record one
+    counter twice and shift every later chunk for good."""
+    for trial in range(100):
+        n = 1024 + 8 * trial  # longer than any length used before
+        for counters in _race(lambda _i: _chunk_counters(n)):
+            assert len(counters) == n, trial
+            for i, counter in enumerate(counters):
+                assert counter == i.to_bytes(4, "little"), (trial, i)
+
+
+def test_threaded_encrypt_extent_matches_serial(dense_switching):
+    """Per-device ciphers encrypting concurrently (the daemon's worker
+    pool) produce exactly the serial, fixture-checked ciphertext."""
+    for trial in range(12):
+        unit = 512 * (160 + trial)  # a fresh counter length per trial
+        data = _pattern(2 * unit)
+        expected = fixture_encrypt_extent(KEY, 3, data, unit)
+        got = _race(lambda _i: Blake2Ctr(KEY).encrypt_extent(3, data, unit))
+        assert got == [expected] * 4, trial
 
 
 # ---------------------------------------------------------------------------

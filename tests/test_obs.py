@@ -1,6 +1,7 @@
 """Tests for the repro.obs observability subsystem."""
 
 import json
+import threading
 
 import pytest
 
@@ -100,23 +101,12 @@ class TestDisabled:
         assert list(rec.metrics.counters) == ["inside"]
         assert rec.spans == []
 
-    def test_observe_nests_and_restores_with_stack_optin(self):
-        with obs.observe() as outer:
-            obs.counter_add("a")
-            with obs.observe(stack=True) as inner:
-                obs.counter_add("b")
-            assert obs.current() is outer
-            obs.counter_add("c")
-        assert obs.current() is None
-        assert sorted(outer.metrics.counters) == ["a", "c"]
-        assert list(inner.metrics.counters) == ["b"]
-
     def test_implicit_nesting_raises_obs_error(self):
         from repro.errors import ObsError
 
         with obs.observe() as outer:
             obs.counter_add("a")
-            with pytest.raises(ObsError, match="stack=True"):
+            with pytest.raises(ObsError, match="do not nest"):
                 with obs.observe():
                     pass  # pragma: no cover - never entered
             # the outer recorder survives a refused nested observe
@@ -124,6 +114,51 @@ class TestDisabled:
             obs.counter_add("b")
         assert obs.current() is None
         assert sorted(outer.metrics.counters) == ["a", "b"]
+
+    def test_concurrent_threads_observe_independently(self):
+        """The recorder is context-local: two threads inside their own
+        ``observe()`` at the same time neither raise nor see each other's
+        spans, marks or counters."""
+        barrier = threading.Barrier(2, timeout=10)
+        recorders, errors = {}, []
+
+        def worker(name):
+            clock = SimClock()
+            try:
+                with obs.observe(clock=clock) as rec:
+                    barrier.wait()  # both observations are open now
+                    for i in range(50):
+                        with obs.span(f"{name}.span"):
+                            clock.advance(1.0)
+                            obs.counter_add(f"{name}.ops")
+                            obs.mark(f"{name}.mark")
+                        if i == 25:
+                            barrier.wait()  # interleave mid-run
+                    assert obs.current() is rec
+                    barrier.wait()
+                recorders[name] = rec
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+                barrier.abort()
+
+        threads = [
+            threading.Thread(target=worker, args=(name,))
+            for name in ("left", "right")
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=20)
+        assert errors == []
+        assert obs.current() is None
+        for name, rec in recorders.items():
+            assert {s.name for s in rec.spans} == {f"{name}.span"}
+            assert len(rec.spans) == 50
+            assert rec.mark_counts() == {f"{name}.mark": 50}
+            assert dict(
+                (n, c.value) for n, c in rec.metrics.counters.items()
+            ) == {f"{name}.ops": 50.0}
+        assert sorted(recorders) == ["left", "right"]
 
 
 class TestMetrics:
@@ -305,7 +340,7 @@ class TestExport:
 
 class TestMergePayloads:
     def _payload(self, counters=None, gauges=None):
-        with obs.observe(stack=True) as rec:
+        with obs.observe() as rec:
             for name, value in (counters or {}).items():
                 obs.counter_add(name, value)
             for name, value in (gauges or {}).items():

@@ -551,6 +551,18 @@ class TestTracing:
             assert "queue.wait" in names
             assert "device.snapshot" in names
             assert "checkpoint" in names
+        # the request runs on the stack's own instrumentation path: its
+        # capture nests the stack's spans under the device op's span
+        writes = [
+            json.loads(path.read_text())["traceEvents"]
+            for path, names in zip(captures, names_per_capture)
+            if "http.device.write" in names
+        ]
+        assert writes, "no capture for a write op"
+        for events in writes:
+            assert _nested_under(
+                events, "device.write", {"pool.commit", "ext4.flush"}
+            )
 
     def test_invalid_inbound_trace_is_replaced_not_rejected(self, tmp_path):
         with RunningServer(tmp_path) as client:
@@ -618,6 +630,20 @@ class TestHealthSaturation:
             assert client.healthz()["status"] == "ok"
 
 
+def _nested_under(events, parent, names):
+    """Whether a span named in *names* opens and closes inside *parent*
+    (chrome traces emit spans depth-first, so a child's B/E events sit
+    between its parent's)."""
+    order = [(e["ph"], e["name"], e["ts"]) for e in events if e["ph"] in "BE"]
+    begin = next(i for i, e in enumerate(order) if e[:2] == ("B", parent))
+    end = next(i for i, e in enumerate(order) if e[:2] == ("E", parent))
+    return any(
+        ph == "B" and name in names
+        and order[begin][2] <= ts <= order[end][2]
+        for ph, name, ts in order[begin + 1:end]
+    )
+
+
 def _storm(client, device_id):
     """One thread's mixed-route storm: success, error and scrape paths."""
     client.boot(device_id, "decoy")
@@ -679,7 +705,20 @@ class TestMetricsDeterminism:
             line for line in prom.splitlines()
             if "repro_wall_" not in line
         )
-        return deterministic_json, deterministic_prom, payload, prom
+        return deterministic_json, deterministic_prom, payload, prom, (
+            self._spools(stream_dir)
+        )
+
+    @staticmethod
+    def _spools(stream_dir):
+        """Each device spool's events, split into (trace stamps, the
+        events with the stamp removed)."""
+        spools = {}
+        for path in sorted(stream_dir.glob("spool-*.jsonl")):
+            events = [json.loads(line) for line in path.read_text().splitlines()]
+            stamps = [event.pop("trace", None) for event in events]
+            spools[path.name] = (stamps, events)
+        return spools
 
     def test_scrapes_identical_across_runs_traced_or_not(self, tmp_path):
         runs = [
@@ -687,10 +726,15 @@ class TestMetricsDeterminism:
             self._run_storm(tmp_path / "b", tracing=True),
             self._run_storm(tmp_path / "c", tracing=False),
         ]
-        base_json, base_prom = runs[0][0], runs[0][1]
-        for run_json, run_prom, payload, prom in runs:
+        base_json, base_prom, base_spools = runs[0][0], runs[0][1], runs[0][4]
+        assert len(base_spools) == 4
+        for run_json, run_prom, payload, prom, spools in runs:
             assert run_json == base_json
             assert run_prom == base_prom
+            # tracing adds only the trace stamp to the telemetry spools
+            assert {
+                name: events for name, (_, events) in spools.items()
+            } == {name: events for name, (_, events) in base_spools.items()}
             # the wall half exists and the whole doc stays parseable
             assert payload["wall"]["histograms"]
             assert obs.parse_prom(prom)
@@ -698,6 +742,12 @@ class TestMetricsDeterminism:
         # present when traced, absent when not, filtered either way
         assert "repro_wall_server_trace_info" in runs[0][3]
         assert "repro_wall_server_trace_info" not in runs[2][3]
+        # traced runs stamp each op's snapshot with the client's trace id
+        assert runs[0][4] == runs[1][4]
+        for stamps, _ in runs[0][4].values():
+            assert any(stamps)
+        for stamps, _ in runs[2][4].values():
+            assert not any(stamps)
 
 
 class TestRestartResume:

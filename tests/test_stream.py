@@ -321,7 +321,9 @@ class TestReduceSpools:
         path = stream.spool_path(tmp_path, 7)
         with stream.SpoolWriter(path, 7) as writer:
             with obs.observe() as recorder:
-                streamer = stream.DeviceTelemetryStreamer(writer, recorder)
+                streamer = stream.DeviceTelemetryStreamer(
+                    writer, recorder.metrics, heartbeat=recorder
+                )
                 writer.emit("device_start", 0.0, spec={"index": 7})
                 streamer.crash(RuntimeError("boom"))
         reduced = stream.reduce_spools(tmp_path)
