@@ -7,12 +7,17 @@ paper-style table computed on the simulated clock — is printed, stored in
 """
 
 import pathlib
+import sys
 
 import pytest
 
 from repro.obs import write_bench_json
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+# the hotpath and store benches time the per-block cost oracle, which
+# lives with the other test oracles in tests/oracles/
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
 
 @pytest.fixture

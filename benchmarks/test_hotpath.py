@@ -4,8 +4,8 @@ Every other bench in this suite measures *simulated* time; this one
 measures how fast the simulator itself moves blocks, which is what bounds
 trace length at fixed wall-clock budget (Sec. VI-scale experiments). Each
 scenario drives the same operation stream through the extent path and
-through the legacy per-block decomposition (:func:`per_block_baseline`)
-and reports wall-clock blocks-simulated-per-second for both.
+through the legacy per-block decomposition (the ``per_block_baseline``
+test oracle in ``tests/oracles/per_block.py``) and reports wall-clock blocks-simulated-per-second for both.
 
 Fidelity first: both paths must land on the identical simulated clock —
 asserted here for every scenario — so the speedup is free.
@@ -17,18 +17,13 @@ bench as a smoke test but excludes the file from the byte-drift check.
 
 import time
 
-from repro.blockdev import (
-    EMMCDevice,
-    LatencyModel,
-    RAMBlockDevice,
-    SimClock,
-    per_block_baseline,
-)
+from repro.blockdev import EMMCDevice, LatencyModel, RAMBlockDevice, SimClock
 from repro.crypto.rng import Rng
 from repro.crypto.stream import Blake2Ctr
 from repro.dm import create_crypt_device
 from repro.dm.crypt import NEXUS4_CRYPTO_BYTE_COST_S
 from repro.dm.thin import ThinPool
+from tests.oracles.per_block import per_block_baseline
 
 BS = 4096
 EXTENT_BLOCKS = 64

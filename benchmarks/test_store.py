@@ -1,11 +1,7 @@
-"""BlockStore backend costs — memory scaling and checkpoint wall-clock.
+"""BlockStore backend costs — checkpoint wall-clock and the RAM hotpath.
 
 Three scenarios back the backend acceptance criteria:
 
-* ``mmap_rss`` — a 4 GiB-addressable userdata device on :class:`MmapStore`
-  must cost the same Python heap as a 256 MiB one: the bytes live in an
-  unlinked sparse file behind an ``mmap``, so peak traced memory tracks
-  the *working set*, not the device size.
 * ``cow_checkpoint`` — checkpointing a 1 %-dirty device through
   :class:`CowOverlayStore.freeze` must beat the full capture-and-re-hash
   scan by >= 10x: the overlay hashes only dirty blocks and reuses every
@@ -21,40 +17,29 @@ Three scenarios back the backend acceptance criteria:
   an explicit :class:`RamStore`, so backend pluggability never erodes the
   hotpath bars.
 
-Like ``BENCH_hotpath.json``, ``BENCH_store.json`` records wall-clock (and
-tracemalloc) measurements: machine-dependent, excluded from CI's
+Like ``BENCH_hotpath.json``, ``BENCH_store.json`` records wall-clock
+measurements: machine-dependent, excluded from CI's
 byte-drift check, and gated instead by ``repro bench compare``'s
 one-sided loose bands plus the METRIC_FLOORS hard minimums.
 """
 
 import tempfile
 import time
-import tracemalloc
 
 from repro.blockdev import (
+    CowOverlayStore,
     EMMCDevice,
     LatencyModel,
-    MmapStore,
     RAMBlockDevice,
+    RamStore,
     SimClock,
     capture,
-    per_block_baseline,
 )
 from repro.crypto.rng import Rng
 from repro.server import FleetStore
+from tests.oracles.per_block import per_block_baseline
 
 BS = 4096
-
-#: Device sizes for the mmap flatness sweep (blocks of 4 KiB).
-MMAP_SIZES = (("256MiB", 65536), ("1GiB", 262144), ("4GiB", 1048576))
-
-#: Blocks actually written/read per mmap leg — fixed, so any peak growth
-#: with device size would be substrate overhead, not workload.
-WORKING_SET_BLOCKS = 1024
-
-#: Acceptance: the 4 GiB device's Python-heap peak may exceed the 256 MiB
-#: device's by at most this factor (they should be near-identical).
-MMAP_FLATNESS_MAX_RATIO = 2.0
 
 #: The checkpoint scenario's device and dirty ratio (1 % of blocks).
 CHECKPOINT_BLOCKS = 65536
@@ -71,29 +56,15 @@ FLEET_CHECKPOINT_MIN_SPEEDUP = 1.25
 SEQ_WRITE_MIN_SPEEDUP = 3.0
 
 
-# ---------------------------------------------------------------------------
-# (a) MmapStore: peak heap flat across device sizes
-# ---------------------------------------------------------------------------
-
-
-def _mmap_peak_bytes(num_blocks: int) -> int:
-    """Peak traced Python memory while driving a fixed working set."""
-    payload = b"\x7e" * BS
-    step = max(1, num_blocks // WORKING_SET_BLOCKS)
-    tracemalloc.start()
-    store = MmapStore(num_blocks, BS)
-    for i in range(WORKING_SET_BLOCKS):
-        store.write_extent(i * step, payload)
-    for i in range(0, WORKING_SET_BLOCKS, 8):
-        assert store.read_extent(i * step, 1) == payload
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    store.close()
-    return peak
+def _cow_device() -> RAMBlockDevice:
+    return RAMBlockDevice(
+        CHECKPOINT_BLOCKS, block_size=BS,
+        store=CowOverlayStore(CHECKPOINT_BLOCKS, BS),
+    )
 
 
 # ---------------------------------------------------------------------------
-# (b) CoW checkpoint vs full re-intern at 1 % dirty
+# (a) CoW checkpoint vs full re-intern at 1 % dirty
 # ---------------------------------------------------------------------------
 
 
@@ -106,8 +77,10 @@ def _measure_checkpoint():
     content-addressed block table (``Snapshot.block_hashes``).
     """
     dirty = int(CHECKPOINT_BLOCKS * DIRTY_FRACTION)
-    cow = RAMBlockDevice(CHECKPOINT_BLOCKS, block_size=BS, store="cow")
-    full = RAMBlockDevice(CHECKPOINT_BLOCKS, block_size=BS, store="ram")
+    cow = _cow_device()
+    full = RAMBlockDevice(
+        CHECKPOINT_BLOCKS, block_size=BS, store=RamStore(CHECKPOINT_BLOCKS, BS)
+    )
     capture(cow)  # freeze the factory base; later captures are O(dirty)
 
     rng = Rng(17)
@@ -156,8 +129,8 @@ def _measure_fleet_checkpoint():
     outside the timed region.
     """
     dirty = int(CHECKPOINT_BLOCKS * DIRTY_FRACTION)
-    device = RAMBlockDevice(CHECKPOINT_BLOCKS, block_size=BS, store="cow")
-    other = RAMBlockDevice(CHECKPOINT_BLOCKS, block_size=BS, store="cow")
+    device = _cow_device()
+    other = _cow_device()
     other.poke_extent(0, b"\xff" * (BS * CHECKPOINT_BLOCKS))
     everywhere_different = capture(other)
     rng = Rng(29)
@@ -201,7 +174,7 @@ def _measure_fleet_checkpoint():
 
 
 # ---------------------------------------------------------------------------
-# (c) hotpath bars pinned on an explicit RamStore
+# (b) hotpath bars pinned on an explicit RamStore
 # ---------------------------------------------------------------------------
 
 
@@ -217,7 +190,8 @@ def _best_of(op, rounds: int) -> float:
 def _ram_scenario(blocks: int = 64):
     clock = SimClock()
     device = EMMCDevice(
-        2 * blocks, clock=clock, latency=LatencyModel(), store="ram"
+        2 * blocks, clock=clock, latency=LatencyModel(),
+        store=RamStore(2 * blocks, BS),
     )
     payload = b"\x5a" * (BS * blocks)
     return clock, lambda: device.write_blocks(0, payload)
@@ -245,11 +219,7 @@ def _measure_ram_hotpath(blocks: int = 64, rounds: int = 40):
 
 
 def test_store_backends(benchmark, save_result, save_json):
-    """MmapStore RSS flatness, CoW + fleet checkpoint speedups, RamStore
-    hotpath."""
-    peaks = {label: _mmap_peak_bytes(blocks) for label, blocks in MMAP_SIZES}
-    peak_ratio = peaks["4GiB"] / peaks["256MiB"]
-
+    """CoW + fleet checkpoint speedups, RamStore hotpath."""
     checkpoint = _measure_checkpoint()
     fleet = _measure_fleet_checkpoint()
     hotpath = _measure_ram_hotpath()
@@ -258,16 +228,7 @@ def test_store_backends(benchmark, save_result, save_json):
     benchmark.pedantic(op, rounds=10, iterations=1)
 
     lines = [
-        "BlockStore backends: memory scaling and checkpoint cost",
-        "",
-        f"MmapStore peak Python heap, {WORKING_SET_BLOCKS}-block working set",
-        f"{'device size':<12} {'peak KiB':>10}",
-    ]
-    for label, _ in MMAP_SIZES:
-        lines.append(f"{label:<12} {peaks[label] / 1024:>10.0f}")
-    lines += [
-        f"4GiB/256MiB peak ratio: {peak_ratio:.2f} "
-        f"(bound {MMAP_FLATNESS_MAX_RATIO})",
+        "BlockStore backends: checkpoint cost and the RAM hotpath",
         "",
         f"CoW checkpoint, {checkpoint['dirty_blocks']} dirty of "
         f"{checkpoint['device_blocks']} blocks (1%)",
@@ -291,13 +252,6 @@ def test_store_backends(benchmark, save_result, save_json):
     ]
     save_result("store", "\n".join(lines))
     save_json("store", {
-        "mmap_rss": {
-            "working_set_blocks": WORKING_SET_BLOCKS,
-            "peaks_kib": {
-                label: peaks[label] / 1024 for label, _ in MMAP_SIZES
-            },
-            "peak_ratio_4g_vs_256m": peak_ratio,
-        },
         "cow_checkpoint": checkpoint,
         "fleet_checkpoint": fleet,
         "hotpath_ram": {"emmc_seq_write": hotpath},
@@ -308,11 +262,8 @@ def test_store_backends(benchmark, save_result, save_json):
     benchmark.extra_info["fleet_checkpoint_speedup"] = round(
         fleet["speedup"], 1
     )
-    benchmark.extra_info["mmap_peak_ratio"] = round(peak_ratio, 2)
 
     # acceptance bars (also enforced as METRIC_FLOORS by bench compare)
-    assert peak_ratio <= MMAP_FLATNESS_MAX_RATIO, peaks
-    assert peaks["4GiB"] < 64 << 20, "mmap peak heap should be megabytes"
     assert checkpoint["speedup"] >= COW_CHECKPOINT_MIN_SPEEDUP, checkpoint
     assert fleet["speedup"] >= FLEET_CHECKPOINT_MIN_SPEEDUP, fleet
     assert hotpath["speedup"] >= SEQ_WRITE_MIN_SPEEDUP, hotpath

@@ -16,8 +16,8 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.android.footer import FOOTER_BLOCKS
-from repro.blockdev.device import RAMBlockDevice, SubDevice
-from repro.blockdev.snapshot import Snapshot
+from repro.blockdev.device import RAMBlockDevice
+from repro.blockdev.snapshot import Snapshot, restore
 from repro.dm.thin.metadata import MetadataStore, PoolMetadata
 
 
@@ -39,8 +39,7 @@ def metadata_region(
 def snapshot_to_device(snapshot: Snapshot) -> RAMBlockDevice:
     """Materialize a snapshot as a read-write scratch device."""
     device = RAMBlockDevice(snapshot.num_blocks, snapshot.block_size)
-    for i, data in enumerate(snapshot.blocks):
-        device.poke(i, data)
+    restore(device, snapshot)
     return device
 
 
@@ -49,8 +48,8 @@ def extract_pool_metadata(
 ) -> PoolMetadata:
     """Parse the thin-pool metadata out of a raw userdata snapshot."""
     start, length = metadata_region(snapshot.num_blocks, metadata_fraction)
-    device = snapshot_to_device(snapshot)
-    meta_dev = SubDevice(device, start, length)
+    meta_dev = RAMBlockDevice(length, snapshot.block_size)
+    meta_dev.poke_extent(0, b"".join(snapshot.blocks[start : start + length]))
     return MetadataStore(meta_dev).load()
 
 

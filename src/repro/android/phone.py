@@ -17,31 +17,40 @@ from repro.android.profiles import NEXUS4, DeviceProfile
 from repro.blockdev.clock import SimClock
 from repro.blockdev.device import BlockDevice
 from repro.blockdev.emmc import EMMCDevice
+from repro.blockdev.store import BlockStore, CowOverlayStore
 from repro.crypto.rng import FlashNoiseTRNG, JiffiesSource, Rng
 
 #: Userdata size used by tests/examples when full phone scale is not needed
 #: (4 MiB at 4 KiB blocks keeps snapshot diffs fast).
 SMALL_USERDATA_BLOCKS = 1024
 
-#: Above this size the userdata device is stored sparsely.
-_SPARSE_THRESHOLD = 65536
-
 
 class Phone:
-    """One simulated mobile device."""
+    """One simulated mobile device.
+
+    ``cow=True`` builds every partition on a
+    :class:`~repro.blockdev.store.CowOverlayStore`, whose images freeze in
+    O(dirty blocks): the daemon, which checkpoints after every op, asks
+    for it. Otherwise each eMMC device builds its own RAM store.
+    """
 
     def __init__(
         self,
         profile: DeviceProfile = NEXUS4,
         userdata_blocks: Optional[int] = None,
         seed: int = 0,
-        sparse: Optional[bool] = None,
         userdata_device: Optional[BlockDevice] = None,
-        store: Optional[str] = None,
+        cow: bool = False,
     ) -> None:
         self.profile = profile
         self.clock = SimClock()
         self.rng = Rng(seed)
+
+        def medium(num_blocks: int) -> Optional[BlockStore]:
+            if not cow:
+                return None  # the device builds its own RAM store
+            return CowOverlayStore(num_blocks, profile.block_size)
+
         if userdata_device is not None:
             # bring-your-own medium (e.g. a fault injector); the caller
             # is responsible for wiring its latency model to a clock
@@ -50,25 +59,22 @@ class Phone:
             self.userdata = userdata_device
         else:
             blocks = userdata_blocks if userdata_blocks else SMALL_USERDATA_BLOCKS
-            if sparse is None:
-                sparse = blocks > _SPARSE_THRESHOLD
             self.userdata = EMMCDevice(
                 blocks,
                 block_size=profile.block_size,
                 clock=self.clock,
                 latency=profile.emmc,
-                sparse=sparse,
                 jitter=0.03,
                 jitter_rng=self.rng.fork("io-jitter"),
-                store=store,
+                store=medium(blocks),
             )
         self.cache_dev = EMMCDevice(
             512, block_size=profile.block_size, clock=self.clock,
-            latency=profile.emmc, store=store,
+            latency=profile.emmc, store=medium(512),
         )
         self.devlog_dev = EMMCDevice(
             256, block_size=profile.block_size, clock=self.clock,
-            latency=profile.emmc, store=store,
+            latency=profile.emmc, store=medium(256),
         )
         self.framework = AndroidFramework(self.clock, profile)
         self.jiffies = JiffiesSource(self.clock, self.rng.fork("jiffies"))

@@ -59,7 +59,7 @@ ABSOLUTE_FLOOR = 1e-12
 #: the baseline moves — the extent-path speedup bars live here, so
 #: ``repro bench compare`` (and hence CI) fails if the crypt hot path
 #: ever drops below its promised multiple of the per-block path
-#: (:func:`~repro.blockdev.per_block_baseline`) on the same core.
+#: (the test oracle in ``tests/oracles/per_block.py``) on the same core.
 METRIC_FLOORS: Mapping[str, Mapping[str, float]] = {
     "hotpath": {
         "scenarios.crypt_seq_write.speedup": 5.0,

@@ -11,7 +11,6 @@ from repro.blockdev.device import (
     ReadOnlyView,
     SubDevice,
     in_recovery,
-    per_block_baseline,
     recovery_io,
     replay_per_block,
 )
@@ -27,12 +26,7 @@ from repro.blockdev.store import (
     BlockStore,
     CowOverlayStore,
     FrozenImage,
-    MmapStore,
     RamStore,
-    STORE_ENV,
-    STORE_KINDS,
-    default_store_kind,
-    make_store,
 )
 from repro.blockdev.snapshot import (
     Snapshot,
@@ -55,18 +49,12 @@ __all__ = [
     "ReadOnlyView",
     "SubDevice",
     "in_recovery",
-    "per_block_baseline",
     "recovery_io",
     "replay_per_block",
     "BlockStore",
     "CowOverlayStore",
     "FrozenImage",
-    "MmapStore",
     "RamStore",
-    "STORE_ENV",
-    "STORE_KINDS",
-    "default_store_kind",
-    "make_store",
     "EMMCDevice",
     "FaultPlan",
     "FaultyBlockDevice",

@@ -21,7 +21,12 @@ from repro.errors import (
     OutOfRangeError,
     ReadOnlyDeviceError,
 )
-from repro.blockdev.store import BlockStore, FrozenImage, make_store
+from repro.blockdev.store import (
+    SPARSE_THRESHOLD,
+    BlockStore,
+    FrozenImage,
+    RamStore,
+)
 
 
 def _deep_span(name: str, **attrs):
@@ -34,36 +39,6 @@ def _deep_span(name: str, **attrs):
 
 #: Default logical block size for the stack (matches ext4 and dm-thin).
 DEFAULT_BLOCK_SIZE = 4096
-
-# While True, read_blocks/write_blocks decompose into single-block extents
-# at the top of the stack instead of propagating whole extents. The
-# equivalence tests and the hotpath benchmark use this as the reference
-# behaviour (the test-oracle decomposition: extents are the only I/O
-# representation, the oracle merely forces block-at-a-time ordering).
-_PER_BLOCK_ONLY = False
-
-
-@contextlib.contextmanager
-def per_block_baseline() -> Iterator[None]:
-    """Force block-at-a-time I/O ordering for the enclosed code.
-
-    Inside this context every ``read_blocks``/``write_blocks`` call is
-    decomposed into single-block extents before entering the stack, which
-    reproduces the historical per-block ordering exactly (clock charges,
-    RNG draws, stats booking). This is a *cost oracle only*: the extent
-    plan is the stack's sole I/O representation, and fidelity tests use
-    this context to compare device images, simulated clocks and IOStats
-    between block-at-a-time and whole-extent delivery; the hotpath
-    benchmark uses it as its wall-clock baseline.
-    """
-    global _PER_BLOCK_ONLY
-    previous = _PER_BLOCK_ONLY
-    _PER_BLOCK_ONLY = True
-    try:
-        yield
-    finally:
-        _PER_BLOCK_ONLY = previous
-
 
 class ExtentCosts:
     """Deferred per-block clock charges carried alongside an extent.
@@ -146,10 +121,11 @@ def replay_per_block(costs: Optional["ExtentCosts"], count: int):
     that must break an extent apart (an armed fault plan drawing RNG per
     block, a tracer stamping per-block completion times, genuinely
     per-block media like the ORAM baselines) loop over this generator,
-    and :func:`per_block_baseline` builds the test oracle from it. The
-    schedule's pre charges land before the ``yield`` (the block's device
-    operation) and its post charges after — the same serial order in
-    which the eMMC leaf replays a schedule around its own latency charge.
+    and the per-block test oracle (``tests/oracles/per_block.py``) builds
+    its decomposition from it. The schedule's pre charges land before the
+    ``yield`` (the block's device operation) and its post charges after —
+    the same serial order in which the eMMC leaf replays a schedule around
+    its own latency charge.
     """
     if costs is None or costs.empty:
         yield from range(count)
@@ -359,8 +335,6 @@ class BlockDevice(ABC):
         """
         if count <= 0:
             return b""
-        if _PER_BLOCK_ONLY and count > 1:
-            return self._read_per_block(start, count, costs)
         self._check_extent(start, count)
         data = self._read_extent(start, count, costs)
         if _RECOVERY_DEPTH.get():
@@ -379,9 +353,6 @@ class BlockDevice(ABC):
         count = len(data) // self._block_size
         if count == 0:
             return
-        if _PER_BLOCK_ONLY and count > 1:
-            self._write_per_block(start, data, costs)
-            return
         self._check_extent(start, count)
         self._write_extent(start, data, costs)
         if _RECOVERY_DEPTH.get():
@@ -389,22 +360,6 @@ class BlockDevice(ABC):
         else:
             self.stats.writes += count
             self.stats.bytes_written += count * self._block_size
-
-    def _read_per_block(
-        self, start: int, count: int, costs: Optional[ExtentCosts]
-    ) -> bytes:
-        """Test-oracle path: deliver the extent as single-block extents."""
-        return b"".join(
-            self.read_blocks(start + i, 1)
-            for i in replay_per_block(costs, count)
-        )
-
-    def _write_per_block(
-        self, start: int, data: bytes, costs: Optional[ExtentCosts]
-    ) -> None:
-        bs = self._block_size
-        for i in replay_per_block(costs, len(data) // bs):
-            self.write_blocks(start + i, data[i * bs : (i + 1) * bs])
 
     # -- hooks for subclasses ------------------------------------------------
 
@@ -510,20 +465,14 @@ class RAMBlockDevice(BlockDevice):
     Blocks read before ever being written return ``fill`` bytes (zeroes by
     default), mirroring a factory-fresh or discarded flash region.
 
-    *store* selects the backing substrate: ``None`` consults the
-    ``REPRO_STORE`` environment variable (default ``ram``), a string names
-    a backend (``ram`` / ``mmap`` / ``cow``), and a ready-made
-    :class:`BlockStore` is adopted as-is. Every backend is bit-identical
-    at this interface; the choice only moves where the bytes live (Python
-    heap, a sparse mmap'd file, or a copy-on-write overlay that freezes
-    O(dirty) checkpoints).
-
-    ``sparse=True`` asks for a store that keeps only written blocks, so
-    experiments can instantiate full phone-sized partitions (e.g. the
-    Nexus 4's 13.7 GiB userdata) without allocating that much memory. The
-    flag records the *request* — ``raw_bytes``/``load_bytes`` stay
-    unavailable on a sparse device regardless of which backend actually
-    serves it.
+    Without a *store* the device builds a :class:`RamStore`: dense, or
+    sparse (only written blocks held) above
+    :data:`~repro.blockdev.store.SPARSE_THRESHOLD` blocks, so experiments
+    can instantiate full phone-sized partitions (e.g. the Nexus 4's
+    13.7 GiB userdata) without allocating that much memory. An owner that
+    wants another medium passes a ready :class:`BlockStore` of the same
+    geometry and fill. Every backend is bit-identical at this interface;
+    the choice only moves where the bytes live.
     """
 
     def __init__(
@@ -531,27 +480,24 @@ class RAMBlockDevice(BlockDevice):
         num_blocks: int,
         block_size: int = DEFAULT_BLOCK_SIZE,
         fill: int = 0,
-        sparse: bool = False,
-        store: "BlockStore | str | None" = None,
+        store: Optional[BlockStore] = None,
     ) -> None:
         super().__init__(num_blocks, block_size)
-        self._fill_block = bytes([fill]) * block_size
-        self._sparse = sparse
-        if isinstance(store, BlockStore):
-            if (
-                store.num_blocks != num_blocks
-                or store.block_size != block_size
-            ):
-                raise ValueError("store geometry does not match device")
-            self._store = store
-        else:
-            self._store = make_store(
-                store, num_blocks, block_size, fill=fill, sparse=sparse
+        if store is None:
+            store = RamStore(
+                num_blocks, block_size, fill=fill,
+                sparse=num_blocks > SPARSE_THRESHOLD,
             )
+        elif store.num_blocks != num_blocks or store.block_size != block_size:
+            raise ValueError("store geometry does not match device")
+        elif store.fill_block != bytes([fill]) * block_size:
+            raise ValueError("store fill does not match device")
+        self._store = store
 
     @property
     def sparse(self) -> bool:
-        return self._sparse
+        """True when the device is large enough to be stored sparsely."""
+        return self._num_blocks > SPARSE_THRESHOLD
 
     @property
     def store(self) -> BlockStore:
@@ -597,22 +543,6 @@ class RAMBlockDevice(BlockDevice):
 
     def freeze_image(self) -> Optional[FrozenImage]:
         return self._store.freeze()
-
-    def raw_bytes(self) -> bytes:
-        """The full device image (used by snapshot capture); dense only."""
-        if self._sparse:
-            raise ValueError("raw_bytes is not available on a sparse device")
-        return self._store.read_extent(0, self._num_blocks)
-
-    def load_bytes(self, image: bytes) -> None:
-        """Replace the device contents with *image* (restore a snapshot)."""
-        if self._sparse:
-            raise ValueError("load_bytes is not available on a sparse device")
-        if len(image) != self.size_bytes:
-            raise ValueError(
-                f"image size {len(image)} != device size {self.size_bytes}"
-            )
-        self._store.write_extent(0, image)
 
 
 class SubDevice(BlockDevice):

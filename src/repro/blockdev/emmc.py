@@ -38,14 +38,11 @@ class EMMCDevice(RAMBlockDevice):
         clock: Optional[SimClock] = None,
         latency: LatencyModel = FREE,
         fill: int = 0,
-        sparse: bool = False,
         jitter: float = 0.0,
         jitter_rng: Optional[Rng] = None,
-        store: "BlockStore | str | None" = None,
+        store: Optional[BlockStore] = None,
     ) -> None:
-        super().__init__(
-            num_blocks, block_size, fill=fill, sparse=sparse, store=store
-        )
+        super().__init__(num_blocks, block_size, fill=fill, store=store)
         self.clock = clock if clock is not None else SimClock()
         self.latency = latency
         if not 0.0 <= jitter < 1.0:

@@ -8,11 +8,10 @@ two gives the whole stack one seam where the storage substrate can be
 swapped without any simulated-behaviour change:
 
 * :class:`RamStore` — everything in process memory (a NumPy ``uint8``
-  array, or a per-block dict in sparse mode). Today's default and the
-  fastest backend for small devices.
-* :class:`MmapStore` — an unlinked sparse temporary file, ``mmap``\\ ed.
-  A multi-GiB userdata partition costs page cache, not Python heap, so
-  peak RSS is bounded independent of device size.
+  array, or a per-block dict in sparse mode). What a
+  :class:`~repro.blockdev.device.RAMBlockDevice` builds unless its owner
+  hands it another store: dense for small devices, sparse above
+  :data:`SPARSE_THRESHOLD` blocks.
 * :class:`CowOverlayStore` — a frozen, content-addressed base image
   plus a dirty-block overlay. :meth:`~CowOverlayStore.freeze` produces
   a new :class:`FrozenImage` in O(dirty blocks): unchanged blocks reuse
@@ -23,36 +22,24 @@ swapped without any simulated-behaviour change:
 Every backend is bit-identical at the device interface: same bytes out,
 same fill semantics for never-written and discarded blocks, and zero
 interaction with clocks or RNG streams. The equivalence battery in
-``tests/test_extent_equivalence.py`` asserts exactly that.
-
-The process-wide default backend is selected by the ``REPRO_STORE``
-environment variable (``ram`` (default) / ``mmap`` / ``cow``); CI runs a
-tier-1 leg with ``REPRO_STORE=mmap`` so every test exercises the mmap
-substrate end to end.
+``tests/test_extent_equivalence.py`` asserts exactly that. Which backend
+holds a device's bytes is the device owner's choice (the daemon builds
+its phones on :class:`CowOverlayStore`); there is no process-wide
+switch.
 """
 
 from __future__ import annotations
 
 import hashlib
-import mmap
-import os
-import tempfile
 from abc import ABC, abstractmethod
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
-#: Environment variable naming the default BlockStore backend.
-STORE_ENV = "REPRO_STORE"
-
-#: Valid backend names, in the order they appear in docs and CLI help.
-STORE_KINDS = ("ram", "mmap", "cow")
-
-
-def default_store_kind() -> str:
-    """The backend new devices use when none is requested explicitly."""
-    kind = os.environ.get(STORE_ENV, "").strip().lower()
-    return kind if kind in STORE_KINDS else "ram"
+#: Devices larger than this many blocks get a sparse :class:`RamStore`,
+#: so full phone-scale partitions (the Nexus 4's 13.7 GiB userdata) cost
+#: memory in proportion to the blocks actually written.
+SPARSE_THRESHOLD = 65536
 
 
 class FrozenImage:
@@ -144,9 +131,6 @@ class BlockStore(ABC):
         """True when unwritten blocks occupy no backing memory."""
         return False
 
-    def close(self) -> None:
-        """Release backing resources (files, maps). Idempotent."""
-
 
 class RamStore(BlockStore):
     """Process-memory backing: one flat buffer, or a dict in sparse mode.
@@ -201,60 +185,6 @@ class RamStore(BlockStore):
                 pop(start + i, None)
             return
         self.write_extent(start, self.fill_block * count)
-
-
-class MmapStore(BlockStore):
-    """An unlinked sparse temporary file behind an ``mmap``.
-
-    The file is created at full logical size but holds no data until
-    written (filesystem holes), so a 4 GiB-addressable device costs a
-    few pages of RSS plus whatever the workload actually touches — and
-    the kernel may reclaim even that under pressure. Reads of holes
-    return zeroes; a non-zero ``fill`` is materialized eagerly at
-    construction and is therefore only sensible for small devices.
-    """
-
-    def __init__(
-        self,
-        num_blocks: int,
-        block_size: int,
-        fill: int = 0,
-        dir: Optional[str] = None,
-    ) -> None:
-        super().__init__(num_blocks, block_size, fill)
-        size = num_blocks * block_size
-        self._file = tempfile.TemporaryFile(dir=dir)
-        self._file.truncate(size)
-        self._mm = mmap.mmap(self._file.fileno(), size)
-        if fill:
-            chunk = self.fill_block * max(1, (1 << 20) // block_size)
-            for lo in range(0, size, len(chunk)):
-                self._mm[lo : min(lo + len(chunk), size)] = chunk[
-                    : min(len(chunk), size - lo)
-                ]
-
-    @property
-    def sparse(self) -> bool:
-        return True
-
-    def read_extent(self, start: int, count: int) -> bytes:
-        lo = start * self.block_size
-        return self._mm[lo : lo + count * self.block_size]
-
-    def write_extent(self, start: int, data: bytes) -> None:
-        lo = start * self.block_size
-        self._mm[lo : lo + len(data)] = data
-
-    def discard_extent(self, start: int, count: int) -> None:
-        self.write_extent(start, self.fill_block * count)
-
-    def close(self) -> None:
-        if self._mm is not None:
-            self._mm.close()
-            self._mm = None
-        if self._file is not None:
-            self._file.close()
-            self._file = None
 
 
 class CowOverlayStore(BlockStore):
@@ -332,23 +262,3 @@ class CowOverlayStore(BlockStore):
         self._overlay = {}
         return self._base
 
-
-def make_store(
-    kind: Optional[str],
-    num_blocks: int,
-    block_size: int,
-    fill: int = 0,
-    sparse: bool = False,
-) -> BlockStore:
-    """Build a store of *kind* (``None`` = the ``REPRO_STORE`` default)."""
-    if kind is None:
-        kind = default_store_kind()
-    if kind == "ram":
-        return RamStore(num_blocks, block_size, fill=fill, sparse=sparse)
-    if kind == "mmap":
-        return MmapStore(num_blocks, block_size, fill=fill)
-    if kind == "cow":
-        return CowOverlayStore(num_blocks, block_size, fill=fill)
-    raise ValueError(
-        f"unknown block store kind {kind!r}; expected one of {STORE_KINDS}"
-    )

@@ -12,7 +12,7 @@ Usage::
     python -m repro replay FILE [--setting NAME]
     python -m repro fleet [--devices N] [--processes N] [--stream-dir DIR]
     python -m repro top DIR [--follow] [--interval S] [--once]
-    python -m repro serve [--host H] [--port P] [--db FILE] [--store KIND]
+    python -m repro serve [--host H] [--port P] [--db FILE]
     python -m repro trace [--format chrome] [--out FILE]
     python -m repro metrics
     python -m repro profile [--workload NAME] [--wall] [--out DIR]
@@ -689,25 +689,16 @@ def _cmd_top(args: argparse.Namespace) -> None:
 
 def _cmd_serve(args: argparse.Namespace) -> None:
     import asyncio
-    import os
     import signal
 
-    from repro.blockdev.store import STORE_ENV, STORE_KINDS
     from repro.server import PDEServer
 
-    store_backend = args.store
-    if store_backend is None:
-        # the daemon's default is the CoW store (O(dirty) checkpoints),
-        # but an explicit $REPRO_STORE wins, same as everywhere else
-        env_kind = os.environ.get(STORE_ENV, "").strip().lower()
-        store_backend = env_kind if env_kind in STORE_KINDS else "cow"
     server = PDEServer(
         host=args.host,
         port=args.port,
         db=args.db,
         stream_dir=args.stream_dir,
         max_workers=args.workers,
-        store_backend=store_backend,
         tracing=not args.no_tracing,
         trace_seed=args.seed,
         slow_request_s=args.slow_request_s,
@@ -726,7 +717,6 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         print(
             f"repro serve: listening on http://{server.host}:{server.port} "
             f"(db {args.db}, stream dir {args.stream_dir}, "
-            f"store {store_backend}, "
             f"{server.resumed_devices} device(s) resumed)",
             flush=True,
         )
@@ -959,15 +949,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers", type=int, default=8,
         help="worker threads executing device ops (default 8)",
-    )
-    from repro.blockdev.store import STORE_KINDS
-
-    p.add_argument(
-        "--store", choices=list(STORE_KINDS), default=None, metavar="KIND",
-        help="BlockStore backend hosting device bytes: 'cow' makes every "
-        "checkpoint O(dirty blocks), 'mmap' keeps big fleets out of RSS, "
-        "'ram' is the plain in-memory store (default: $REPRO_STORE if "
-        "set, else cow)",
     )
     p.add_argument(
         "--no-tracing", action="store_true",

@@ -140,7 +140,6 @@ class PDEServer:
         db=":memory:",
         stream_dir=".",
         max_workers: int = DEFAULT_WORKERS,
-        store_backend: Optional[str] = None,
         tracing: bool = True,
         trace_seed: int = 0,
         slow_request_s: Optional[float] = DEFAULT_SLOW_REQUEST_S,
@@ -149,9 +148,6 @@ class PDEServer:
         self.host = host
         self.port = port  # updated to the bound port by start()
         self.stream_dir = stream_dir
-        # which BlockStore backend hosts device bytes ("ram"/"mmap"/"cow");
-        # host policy, not persisted — None defers to $REPRO_STORE
-        self.store_backend = store_backend
         self.store = FleetStore(db)
         self.executor = FleetExecutor(max_workers)
         self.devices: Dict[int, ServerDevice] = {}
@@ -192,7 +188,7 @@ class PDEServer:
         for record in self.store.list_devices():
             device = await self.executor.run_unlocked(
                 ServerDevice.resume,
-                record, self.store, self.stream_dir, self.store_backend,
+                record, self.store, self.stream_dir,
                 slow_request_s=self._capture_threshold(),
                 wall_cb=self._observe_wall,
             )
@@ -654,7 +650,6 @@ class PDEServer:
             device = await self.executor.run_unlocked(
                 ServerDevice.create,
                 device_id, config, self.store, self.stream_dir,
-                self.store_backend,
                 slow_request_s=self._capture_threshold(),
                 wall_cb=self._observe_wall,
             )

@@ -24,10 +24,11 @@ then a block-interned image of every medium plus the lifecycle state row
 into the :class:`~repro.server.store.FleetStore` — all in **one** SQLite
 transaction (:meth:`~repro.server.store.FleetStore.checkpoint`), so a
 daemon killed mid-checkpoint leaves the previous consistent checkpoint
-behind, never a torn one. Devices on the copy-on-write store hand the
-capture a frozen image with per-block hashes attached, and the store
-diffs those hashes against the last committed manifest, so both halves
-of a checkpoint cost O(dirty blocks), not O(device size).
+behind, never a torn one. Every medium sits on the copy-on-write store,
+which hands the capture a frozen image with per-block hashes attached,
+and the fleet store diffs those hashes against the last committed
+manifest, so both halves of a checkpoint cost O(dirty blocks), not
+O(device size).
 :meth:`ServerDevice.resume`
 inverts that on daemon restart — a restart is a fleet-wide power event;
 devices come back OFFLINE and are booted again over their restored
@@ -173,12 +174,11 @@ class DeviceConfig:
             num_volumes=self.num_volumes, allocation=self.allocation
         )
 
-    def make_phone(self, store: Optional[str] = None) -> Phone:
-        # *store* is host policy (which BlockStore backend holds the
-        # bytes), not part of the persisted device spec: the same fleet db
-        # can be served with ``--store ram`` one day and ``mmap`` the next.
+    def make_phone(self) -> Phone:
+        # every medium on the copy-on-write store: the daemon checkpoints
+        # after every op, and a CoW image freezes in O(dirty blocks)
         return Phone(
-            seed=self.seed, userdata_blocks=self.userdata_blocks, store=store
+            seed=self.seed, userdata_blocks=self.userdata_blocks, cow=True
         )
 
 
@@ -219,14 +219,13 @@ class ServerDevice:
         config: DeviceConfig,
         store,
         stream_dir,
-        store_backend: Optional[str] = None,
         slow_request_s: Optional[float] = None,
         wall_cb=None,
     ) -> None:
         self.id = device_id
         self.config = config
         self.store = store
-        self.phone = config.make_phone(store=store_backend)
+        self.phone = config.make_phone()
         self.system = MobiCealSystem(self.phone, config.mobiceal_config())
         self.metrics = MetricRegistry()
         self.writer = SpoolWriter(spool_path(stream_dir, device_id), device_id)
@@ -254,13 +253,12 @@ class ServerDevice:
         config: DeviceConfig,
         store,
         stream_dir,
-        store_backend: Optional[str] = None,
         slow_request_s: Optional[float] = None,
         wall_cb=None,
     ):
         """Build and initialize a brand-new device (``POST /devices``)."""
         device = cls(
-            device_id, config, store, stream_dir, store_backend,
+            device_id, config, store, stream_dir,
             slow_request_s=slow_request_s, wall_cb=wall_cb,
         )
         device.phone.framework.power_on()
@@ -283,14 +281,13 @@ class ServerDevice:
         record: Dict[str, object],
         store,
         stream_dir,
-        store_backend: Optional[str] = None,
         slow_request_s: Optional[float] = None,
         wall_cb=None,
     ):
         """Rebuild a device from its SQLite row after a daemon restart."""
         config = DeviceConfig.from_spec(record["spec"])
         device = cls(
-            int(record["id"]), config, store, stream_dir, store_backend,
+            int(record["id"]), config, store, stream_dir,
             slow_request_s=slow_request_s, wall_cb=wall_cb,
         )
         for medium, target in device._media():
@@ -543,8 +540,8 @@ class ServerDevice:
         All three images and the state row land in **one** SQLite
         transaction, so a daemon killed between rows can never leave a
         userdata image from checkpoint N next to a devlog image from
-        checkpoint N-1. On a copy-on-write store the captures are frozen
-        images (only dirty blocks get hashed), and the store writes only
+        checkpoint N-1. The media are copy-on-write, so the captures are
+        frozen images (only dirty blocks get hashed), and the store writes only
         the blocks and manifest chunk rows at LBAs whose hash changed
         since its last commit, so the steady-state checkpoint is
         O(blocks touched since the last one) end to end.

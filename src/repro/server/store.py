@@ -188,16 +188,6 @@ class FleetStore:
             self._conn.commit()
             return int(cur.lastrowid)
 
-    def update_state(self, device_id: int, state: Dict[str, object]) -> None:
-        with self._lock:
-            cur = self._conn.execute(
-                "UPDATE devices SET state = ? WHERE id = ?",
-                (json.dumps(state, sort_keys=True), device_id),
-            )
-            if cur.rowcount == 0:
-                raise NoSuchDeviceError(device_id)
-            self._conn.commit()
-
     def get_device(self, device_id: int) -> Optional[Dict[str, object]]:
         with self._lock:
             row = self._conn.execute(
@@ -321,18 +311,6 @@ class FleetStore:
         )
         return new
 
-    def save_image(
-        self, device_id: int, medium: str, snapshot: Snapshot
-    ) -> None:
-        """Checkpoint one of a device's media (replaces the last image).
-
-        *medium* names the physical device within the phone —
-        ``userdata``, ``cache`` or ``devlog``; a bootable checkpoint
-        needs all three (the log partitions carry their own ext4
-        filesystems, and their breadcrumbs are experiment data).
-        """
-        self.checkpoint(device_id, {medium: snapshot})
-
     def checkpoint(
         self,
         device_id: int,
@@ -344,9 +322,10 @@ class FleetStore:
         All image rows (and the state row, when given) land in ONE SQLite
         transaction: a daemon killed mid-checkpoint leaves the previous
         consistent fleet image intact, never a torn one mixing media from
-        two different checkpoints. This is the only way a multi-medium
-        checkpoint should be written — per-medium :meth:`save_image` calls
-        commit independently and can tear.
+        two different checkpoints. Each key of *images* names a physical
+        device within the phone — ``userdata``, ``cache`` or ``devlog``; a
+        bootable checkpoint needs all three (the log partitions carry their
+        own ext4 filesystems, and their breadcrumbs are experiment data).
 
         Each medium costs O(changed LBAs) in SQLite: the new manifest is
         diffed against the last committed one, which this process keeps

@@ -4,11 +4,13 @@ Each oracle is a plain-Python twin of one shipped site, written for
 obviousness rather than speed: list-backed allocators, bit-by-bit bitmap
 scans and a big-int XOR. ``tests/test_oracles.py`` drives the shipped
 code and its oracle from the same inputs and requires identical results,
-including RNG draw order.
+including RNG draw order. :func:`per_block_baseline` is the cost oracle
+for extent I/O: block-at-a-time delivery through the whole stack.
 """
 
 from tests.oracles.allocation import RandomAllocator, SequentialAllocator
 from tests.oracles.bitmap import iter_allocated, iter_free, popcount
+from tests.oracles.per_block import per_block_baseline
 from tests.oracles.xor import xor_bytes
 
 __all__ = [
@@ -16,6 +18,7 @@ __all__ = [
     "SequentialAllocator",
     "iter_allocated",
     "iter_free",
+    "per_block_baseline",
     "popcount",
     "xor_bytes",
 ]

@@ -17,12 +17,14 @@ from repro.blockdev import (
 )
 from repro.blockdev.bulk import bulk_pass, sequential_pass_cost
 from repro.blockdev.latency import FREE
+from repro.blockdev.store import SPARSE_THRESHOLD, RamStore
 from repro.errors import (
     BadBlockSizeError,
     DeviceClosedError,
     OutOfRangeError,
     ReadOnlyDeviceError,
 )
+from tests.oracles.per_block import per_block_baseline
 
 BS = 4096
 
@@ -138,14 +140,14 @@ class TestRAMBlockDevice:
     def test_raw_bytes_roundtrip(self):
         dev = RAMBlockDevice(2)
         dev.write_block(0, block(9))
-        image = dev.raw_bytes()
         dev2 = RAMBlockDevice(2)
-        dev2.load_bytes(image)
+        restore(dev2, capture(dev))
         assert dev2.read_block(0) == block(9)
+        assert dev2.store.digest() == dev.store.digest()
 
-    def test_load_bytes_size_check(self):
+    def test_restore_size_check(self):
         with pytest.raises(ValueError):
-            RAMBlockDevice(2).load_bytes(b"small")
+            restore(RAMBlockDevice(2), capture(RAMBlockDevice(3)))
 
     def test_peek_poke_bypass_stats(self):
         dev = RAMBlockDevice(4)
@@ -158,7 +160,7 @@ class TestRAMBlockDevice:
 class TestSparseRAMDevice:
     def test_sparse_semantics_match_dense(self):
         dense = RAMBlockDevice(16)
-        sparse = RAMBlockDevice(16, sparse=True)
+        sparse = RAMBlockDevice(16, store=RamStore(16, BS, sparse=True))
         for dev in (dense, sparse):
             dev.write_block(3, block(3))
             dev.write_block(9, block(9))
@@ -166,12 +168,14 @@ class TestSparseRAMDevice:
         for i in range(16):
             assert dense.read_block(i) == sparse.read_block(i)
 
-    def test_raw_bytes_unavailable(self):
-        with pytest.raises(ValueError):
-            RAMBlockDevice(4, sparse=True).raw_bytes()
+    def test_size_picks_sparse_store(self):
+        at = RAMBlockDevice(SPARSE_THRESHOLD)
+        above = RAMBlockDevice(SPARSE_THRESHOLD + 1)
+        assert not at.sparse and not at.store.sparse
+        assert above.sparse and above.store.sparse
 
     def test_huge_device_cheap(self):
-        dev = RAMBlockDevice(10_000_000, sparse=True)
+        dev = RAMBlockDevice(10_000_000)
         dev.write_block(9_999_999, block(1))
         assert dev.read_block(9_999_999) == block(1)
         assert dev.read_block(123) == b"\x00" * BS
@@ -393,7 +397,8 @@ class TestExtentPath:
     def test_discard_restores_fill_pattern(self):
         # regression: the dense fast path used to zero instead of refilling
         for sparse in (False, True):
-            dev = RAMBlockDevice(4, fill=0xAB, sparse=sparse)
+            store = RamStore(4, BS, fill=0xAB, sparse=sparse)
+            dev = RAMBlockDevice(4, fill=0xAB, store=store)
             dev.write_block(1, block(7))
             dev.discard(1)
             assert dev.read_block(1) == b"\xab" * BS
@@ -431,8 +436,6 @@ class TestExtentPath:
         assert dev.stats.writes == 0
 
     def test_per_block_baseline_same_result(self):
-        from repro.blockdev import per_block_baseline
-
         dev = EMMCDevice(16, clock=SimClock(), latency=LatencyModel())
         dev.write_blocks(0, block(9) * 8)
         fast = dev.read_blocks(0, 8)

@@ -4,9 +4,9 @@ Upper layers hand the eMMC leaf an ``ExtentCosts`` schedule, and the leaf
 replays it once per block around its own (possibly jittered) latency
 charge. That must land every simulated-clock reading, every RNG draw and
 every latency histogram on *exactly* the values the block-at-a-time path
-(:func:`per_block_baseline`) produces — IEEE-754 addition is not
-associative, so any reordering shows up in the low bits. These tests
-check that over randomized schedules.
+(the :func:`~tests.oracles.per_block.per_block_baseline` oracle)
+produces — IEEE-754 addition is not associative, so any reordering shows
+up in the low bits. These tests check that over randomized schedules.
 
 Nothing here uses approximate comparison: every assertion is ``==`` on
 floats. A failure means the replay changed summation order.
@@ -15,9 +15,10 @@ floats. A failure means the replay changed summation order.
 import random
 
 from repro import obs
-from repro.blockdev import EMMCDevice, LatencyModel, SimClock, per_block_baseline
+from repro.blockdev import EMMCDevice, LatencyModel, SimClock
 from repro.blockdev.device import ExtentCosts
 from repro.crypto.rng import Rng
+from tests.oracles.per_block import per_block_baseline
 
 #: Charge magnitudes spanning the scales the latency models emit, chosen
 #: to provoke rounding differences if the fold order ever changes

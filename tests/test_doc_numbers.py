@@ -45,19 +45,12 @@ def test_hotpath_table_matches_bench_payload():
         )
 
 
-#: A quoted store number: ``~N[.D]x``, ``~N ms``, ``~N KiB`` or ``ratio N.D``.
-_STORE_NUMBER = re.compile(
-    r"~(\d+(?:\.(\d+))?)\s*(x|ms|KiB)\b|ratio (\d+\.(\d+))"
-)
+#: A quoted store number: ``~N[.D]x`` or ``~N[.D] ms``.
+_STORE_NUMBER = re.compile(r"~(\d+(?:\.(\d+))?)\s*(x|ms)\b")
 
 #: Bullet title -> the BENCH_store.json path of each number it quotes, in
 #: order of appearance. Millisecond quotes read a seconds field.
 _STORE_QUOTES = {
-    "Mmap heap flatness": [
-        "mmap_rss.peaks_kib.256MiB",
-        "mmap_rss.peaks_kib.4GiB",
-        "mmap_rss.peak_ratio_4g_vs_256m",
-    ],
     "CoW checkpoint": [
         "cow_checkpoint.speedup",
         "cow_checkpoint.cow_checkpoint_s",
@@ -97,8 +90,7 @@ def test_store_bullets_match_bench_payload():
     for title, paths in _STORE_QUOTES.items():
         quotes = _STORE_NUMBER.findall(bullets[title])
         assert len(quotes) == len(paths), (title, quotes)
-        for (num, dec, unit, ratio, ratio_dec), path in zip(quotes, paths):
-            text, decimals = (num, dec) if num else (ratio, ratio_dec)
+        for (text, decimals, unit), path in zip(quotes, paths):
             value = _lookup(payload, path) * (1e3 if unit == "ms" else 1)
             committed = f"{value:.{len(decimals)}f}"
             assert text == committed, (

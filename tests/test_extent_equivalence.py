@@ -5,7 +5,8 @@ device images, identical simulated-clock readings and identical IOStats
 at every layer — only wall-clock time may change. These properties drive
 random op mixes through two identically-seeded stacks, one using the
 extent path and one forced through the legacy per-block decomposition
-via :func:`per_block_baseline`, and require bit-exact agreement.
+via the :func:`~tests.oracles.per_block.per_block_baseline` oracle, and
+require bit-exact agreement.
 
 The NumPy sites underneath (allocators, thin bitmap, wide XOR) are pinned
 one by one against their plain-Python oracles in ``tests/test_oracles.py``;
@@ -13,19 +14,20 @@ this battery covers their composition along the two I/O paths and, at the
 end, across the BlockStore backends.
 """
 
-import hashlib
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from repro.blockdev import (
+    CowOverlayStore,
     EMMCDevice,
     LatencyModel,
     RAMBlockDevice,
-    STORE_KINDS,
+    RamStore,
     SimClock,
     capture,
-    per_block_baseline,
 )
+from repro.blockdev import device as device_module
 from repro.blockdev.faults import FaultPlan, FaultyBlockDevice
 from repro.blockdev.trace import TracingDevice
 from repro.crypto.rng import Rng
@@ -35,6 +37,7 @@ from repro.dm.thin import ThinPool
 from repro.dm.thin.pool import ThinCosts
 from repro.errors import PowerCutError, TransientIOError
 from repro.fs.ext4 import Ext4Filesystem
+from tests.oracles.per_block import per_block_baseline
 
 BS = 4096
 VOLUME_BLOCKS = 64
@@ -47,15 +50,29 @@ def _payload(tag: int, count: int) -> bytes:
     return bytes([(tag * 37 + i) % 251 for i in range(BS)]) * count
 
 
+#: The BlockStore backends under test, each as a factory of a store
+#: instance for an ``n``-block device.
+STORES = (
+    ("ram", lambda n: RamStore(n, BS)),
+    ("ram-sparse", lambda n: RamStore(n, BS, sparse=True)),
+    ("cow", lambda n: CowOverlayStore(n, BS)),
+)
+
+
+def _medium(store, num_blocks: int):
+    """A store from the *store* factory, or ``None`` for the default."""
+    return None if store is None else store(num_blocks)
+
+
 def _build_block_stack(seed: int, store=None):
     """eMMC <- thin pool (random alloc + dummy hook) <- dm-crypt."""
     clock = SimClock()
     emmc = EMMCDevice(
         192, clock=clock, latency=LATENCY, jitter=0.2, jitter_rng=Rng(seed),
-        store=store,
+        store=_medium(store, 192),
     )
     pool = ThinPool.format(
-        RAMBlockDevice(16, store=store), emmc,
+        RAMBlockDevice(16, store=_medium(store, 16)), emmc,
         allocation="random", rng=Rng(seed + 1),
         clock=clock, costs=THIN_COSTS,
     )
@@ -92,7 +109,7 @@ def _block_signature(stack):
     clock, emmc, pool, crypt = stack
     return (
         clock.now,
-        hashlib.sha256(emmc.raw_bytes()).hexdigest(),
+        emmc.store.digest(),
         emmc.stats.as_dict(),
         crypt.stats.as_dict(),
         vars(pool.stats),
@@ -165,7 +182,7 @@ def _fs_signature(stack):
     clock, emmc, traced, crypt, fs = stack
     return (
         clock.now,
-        hashlib.sha256(emmc.raw_bytes()).hexdigest(),
+        emmc.store.digest(),
         emmc.stats.as_dict(),
         traced.stats.as_dict(),
         crypt.stats.as_dict(),
@@ -248,11 +265,11 @@ def _build_faulty_stack(seed: int, plan: FaultPlan, store=None):
     clock = SimClock()
     emmc = EMMCDevice(
         192, clock=clock, latency=LATENCY, jitter=0.2, jitter_rng=Rng(seed),
-        store=store,
+        store=_medium(store, 192),
     )
     faulty = FaultyBlockDevice(emmc, plan=plan)
     pool = ThinPool.format(
-        RAMBlockDevice(16, store=store), faulty,
+        RAMBlockDevice(16, store=_medium(store, 16)), faulty,
         allocation="random", rng=Rng(seed + 1),
         clock=clock, costs=THIN_COSTS,
     )
@@ -300,7 +317,7 @@ def _faulty_signature(stack, cross_path=False):
     clock, emmc, faulty, pool, crypt = stack
     sig = [
         clock.now,
-        hashlib.sha256(emmc.raw_bytes()).hexdigest(),
+        emmc.store.digest(),
         emmc.stats.as_dict(),
         faulty.writes_since_arm,
         faulty.torn_write,
@@ -364,13 +381,13 @@ def test_faulty_interleaving_equivalence(seed, ops, cut_after, error_rate):
 
 
 # ---------------------------------------------------------------------------
-# BlockStore backends: {ram, mmap, cow} must be unobservable
+# BlockStore backends: dense RAM, sparse RAM and CoW must be unobservable
 # ---------------------------------------------------------------------------
 #
 # The store is a pure byte container below the extent IR; swapping it must
 # leave every observable — returned reads, device images, simulated clocks,
 # IOStats, RNG draw order — bit-identical. These legs run the same stacks
-# as above across {ram, mmap, cow}.
+# as above over every entry of STORES.
 
 
 @settings(max_examples=10, deadline=None)
@@ -378,13 +395,13 @@ def test_faulty_interleaving_equivalence(seed, ops, cut_after, error_rate):
 def test_block_stack_store_equivalence(seed, ops):
     """crypt-thin-eMMC over every BlockStore backend."""
     legs = []
-    for store in STORE_KINDS:
+    for name, store in STORES:
         stack = _build_block_stack(seed, store=store)
         reads = _run_block_ops(stack, ops)
-        legs.append((store, reads, _block_signature(stack)))
-    for store, reads, sig in legs[1:]:
-        assert reads == legs[0][1], store
-        assert sig == legs[0][2], store
+        legs.append((name, reads, _block_signature(stack)))
+    for name, reads, sig in legs[1:]:
+        assert reads == legs[0][1], name
+        assert sig == legs[0][2], name
 
 
 @settings(max_examples=8, deadline=None)
@@ -403,7 +420,7 @@ def test_faulty_store_equivalence(seed, ops, cut_after, error_rate):
     write counters) agrees bit-exactly across backends.
     """
     legs = []
-    for store in STORE_KINDS:
+    for name, store in STORES:
         stack = _build_faulty_stack(
             seed,
             FaultPlan(
@@ -417,18 +434,21 @@ def test_faulty_store_equivalence(seed, ops, cut_after, error_rate):
             store=store,
         )
         out = _run_faulty_ops(stack, ops)
-        legs.append((store, out, _faulty_signature(stack)))
-    for store, out, sig in legs[1:]:
-        assert out == legs[0][1], store
-        assert sig == legs[0][2], store
+        legs.append((name, out, _faulty_signature(stack)))
+    for name, out, sig in legs[1:]:
+        assert out == legs[0][1], name
+        assert sig == legs[0][2], name
 
 
-def _pde_session_signature(store):
+def _pde_session_signature(leg: str):
     """A full PDE life: init, boot, write, crash, re-attach, recovery boot.
 
     Mirrors the server's lifecycle ops (the same call sequence
     ``ServerDevice`` makes), so this covers the crash/attach boots the
-    daemon relies on, per store backend.
+    daemon relies on, per store backend. The phone picks its own media:
+    ``cow`` asks for the daemon's CoW partitions, and ``ram-sparse``
+    drops the sparse threshold so every partition gets a sparse RAM
+    store.
     """
     from repro.android.framework import PhoneState
     from repro.android.phone import Phone
@@ -436,7 +456,10 @@ def _pde_session_signature(store):
     from repro.core.system import MobiCealSystem
 
     config = MobiCealConfig(num_volumes=4)
-    phone = Phone(seed=13, store=store)
+    threshold = 0 if leg == "ram-sparse" else device_module.SPARSE_THRESHOLD
+    with mock.patch.object(device_module, "SPARSE_THRESHOLD", threshold):
+        phone = Phone(seed=13, cow=leg == "cow")
+    assert phone.userdata.store.sparse == (leg != "ram")
     system = MobiCealSystem(phone, config)
     phone.framework.power_on()
     system.initialize("decoy", hidden_passwords=("hidden",))
@@ -468,6 +491,6 @@ def test_crash_attach_boot_store_equivalence():
     CoW leg, whose capture comes from ``freeze_image()`` rather than the
     peek scan.
     """
-    legs = [(store, _pde_session_signature(store)) for store in STORE_KINDS]
-    for store, sig in legs[1:]:
-        assert sig == legs[0][1], store
+    legs = [(name, _pde_session_signature(name)) for name, _ in STORES]
+    for name, sig in legs[1:]:
+        assert sig == legs[0][1], name

@@ -8,11 +8,15 @@ answers. For the allocators that includes the RNG: MobiCeal's random
 allocation draws ``i`` uniform in ``[1, x]`` and takes the i-th free block
 in swap-remove order, and the deniability argument rests on exactly that
 draw, so the shipped allocator must leave its RNG at the same position as
-the oracle after every sequence.
+the oracle after every sequence. The per-block cost oracle, which the
+extent-equivalence battery runs against, gets its own self-test at the
+end.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.blockdev import BlockDevice, EMMCDevice, LatencyModel, SimClock
 from repro.crypto.rng import Rng
 from repro.crypto.stream import xor_buffers
 from repro.dm.thin.allocation import RandomAllocator, SequentialAllocator
@@ -158,3 +162,41 @@ def test_xor_buffers_matches_oracle(data):
     """uint64 lanes (lengths divisible by 8) and uint8 lanes alike."""
     a, b = data
     assert xor_buffers(a, b) == oracles.xor_bytes(a, b)
+
+
+# ---------------------------------------------------------------------------
+# The per-block cost oracle
+# ---------------------------------------------------------------------------
+
+
+class _ExtentSpy(EMMCDevice):
+    """An eMMC device that records the extents reaching its write hook."""
+
+    def __init__(self, num_blocks: int) -> None:
+        super().__init__(num_blocks, clock=SimClock(), latency=LatencyModel())
+        self.extents = []
+
+    def _write_extent(self, start, data, costs):
+        self.extents.append((start, len(data) // self.block_size))
+        super()._write_extent(start, data, costs)
+
+
+def test_per_block_baseline_splits_extents_into_single_blocks():
+    dev = _ExtentSpy(8)
+    with oracles.per_block_baseline():
+        dev.write_blocks(2, b"\x01" * (4 * dev.block_size))
+    assert dev.extents == [(2, 1), (3, 1), (4, 1), (5, 1)]
+    dev.extents.clear()
+    dev.write_blocks(2, b"\x02" * (4 * dev.block_size))
+    assert dev.extents == [(2, 4)]
+
+
+def test_per_block_baseline_restores_entry_points_on_error():
+    read_blocks = BlockDevice.read_blocks
+    write_blocks = BlockDevice.write_blocks
+    with pytest.raises(RuntimeError):
+        with oracles.per_block_baseline():
+            assert BlockDevice.write_blocks is not write_blocks
+            raise RuntimeError("boom")
+    assert BlockDevice.read_blocks is read_blocks
+    assert BlockDevice.write_blocks is write_blocks

@@ -865,11 +865,11 @@ class TestFleetStore:
         config = DeviceConfig(name="a", seed=1)
         phone = config.make_phone()
         image = capture(phone.userdata, label="img", taken_at=0.0)
-        store.save_image(device_id, "userdata", image)
+        store.checkpoint(device_id, {"userdata": image})
         blocks_once = store.stats()["blocks"]
         # a blank medium is one fill pattern: interning collapses it
         assert blocks_once < image.num_blocks
-        store.save_image(device_id, "userdata", image)
+        store.checkpoint(device_id, {"userdata": image})
         assert store.stats()["blocks"] == blocks_once
         loaded = store.load_image(device_id, "userdata")
         assert loaded.digest() == image.digest()
@@ -879,9 +879,9 @@ class TestFleetStore:
         store = FleetStore(tmp_path / "s.db")
         device_id = store.create_device("a", {})
         phone = DeviceConfig(name="a").make_phone()
-        store.save_image(
-            device_id, "userdata", capture(phone.userdata, label="i",
-                                           taken_at=0.0)
+        store.checkpoint(
+            device_id,
+            {"userdata": capture(phone.userdata, label="i", taken_at=0.0)},
         )
         assert store.stats()["blocks"] > 0
         checkpoints_so_far = store.stats()["checkpoints"]
@@ -902,7 +902,7 @@ class TestFleetStore:
         with pytest.raises(DeviceExistsError):
             store.create_device("a", {})
         with pytest.raises(NoSuchDeviceError):
-            store.update_state(999, {})
+            store.checkpoint(999, {}, {})
         with pytest.raises(NoSuchDeviceError):
             store.delete_device(999)
         assert store.get_device(999) is None

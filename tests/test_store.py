@@ -16,13 +16,8 @@ from repro.blockdev import (
     CowOverlayStore,
     EMMCDevice,
     FrozenImage,
-    MmapStore,
     RAMBlockDevice,
     RamStore,
-    STORE_ENV,
-    STORE_KINDS,
-    default_store_kind,
-    make_store,
 )
 from repro.blockdev.snapshot import Snapshot, capture, diff, restore
 from repro.errors import NoSuchDeviceError, ServerError
@@ -38,9 +33,16 @@ from repro.server.store import (
 BS = 512
 N = 64
 
+#: The BlockStore backends under test: name -> factory(num_blocks, fill).
+STORES = {
+    "ram": lambda n, fill=0: RamStore(n, BS, fill=fill),
+    "ram-sparse": lambda n, fill=0: RamStore(n, BS, fill=fill, sparse=True),
+    "cow": lambda n, fill=0: CowOverlayStore(n, BS, fill=fill),
+}
+
 
 def _store(kind, fill=0):
-    return make_store(kind, N, BS, fill=fill)
+    return STORES[kind](N, fill)
 
 
 def _block(tag, bs=BS):
@@ -64,12 +66,11 @@ def _rows(db, table):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", STORE_KINDS)
+@pytest.mark.parametrize("kind", list(STORES))
 class TestStoreContract:
     def test_fresh_store_reads_fill(self, kind):
         store = _store(kind)
         assert store.read_extent(0, N) == b"\x00" * (N * BS)
-        store.close()
 
     def test_write_read_roundtrip(self, kind):
         store = _store(kind)
@@ -78,7 +79,6 @@ class TestStoreContract:
         assert store.read_extent(5, 3) == payload
         assert store.read_extent(4, 1) == b"\x00" * BS
         assert store.read_extent(8, 1) == b"\x00" * BS
-        store.close()
 
     def test_discard_restores_fill(self, kind):
         store = _store(kind, fill=0xAB)
@@ -87,7 +87,6 @@ class TestStoreContract:
         store.write_extent(9, _block(7))
         store.discard_extent(9, 1)
         assert store.read_extent(9, 1) == fill
-        store.close()
 
     def test_digest_tracks_content_not_backend(self, kind):
         store = _store(kind)
@@ -96,8 +95,6 @@ class TestStoreContract:
             target.write_extent(0, _block(4) * 2)
             target.write_extent(N - 1, _block(5))
         assert store.digest() == baseline.digest()
-        store.close()
-        baseline.close()
 
     def test_overwrite_in_place(self, kind):
         store = _store(kind)
@@ -106,21 +103,6 @@ class TestStoreContract:
         assert store.read_extent(3, 4) == (
             _block(1) + _block(9) * 2 + _block(1)
         )
-        store.close()
-
-
-def test_make_store_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="unknown block store kind"):
-        make_store("floppy", N, BS)
-
-
-def test_default_store_kind_reads_env(monkeypatch):
-    monkeypatch.delenv(STORE_ENV, raising=False)
-    assert default_store_kind() == "ram"
-    monkeypatch.setenv(STORE_ENV, "mmap")
-    assert default_store_kind() == "mmap"
-    monkeypatch.setenv(STORE_ENV, "bogus")
-    assert default_store_kind() == "ram"
 
 
 def test_device_rejects_mismatched_store_geometry():
@@ -131,6 +113,15 @@ def test_device_rejects_mismatched_store_geometry():
         RAMBlockDevice(N, block_size=BS * 2, store=store)
 
 
+def test_device_rejects_store_with_other_fill():
+    # a ready store's fill must agree with the device's, or never-written
+    # blocks would silently read back as the store's pattern
+    with pytest.raises(ValueError, match="fill"):
+        RAMBlockDevice(4, fill=0xAB, store=RamStore(4, 4096))
+    device = RAMBlockDevice(4, fill=0xAB, store=RamStore(4, 4096, fill=0xAB))
+    assert device.read_block(0) == bytes([0xAB]) * 4096
+
+
 def test_device_accepts_prebuilt_store():
     store = CowOverlayStore(N, BS)
     device = RAMBlockDevice(N, block_size=BS, store=store)
@@ -139,27 +130,12 @@ def test_device_accepts_prebuilt_store():
     assert store.read_extent(0, 1) == _block(2)
 
 
-def test_mmap_store_close_is_idempotent():
-    store = MmapStore(N, BS)
-    store.write_extent(0, _block(1))
-    store.close()
-    store.close()
-
-
-def test_mmap_store_nonzero_fill_materialized():
-    store = MmapStore(8, BS, fill=0x5A)
-    assert store.read_extent(0, 8) == bytes([0x5A]) * (8 * BS)
-    store.discard_extent(2, 1)
-    assert store.read_extent(2, 1) == bytes([0x5A]) * BS
-    store.close()
-
-
 def test_device_close_keeps_peek_working():
     # the historical contract: peeking a closed device still works (the
     # adversary images a powered-off phone), so closing the device must
     # not tear down the store
-    for kind in STORE_KINDS:
-        device = EMMCDevice(N, block_size=BS, store=kind)
+    for kind in STORES:
+        device = EMMCDevice(N, block_size=BS, store=_store(kind))
         device.write_block(3, _block(6))
         device.close()
         assert device.peek_extent(3, 1) == _block(6)
@@ -231,7 +207,7 @@ class TestCowOverlay:
 
 
 def _written_device(kind):
-    device = RAMBlockDevice(N, block_size=BS, store=kind)
+    device = RAMBlockDevice(N, block_size=BS, store=_store(kind))
     for i in (0, 1, 9, 30, 31, N - 1):
         device.write_block(i, _block(i))
     device.write_block(9, _block(30))  # duplicate content, different block
@@ -254,7 +230,7 @@ class TestCaptureEquivalence:
         assert frozen.block_hashes() == legacy.block_hashes()
 
     def test_capture_interns_duplicate_blocks_on_every_path(self):
-        for kind in STORE_KINDS:
+        for kind in STORES:
             snap = capture(_written_device(kind))
             assert snap.blocks[9] == snap.blocks[30]
             fills = {id(b) for i, b in enumerate(snap.blocks)
@@ -263,8 +239,8 @@ class TestCaptureEquivalence:
 
     def test_restore_roundtrip_across_backends(self):
         snap = capture(_written_device("ram"))
-        for kind in STORE_KINDS:
-            device = RAMBlockDevice(N, block_size=BS, store=kind)
+        for kind in STORES:
+            device = RAMBlockDevice(N, block_size=BS, store=_store(kind))
             restore(device, snap)
             assert capture(device).blocks == snap.blocks
 
@@ -277,7 +253,7 @@ class TestCaptureEquivalence:
         frozen = capture(_written_device("cow"), label="i", taken_at=0.0)
         for db, snap in ((legacy_db, legacy), (frozen_db, frozen)):
             device_id = db.create_device("d", {})
-            db.save_image(device_id, "userdata", snap)
+            db.checkpoint(device_id, {"userdata": snap})
         assert legacy_db.stats()["blocks"] == frozen_db.stats()["blocks"]
         assert _rows(legacy_db, "blocks") == _rows(frozen_db, "blocks")
         chunks = _rows(legacy_db, "image_chunks")
@@ -374,7 +350,9 @@ DELTA_BLOCKS = 4 * CHUNK_BLOCKS
 
 
 def _cow_device():
-    device = RAMBlockDevice(DELTA_BLOCKS, block_size=BS, store="cow")
+    device = RAMBlockDevice(
+        DELTA_BLOCKS, block_size=BS, store=CowOverlayStore(DELTA_BLOCKS, BS)
+    )
     for i in range(0, DELTA_BLOCKS, 7):
         device.poke_extent(i, _block(i))
     return device
@@ -478,7 +456,10 @@ class TestDeltaCheckpoint:
         # a restarted daemon: load the image, restore it, keep going
         db = FleetStore(path)
         image = db.load_image(device_id, "userdata")
-        resumed = RAMBlockDevice(DELTA_BLOCKS, block_size=BS, store="cow")
+        resumed = RAMBlockDevice(
+            DELTA_BLOCKS, block_size=BS,
+            store=CowOverlayStore(DELTA_BLOCKS, BS),
+        )
         restore(resumed, image)
         resumed.poke_extent(3, _block(1001))
         changes = db._conn.total_changes
@@ -623,41 +604,45 @@ class TestDurableJournal:
 
 
 # ---------------------------------------------------------------------------
-# The server device on an explicit backend
+# The server device's media: always the CoW store
 # ---------------------------------------------------------------------------
+
+
+def _cow_media(device):
+    return all(
+        isinstance(medium.store, CowOverlayStore)
+        for _, medium in device._media()
+    )
 
 
 class TestServerStoreBackend:
     def test_store_backend_threads_to_every_medium(self, tmp_path):
+        """Every daemon medium is CoW, on create and after a resume."""
         db = FleetStore(tmp_path / "f.db")
         config = DeviceConfig(name="cow-dev", seed=4)
         device_id = db.create_device(config.name, config.to_spec())
-        device = ServerDevice.create(
-            device_id, config, db, tmp_path, store_backend="cow"
-        )
-        for _, medium in device._media():
-            assert isinstance(medium.store, CowOverlayStore)
+        device = ServerDevice.create(device_id, config, db, tmp_path)
+        assert _cow_media(device)
         device.writer.close()
+        resumed = ServerDevice.resume(db.get_device(device_id), db, tmp_path)
+        assert _cow_media(resumed)
+        resumed.writer.close()
         db.close()
 
-    def test_digest_stable_across_backend_change_on_resume(self, tmp_path):
+    def test_digest_stable_across_resume(self, tmp_path):
         """image_digest is content-addressed: resuming the same fleet db
-        under a different backend must report the same digest."""
+        must report the same digest."""
         db = FleetStore(tmp_path / "f.db")
         config = DeviceConfig(name="movable", seed=8)
         device_id = db.create_device(config.name, config.to_spec())
-        device = ServerDevice.create(
-            device_id, config, db, tmp_path, store_backend="cow"
-        )
+        device = ServerDevice.create(device_id, config, db, tmp_path)
         device.boot(config.decoy_password)
         device.write("/sdcard/x", b"x" * 4096)
         digest = device.image_digest
         assert digest is not None
         device.writer.close()
         record = db.get_device(device_id)
-        resumed = ServerDevice.resume(record, db, tmp_path,
-                                      store_backend="mmap")
+        resumed = ServerDevice.resume(record, db, tmp_path)
         assert resumed.image_digest == digest
-        assert isinstance(resumed.phone.userdata.store, MmapStore)
         resumed.writer.close()
         db.close()
