@@ -28,11 +28,6 @@ class Snapshot:
     #: :meth:`block_hashes` — consumers that intern by content (the server
     #: store) use these to skip re-hashing unchanged blocks.
     hashes: Optional[tuple] = None
-    #: :meth:`digest`, memoized on first use (streaming a whole image is
-    #: the expensive part of the snapshot route).
-    _digest: Optional[str] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def num_blocks(self) -> int:
@@ -40,19 +35,6 @@ class Snapshot:
 
     def block(self, index: int) -> bytes:
         return self.blocks[index]
-
-    def digest(self) -> str:
-        """SHA-256 over the whole image, for snapshot bookkeeping.
-
-        Computed once and cached. Streams block by block: joining the
-        image first would hold a second full copy of it in memory.
-        """
-        if self._digest is None:
-            h = hashlib.sha256()
-            for b in self.blocks:
-                h.update(b)
-            object.__setattr__(self, "_digest", h.hexdigest())
-        return self._digest
 
     def block_hashes(self) -> tuple:
         """Per-block SHA-256 hex digests, computed once and cached.
@@ -75,12 +57,14 @@ class Snapshot:
         return self.hashes
 
     def manifest_digest(self) -> str:
-        """SHA-256 over the per-block hash manifest.
+        """SHA-256 over the per-block hash manifest: the image's digest.
 
         Content-equal images always agree (the manifest is a pure
-        function of the block contents), and a frozen CoW capture can
-        produce it in O(dirty blocks) — unlike :meth:`digest`, which must
-        stream every byte. The server uses this as its ``image_digest``.
+        function of the block contents), and a frozen CoW capture
+        holds its per-block hashes already (it hashes only the blocks
+        dirtied since its previous freeze), so no other block byte is
+        read. The server uses this as
+        both a device's ``image_digest`` and a snapshot's ``digest``.
         """
         joined = "".join(self.block_hashes()).encode("ascii")
         return hashlib.sha256(joined).hexdigest()

@@ -457,11 +457,11 @@ class ServerDevice:
         snap = capture(
             self.phone.userdata, label=label, taken_at=self.phone.clock.now
         )
-        snapshot_id, delta = self.store.add_snapshot(self.id, snap)
+        snapshot_id, digest, delta = self.store.add_snapshot(self.id, snap)
         out: Dict[str, object] = {
             "snapshot_id": snapshot_id,
             "label": label,
-            "digest": snap.digest(),
+            "digest": digest,
             "taken_at": snap.taken_at,
             "num_blocks": snap.num_blocks,
         }

@@ -23,7 +23,9 @@ medium's last *committed* manifest in memory, so a checkpoint diffs the
 new capture against it and touches only what changed: blocks at changed
 LBAs are interned and only the chunk rows holding a changed LBA are
 rewritten. With the copy-on-write capture in front (O(dirty) hashing),
-the whole checkpoint is O(blocks touched since the last one).
+the whole checkpoint is O(blocks touched since the last one). Adversary
+snapshots work the same way against each device's last committed
+snapshot manifest, also kept in memory.
 
 File databases run in WAL journal mode with ``synchronous=FULL``: a
 commit appends its pages to ``{db}-wal`` and fsyncs that file once, so a
@@ -51,7 +53,7 @@ from repro.errors import DeviceExistsError, NoSuchDeviceError, ServerError
 
 #: Bump on incompatible schema changes; stored in ``meta``. Files written
 #: at another version are refused — there is no migration path.
-STORE_SCHEMA_VERSION = 2
+STORE_SCHEMA_VERSION = 3
 
 #: LBAs per ``image_chunks`` row: a one-block write rewrites one 2 KiB row.
 CHUNK_BLOCKS = 64
@@ -138,6 +140,12 @@ class FleetStore:
         # checkpoint diffs against this and promotes its own manifests
         # only once its transaction has committed
         self._committed: Dict[Tuple[int, str], Tuple[str, ...]] = {}
+        # device_id -> (label, manifest) of its last committed snapshot
+        # (None: it has none), the snapshot route's diff base, kept like
+        # _committed
+        self._last_snapshot: Dict[
+            int, Optional[Tuple[str, Tuple[str, ...]]]
+        ] = {}
         with self._lock:
             self._conn.executescript(_META)
             row = self._conn.execute(
@@ -235,6 +243,7 @@ class FleetStore:
             self._conn.commit()
             for key in [k for k in self._committed if k[0] == device_id]:
                 del self._committed[key]
+            self._last_snapshot.pop(device_id, None)
 
     # -- images & snapshots ----------------------------------------------------
 
@@ -402,33 +411,40 @@ class FleetStore:
 
     def add_snapshot(
         self, device_id: int, snapshot: Snapshot
-    ) -> Tuple[int, Optional[SnapshotDiff]]:
-        """Persist one adversary snapshot; returns its id and its diff
-        against the device's previous snapshot (``None`` for the first).
+    ) -> Tuple[int, str, Optional[SnapshotDiff]]:
+        """Persist one adversary snapshot; returns its id, its digest
+        (:meth:`~repro.blockdev.snapshot.Snapshot.manifest_digest`, like
+        a device's ``image_digest``) and its diff against the device's
+        previous snapshot (``None`` for the first).
 
-        The diff runs over the two hash manifests, never block bytes, and
-        only blocks at LBAs it reports changed are interned — the rest
-        are already stored under the previous snapshot.
+        The diff runs over the new manifest and the previous snapshot's,
+        which this process keeps in memory (read from the DB on first
+        use) and updates only after the COMMIT succeeds. Only blocks at
+        LBAs it reports changed are read and interned — the rest are
+        already stored under the previous snapshot.
         """
         new = snapshot.block_hashes()
-        digest = snapshot.digest()
+        digest = snapshot.manifest_digest()
         with self._lock:
-            previous = self._conn.execute(
-                "SELECT label, manifest FROM snapshots WHERE device_id = ? "
-                "ORDER BY id DESC LIMIT 1",
-                (device_id,),
-            ).fetchone()
+            if device_id not in self._last_snapshot:
+                row = self._conn.execute(
+                    "SELECT label, manifest FROM snapshots "
+                    "WHERE device_id = ? ORDER BY id DESC LIMIT 1",
+                    (device_id,),
+                ).fetchone()
+                self._last_snapshot[device_id] = (
+                    None if row is None else (row[0], unpack_manifest(row[1]))
+                )
+            previous = self._last_snapshot[device_id]
             delta = None
             changed = range(len(new))
-            if previous is not None:
-                old = unpack_manifest(previous[1])
-                if len(old) == len(new):
-                    changed = changed_blocks(old, new)
-                    delta = SnapshotDiff(
-                        before=previous[0],
-                        after=snapshot.label,
-                        changed_blocks=tuple(changed),
-                    )
+            if previous is not None and len(previous[1]) == len(new):
+                changed = changed_blocks(previous[1], new)
+                delta = SnapshotDiff(
+                    before=previous[0],
+                    after=snapshot.label,
+                    changed_blocks=tuple(changed),
+                )
             try:
                 self._intern_locked(snapshot, new, changed)
                 cur = self._conn.execute(
@@ -448,7 +464,8 @@ class FleetStore:
             except BaseException:
                 self._conn.rollback()
                 raise
-            return int(cur.lastrowid), delta
+            self._last_snapshot[device_id] = (snapshot.label, new)
+            return int(cur.lastrowid), digest, delta
 
     def get_snapshot(self, device_id: int, snapshot_id: int) -> Snapshot:
         with self._lock:

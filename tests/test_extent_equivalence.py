@@ -480,16 +480,20 @@ def _pde_session_signature(leg: str):
     assert system.read_file("/sdcard/a.txt") == b"a" * 5000
     system.sync()
     snap = capture(phone.userdata, label="end", taken_at=phone.clock.now)
-    return phone.clock.now, snap.digest(), snap.manifest_digest()
+    return (
+        phone.clock.now,
+        phone.userdata.store.digest(),
+        snap.manifest_digest(),
+    )
 
 
 def test_crash_attach_boot_store_equivalence():
     """Crash + attach + recovery boot is backend-invariant.
 
-    The end-of-session image digest, its manifest digest and the final
-    simulated clock must agree across all three backends — including the
-    CoW leg, whose capture comes from ``freeze_image()`` rather than the
-    peek scan.
+    The end-of-session raw-byte store digest, the snapshot's manifest
+    digest and the final simulated clock must agree across all three
+    backends — including the CoW leg, whose capture comes from
+    ``freeze_image()`` rather than the peek scan.
     """
     legs = [(name, _pde_session_signature(name)) for name, _ in STORES]
     for name, sig in legs[1:]:

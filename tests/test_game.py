@@ -126,7 +126,7 @@ class TestHarnesses:
         harness.execute((AccessOp("public", "/f.bin", 16384),))
         s2 = harness.snapshot("b")
         assert s1.num_blocks == s2.num_blocks == 4096
-        assert s1.digest() != s2.digest()
+        assert s1.manifest_digest() != s2.manifest_digest()
 
     def test_mobiceal_harness_hidden_op_returns_to_public(self):
         from repro.core import Mode

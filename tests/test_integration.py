@@ -106,7 +106,7 @@ class TestMultiUserScenario:
             system.sync()
             from repro.blockdev import capture
 
-            digests.append(capture(phone.userdata).digest())
+            digests.append(capture(phone.userdata).manifest_digest())
         assert digests[0] == digests[1]
 
 

@@ -312,27 +312,45 @@ def _drive(client, device_id):
     return first["digest"], last["digest"]
 
 
+def _device_state(running, client, device_id):
+    """A device's whole observable state: its ``GET /devices/{id}`` body,
+    snapshot ids stripped (they interleave across devices), and the
+    ``IOStats`` of its three media."""
+    body = client.device(device_id)
+    for snapshot in body["snapshots"]:
+        del snapshot["id"]
+    device = running.server.devices[device_id]
+    return body, {
+        medium: source.stats.as_dict() for medium, source in device._media()
+    }
+
+
 class TestConcurrencyDeterminism:
     def test_eight_concurrent_clients_match_serial(self, tmp_path):
         """The headline determinism guarantee, over real sockets.
 
         Eight devices driven from eight threads at once must end
-        byte-identical (per snapshot digest) to the same eight driven one
-        after another: each device is a sealed simulation (own clock, own
-        RNG) and the executor serializes per-device ops in request order.
-        The threads drive either one client each or one shared client,
-        whose keep-alive connections are per thread.
+        byte-identical to the same eight driven one after another: same
+        snapshot digests, same ``GET /devices/{id}`` body (clock,
+        counters, gauges, image digest, snapshot list) and same I/O
+        counters on every medium. Each device is a sealed simulation
+        (own clock, own RNG) and the executor serializes per-device ops
+        in request order. The threads drive either one client each or
+        one shared client, whose keep-alive connections are per thread.
         """
         names = [f"d{i}" for i in range(8)]
 
-        with RunningServer(tmp_path / "serial") as client:
-            serial = {}
+        running = RunningServer(tmp_path / "serial")
+        with running as client:
+            serial, serial_state = {}, {}
             for i, name in enumerate(names):
                 device_id = int(client.create_device(name, seed=i)["id"])
                 serial[name] = _drive(client, device_id)
+                serial_state[name] = _device_state(running, client, device_id)
 
         for shared in (False, True):
-            with RunningServer(tmp_path / f"parallel-{shared}") as client:
+            running = RunningServer(tmp_path / f"parallel-{shared}")
+            with running as client:
                 ids = {
                     name: int(client.create_device(name, seed=i)["id"])
                     for i, name in enumerate(names)
@@ -350,7 +368,12 @@ class TestConcurrencyDeterminism:
                     parallel = {
                         name: f.result() for name, f in futures.items()
                     }
+                parallel_state = {
+                    name: _device_state(running, client, ids[name])
+                    for name in names
+                }
             assert parallel == serial, f"shared client: {shared}"
+            assert parallel_state == serial_state, f"shared client: {shared}"
 
 
 def _local_port(client):
@@ -872,7 +895,8 @@ class TestFleetStore:
         store.checkpoint(device_id, {"userdata": image})
         assert store.stats()["blocks"] == blocks_once
         loaded = store.load_image(device_id, "userdata")
-        assert loaded.digest() == image.digest()
+        assert loaded.blocks == image.blocks
+        assert loaded.manifest_digest() == image.manifest_digest()
         store.close()
 
     def test_delete_prunes_orphan_blocks(self, tmp_path):

@@ -225,7 +225,6 @@ class TestCaptureEquivalence:
         assert frozen.hashes is not None
         assert legacy.hashes is None
         assert frozen.blocks == legacy.blocks
-        assert frozen.digest() == legacy.digest()
         assert frozen.manifest_digest() == legacy.manifest_digest()
         assert frozen.block_hashes() == legacy.block_hashes()
 
@@ -507,17 +506,42 @@ class TestDeltaCheckpoint:
         message = str(exc.value)
         assert "schema version 1" in message
         assert f"speaks {STORE_SCHEMA_VERSION}" in message
-        assert STORE_SCHEMA_VERSION == 2
+        assert STORE_SCHEMA_VERSION == 3
         # refusing a file must not modify it: same bytes (still in the
         # rollback-journal mode it was written in), and no WAL sidecars
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["v1.db"]
 
+    def test_v2_file_is_refused(self, tmp_path):
+        """A v2 file stores whole-image SHA-256 snapshot digests, not the
+        manifest digests v3 writes, so it is refused untouched too."""
+        path = tmp_path / "v2.db"
+        conn = sqlite3.connect(path)
+        conn.executescript(
+            "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);"
+            "INSERT INTO meta VALUES ('schema_version', '2');"
+            "CREATE TABLE snapshots (id INTEGER PRIMARY KEY, "
+            "device_id INTEGER, label TEXT, taken_at REAL, digest TEXT, "
+            "block_size INTEGER, manifest BLOB);"
+            "INSERT INTO snapshots VALUES "
+            "(1, 1, 'a', 0.0, 'full-image-sha256', 512, x'');"
+        )
+        conn.commit()
+        conn.close()
+        before = path.read_bytes()
+        with pytest.raises(ServerError) as exc:
+            FleetStore(path)
+        message = str(exc.value)
+        assert "schema version 2" in message
+        assert f"speaks {STORE_SCHEMA_VERSION}" in message
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v2.db"]
+
     def test_snapshot_diff_from_manifests_matches_block_diff(self, tmp_path):
         db = FleetStore(tmp_path / "f.db")
         device_id = db.create_device("d", {})
         device = _cow_device()
-        first_id, first_delta = db.add_snapshot(
+        first_id, _, first_delta = db.add_snapshot(
             device_id, capture(device, label="a")
         )
         assert first_delta is None
@@ -525,7 +549,7 @@ class TestDeltaCheckpoint:
         for lba in (0, 1, 2, 99, DELTA_BLOCKS - 1):
             device.poke_extent(lba, _block(500))  # one distinct new block
         device.poke_extent(150, _block(0))  # content already stored
-        second_id, delta = db.add_snapshot(
+        second_id, _, delta = db.add_snapshot(
             device_id, capture(device, label="b")
         )
         expected = diff(
@@ -535,6 +559,103 @@ class TestDeltaCheckpoint:
         assert delta == expected
         assert delta.changed_blocks == (0, 1, 2, 99, 150, DELTA_BLOCKS - 1)
         assert db.stats()["blocks"] == blocks_before + 1
+        db.close()
+
+
+class _IndexOnly:
+    """A block sequence that can be indexed but not iterated; it records
+    every index it serves."""
+
+    def __init__(self, blocks):
+        self._blocks = blocks
+        self.indexed = []
+
+    def __len__(self):
+        return len(self._blocks)
+
+    def __getitem__(self, index):
+        self.indexed.append(index)
+        return self._blocks[index]
+
+    def __iter__(self):
+        raise AssertionError("the whole image was iterated")
+
+
+class TestSnapshotRoute:
+    """``add_snapshot`` diffs against the previous snapshot's manifest,
+    kept in memory, and reads only the blocks at changed LBAs."""
+
+    def test_second_snapshot_reads_only_changed_lbas(self, tmp_path):
+        db = FleetStore(tmp_path / "f.db")
+        device_id = db.create_device("d", {})
+        device = _cow_device()
+        db.add_snapshot(device_id, capture(device, label="a"))
+        device.poke_extent(5, _block(900))
+        device.poke_extent(200, _block(901))
+        frozen = capture(device, label="b")
+        blocks = _IndexOnly(frozen.blocks)
+        snapshot_id, digest, delta = db.add_snapshot(
+            device_id,
+            Snapshot(label="b", taken_at=0.0, block_size=BS,
+                     blocks=blocks, hashes=frozen.hashes),
+        )
+        assert delta.changed_blocks == (5, 200)
+        assert sorted(set(blocks.indexed)) == [5, 200]
+        assert digest == frozen.manifest_digest()
+        assert db.get_snapshot(device_id, snapshot_id).blocks == \
+            frozen.blocks
+        db.close()
+
+    def test_restarted_store_diffs_against_the_pre_restart_snapshot(
+        self, tmp_path
+    ):
+        path = tmp_path / "f.db"
+        db = FleetStore(path)
+        device_id = db.create_device("d", {})
+        device = _cow_device()
+        db.add_snapshot(device_id, capture(device, label="before"))
+        db.close()
+        db = FleetStore(path)
+        device.poke_extent(130, _block(777))
+        changes = db._conn.total_changes
+        _, digest, delta = db.add_snapshot(
+            device_id, capture(device, label="after")
+        )
+        assert (delta.before, delta.changed_blocks) == ("before", (130,))
+        # the new block and the snapshots row
+        assert db._conn.total_changes - changes == 2
+        assert [s["digest"] for s in db.list_snapshots(device_id)][-1] == \
+            digest
+        db.close()
+
+    def test_rolled_back_snapshot_leaves_the_diff_base(self, tmp_path):
+        db = FleetStore(tmp_path / "f.db")
+        device_id = db.create_device("d", {})
+        first = _snap(1)
+        db.add_snapshot(device_id, first)
+        base = db._last_snapshot[device_id]
+        hashes = list(first.block_hashes())
+        hashes[1] = "h-poison"
+        poison = Snapshot(
+            label="p", taken_at=1.0, block_size=BS,
+            blocks=(first.blocks[0], object()) + first.blocks[2:],
+            hashes=tuple(hashes),
+        )
+        with pytest.raises((sqlite3.InterfaceError, sqlite3.ProgrammingError)):
+            db.add_snapshot(device_id, poison)
+        assert db._last_snapshot[device_id] is base
+        assert len(db.list_snapshots(device_id)) == 1
+        _, _, delta = db.add_snapshot(device_id, _snap(7))
+        assert delta.before == first.label
+        assert delta.changed_blocks == (0, 1, 2, 3)
+        db.close()
+
+    def test_delete_drops_the_diff_base(self, tmp_path):
+        db = FleetStore(tmp_path / "f.db")
+        device_id = db.create_device("d", {})
+        db.add_snapshot(device_id, _snap(1))
+        db.delete_device(device_id)
+        assert device_id not in db._last_snapshot
         db.close()
 
 
@@ -627,6 +748,30 @@ class TestServerStoreBackend:
         resumed = ServerDevice.resume(db.get_device(device_id), db, tmp_path)
         assert _cow_media(resumed)
         resumed.writer.close()
+        db.close()
+
+    def test_offline_snapshot_digest_is_the_image_digest(self, tmp_path):
+        """One image digest: offline, a snapshot's ``digest`` is the
+        device's ``image_digest``. (A booted device's post-snapshot
+        checkpoint re-commits the thin metadata, so the two differ.)"""
+        db = FleetStore(tmp_path / "f.db")
+        config = DeviceConfig(name="offline", seed=5)
+        device_id = db.create_device(config.name, config.to_spec())
+        device = ServerDevice.create(device_id, config, db, tmp_path)
+        device.boot(config.decoy_password)
+        device.write("/sdcard/x", b"x" * 8192)
+        device.crash()
+        first = device.snapshot("a")
+        described = device.describe()
+        assert first["digest"] == described["image_digest"]
+        assert first["digest"] == \
+            capture(device.phone.userdata).manifest_digest()
+        assert [s["digest"] for s in described["snapshots"]] == \
+            [first["digest"]]
+        second = device.snapshot("b")
+        assert second["digest"] == first["digest"]
+        assert second["diff_vs_previous"]["changed_blocks"] == 0
+        device.writer.close()
         db.close()
 
     def test_digest_stable_across_resume(self, tmp_path):
