@@ -72,11 +72,6 @@ from repro.obs.chrometrace import (
     validate_trace_events,
 )
 from repro.obs.flame import folded_stacks, parse_folded, render_folded
-from repro.obs.sketch import (
-    MetricSnapshot,
-    QuantileSketch,
-    median,
-)
 from repro.obs.promtext import (
     info_lines,
     parse_prom,
@@ -88,6 +83,7 @@ from repro.obs.stream import (
     HEALTH_SCHEMA,
     TELEMETRY_SCHEMA,
     DeviceTelemetryStreamer,
+    MetricSnapshot,
     ReducedStream,
     SpoolWriter,
     ensure_fresh_stream_dir,
@@ -149,9 +145,6 @@ __all__ = [
     "render_span_aggregates",
     "render_span_tree",
     "write_bench_json",
-    "MetricSnapshot",
-    "QuantileSketch",
-    "median",
     "info_lines",
     "parse_prom",
     "prom_lines",
@@ -160,6 +153,7 @@ __all__ = [
     "HEALTH_SCHEMA",
     "TELEMETRY_SCHEMA",
     "DeviceTelemetryStreamer",
+    "MetricSnapshot",
     "ReducedStream",
     "SpoolWriter",
     "ensure_fresh_stream_dir",

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs.export import SCHEMA_VERSION
-from repro.obs.sketch import median
+from repro.util.stats import median
 
 #: Flag weights: score = max(0, 1 - sum of raised flags' weights).
 FLAG_WEIGHTS: Dict[str, float] = {

@@ -38,9 +38,10 @@ through :class:`~repro.obs.export.PayloadAccumulator`, so its merged
 output is byte-identical to that accumulator's fold of the same devices'
 :func:`~repro.workload.runner.run_device` payloads, in any order, while
 holding O(metric names) state — never O(devices) payloads. Fleet
-wall-time and throughput percentiles come from
-:class:`~repro.obs.sketch.QuantileSketch`, whose merges are exactly
-order-independent.
+wall-time and throughput percentiles are exact nearest-rank values
+(:func:`repro.util.stats.percentile`) over the per-device rows the
+caller already holds: ``ReducedStream.summaries`` or the monitor's
+``FleetView.devices``.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import MetricRegistry
 from repro.obs.recorder import Recorder
-from repro.obs.sketch import MetricSnapshot, QuantileSketch
+from repro.util.stats import percentile
 
 #: Version tag carried by every telemetry event line.
 TELEMETRY_SCHEMA = "telemetry.v1"
@@ -241,6 +242,40 @@ class SpoolWriter:
         self.close()
 
 
+class MetricSnapshot:
+    """Point-in-time capture of a registry's counters and gauges.
+
+    ``delta(previous)`` computes per-counter increments since an earlier
+    snapshot — the payload of the periodic ``telemetry.v1`` ``snapshot``
+    events, which lets a tailing monitor derive rates without replaying
+    the whole stream.
+    """
+
+    __slots__ = ("counters", "gauges")
+
+    def __init__(
+        self, counters: Dict[str, float], gauges: Dict[str, float]
+    ) -> None:
+        self.counters = counters
+        self.gauges = gauges
+
+    @classmethod
+    def capture(cls, registry: MetricRegistry) -> "MetricSnapshot":
+        return cls(
+            counters={n: c.value for n, c in sorted(registry.counters.items())},
+            gauges={n: g.value for n, g in sorted(registry.gauges.items())},
+        )
+
+    def delta(self, previous: Optional["MetricSnapshot"]) -> Dict[str, float]:
+        """Counter increments since *previous* (``None`` = since zero)."""
+        base = previous.counters if previous is not None else {}
+        return {
+            name: value - base.get(name, 0.0)
+            for name, value in self.counters.items()
+            if value != base.get(name, 0.0)
+        }
+
+
 class DeviceTelemetryStreamer:
     """Incrementally streams one device's metrics into its spool.
 
@@ -360,10 +395,6 @@ class ReducedStream:
     crashed: int = 0
     #: small per-device summaries (health-scorer input, top's final rows)
     summaries: List[Dict[str, object]] = field(default_factory=list)
-    #: fleet percentiles of per-device worker wall time (seconds)
-    wall_sketch: QuantileSketch = field(default_factory=QuantileSketch)
-    #: fleet percentiles of per-device write throughput (MB/s)
-    throughput_sketch: QuantileSketch = field(default_factory=QuantileSketch)
 
     @property
     def devices(self) -> int:
@@ -405,7 +436,6 @@ def iter_spool_events(
 
 def reduce_spools(
     spools: Union[str, pathlib.Path, Iterable],
-    validate: bool = True,
     keep_summaries: bool = True,
 ) -> ReducedStream:
     """Fold any number of spool files into merged percentile telemetry.
@@ -416,22 +446,23 @@ def reduce_spools(
     processed in sorted-filename order (the writer's zero-padded device
     naming makes that device order); the fold is exact, so the merged
     output would be the same in any order. A histogram bucket label the
-    fold does not know raises :class:`ObsError`.
+    fold does not know raises :class:`ObsError`, and so does any event
+    :func:`validate_event` rejects: spools are input from outside the
+    process.
 
     *keep_summaries* retains a small per-device summary row (the health
-    scorer's input); pass ``False`` for the strict O(sketch) fold the
-    memory benchmark pins.
+    scorer's input); pass ``False`` for the fold with no per-device
+    state at all, which the memory benchmark pins.
     """
     accumulator = PayloadAccumulator()
     reduced = ReducedStream(merged={})
     for path in _spool_files(spools):
         for event in iter_spool_events(path):
-            if validate:
-                problems = validate_event(event)
-                if problems:
-                    raise ObsError(
-                        f"{path}: invalid telemetry event: {problems[0]}"
-                    )
+            problems = validate_event(event)
+            if problems:
+                raise ObsError(
+                    f"{path}: invalid telemetry event: {problems[0]}"
+                )
             reduced.events += 1
             kind = event["event"]
             reduced.by_event[kind] = reduced.by_event.get(kind, 0) + 1
@@ -451,10 +482,6 @@ def reduce_spools(
                 accumulator.add(event["obs"])
                 result = event["result"]
                 reduced.finished += 1
-                reduced.wall_sketch.observe(max(event["wall_s"], 0.0))
-                reduced.throughput_sketch.observe(
-                    max(result.get("write_mb_s", 0.0), 0.0)
-                )
                 if keep_summaries:
                     reduced.summaries.append(
                         {
@@ -497,8 +524,6 @@ class FleetView:
 
     devices: Dict[int, DeviceView] = field(default_factory=dict)
     events: int = 0
-    throughput_sketch: QuantileSketch = field(default_factory=QuantileSketch)
-    wall_sketch: QuantileSketch = field(default_factory=QuantileSketch)
 
     def counts(self) -> Dict[str, int]:
         out = {"starting": 0, "running": 0, "done": 0, "crashed": 0}
@@ -507,8 +532,7 @@ class FleetView:
         return out
 
 
-def _apply_event(view: DeviceView, sketch_pair, event: Dict[str, object]) -> None:
-    throughput_sketch, wall_sketch = sketch_pair
+def _apply_event(view: DeviceView, event: Dict[str, object]) -> None:
     kind = event.get("event")
     sim_t = event.get("sim_t", 0.0)
     if isinstance(sim_t, (int, float)) and sim_t > view.sim_t:
@@ -543,9 +567,6 @@ def _apply_event(view: DeviceView, sketch_pair, event: Dict[str, object]) -> Non
         view.mb_written = result.get("bytes_written", 0.0) / 1e6
         view.write_mb_s = result.get("write_mb_s")
         view.wall_s = float(event.get("wall_s", 0.0))
-        if view.write_mb_s is not None:
-            throughput_sketch.observe(max(view.write_mb_s, 0.0))
-        wall_sketch.observe(max(view.wall_s, 0.0))
     elif kind == "device_crash":
         view.state = "crashed"
 
@@ -557,7 +578,6 @@ def scan_spools(directory) -> FleetView:
     fatal; per-device state comes from the latest events seen.
     """
     fleet = FleetView()
-    sketches = (fleet.throughput_sketch, fleet.wall_sketch)
     for path in _spool_files(directory):
         for event in iter_spool_events(path, tolerate_partial=True):
             if not isinstance(event, dict):
@@ -571,12 +591,16 @@ def scan_spools(directory) -> FleetView:
             view = fleet.devices.get(device)
             if view is None:
                 view = fleet.devices[device] = DeviceView(device=device)
-            _apply_event(view, sketches, event)
+            _apply_event(view, event)
     return fleet
 
 
 def _fmt_opt(value: Optional[float], spec: str = "{:.2f}") -> str:
     return spec.format(value) if value is not None else "-"
+
+
+def _tail_percentiles(values: List[float]) -> List[float]:
+    return [percentile(values, q) for q in (0.5, 0.95, 0.99)]
 
 
 def render_top(view: FleetView, max_rows: int = 40) -> str:
@@ -614,16 +638,18 @@ def render_top(view: FleetView, max_rows: int = 40) -> str:
         f"{counts['done']} done, {counts['crashed']} crashed "
         f"({view.events} events)"
     )
-    if view.throughput_sketch.count:
-        t = view.throughput_sketch
+    done = [d for d in view.devices.values() if d.state == "done"]
+    throughput = [d.write_mb_s for d in done if d.write_mb_s is not None]
+    if throughput:
+        t50, t95, t99 = _tail_percentiles(throughput)
         lines.append(
-            f"throughput MB/s: p50 {t.p50:.2f}  p95 {t.p95:.2f}  "
-            f"p99 {t.p99:.2f}  (n={t.count})"
+            f"throughput MB/s: p50 {t50:.2f}  p95 {t95:.2f}  "
+            f"p99 {t99:.2f}  (n={len(throughput)})"
         )
-    if view.wall_sketch.count:
-        w = view.wall_sketch
+    if done:
+        w50, w95, w99 = _tail_percentiles([d.wall_s for d in done])
         lines.append(
-            f"worker wall s:   p50 {w.p50:.3f}  p95 {w.p95:.3f}  "
-            f"p99 {w.p99:.3f}"
+            f"worker wall s:   p50 {w50:.3f}  p95 {w95:.3f}  "
+            f"p99 {w99:.3f}"
         )
     return "\n".join(lines)

@@ -1,7 +1,8 @@
-"""Statistics helpers for the bench harness and the adversary toolkit.
+"""Statistics helpers for the bench harness, the adversary toolkit and
+fleet telemetry.
 
 These are thin, well-tested wrappers so that the rest of the library never
-hand-rolls a mean/stdev or an entropy estimate.
+hand-rolls a mean/stdev, a percentile or an entropy estimate.
 """
 
 from __future__ import annotations
@@ -89,50 +90,27 @@ def chi_square_uniform(data: bytes) -> float:
     return float(chi2.sf(stat, df=255))
 
 
-def mean_confidence_interval(
-    values: Sequence[float], confidence: float = 0.95
-) -> tuple[float, float]:
-    """Return (mean, half-width) of a normal-approximation CI for *values*."""
-    s = summarize(values)
-    if s.n < 2:
-        return s.mean, 0.0
-    # 0.95 -> 1.96; use the inverse error function for other levels.
-    z = math.sqrt(2) * _erfinv(confidence)
-    half = z * s.stdev / math.sqrt(s.n)
-    return s.mean, half
+def percentile(values: Iterable[float], q: float) -> float:
+    """Nearest-rank *q*-percentile of *values* (``q`` in (0, 1]).
+
+    The smallest value with at least ``q * n`` of the *n* values at or
+    below it: an element of the sample, never an interpolation, and
+    ``q = 1.0`` is the maximum.
+    """
+    if not 0.0 < q <= 1.0:
+        raise ValueError(f"percentile q must be in (0, 1], got {q}")
+    ordered = sorted(values)
+    if not ordered:
+        raise ValueError("cannot take a percentile of an empty sample")
+    return ordered[math.ceil(q * len(ordered)) - 1]
 
 
-def _erfinv(x: float) -> float:
-    """Inverse error function via the Giles (2012) rational approximation."""
-    if not -1.0 < x < 1.0:
-        raise ValueError("erfinv domain is (-1, 1)")
-    w = -math.log((1.0 - x) * (1.0 + x))
-    if w < 5.0:
-        w -= 2.5
-        p = 2.81022636e-08
-        for c in (
-            3.43273939e-07,
-            -3.5233877e-06,
-            -4.39150654e-06,
-            0.00021858087,
-            -0.00125372503,
-            -0.00417768164,
-            0.246640727,
-            1.50140941,
-        ):
-            p = p * w + c
-    else:
-        w = math.sqrt(w) - 3.0
-        p = -0.000200214257
-        for c in (
-            0.000100950558,
-            0.00134934322,
-            -0.00367342844,
-            0.00573950773,
-            -0.0076224613,
-            0.00943887047,
-            1.00167406,
-            2.83297682,
-        ):
-            p = p * w + c
-    return p * x
+def median(values: Sequence[float]) -> float:
+    """Plain exact median (the health scorer's robust fleet center)."""
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2.0

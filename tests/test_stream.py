@@ -15,8 +15,10 @@ from repro.errors import ObsError
 from repro.obs import health as obs_health
 from repro.obs import stream
 from repro.obs.export import dump_json
+from repro.obs.metrics import MetricRegistry
 from repro.workload.runner import DeviceSpec, run_device, run_device_streamed
 from tests.folding import fold_payloads
+from tests.oracles.percentile import nearest_rank
 
 SPECS = [
     DeviceSpec(index=i, ops=12, seed=5 + i, userdata_blocks=1024)
@@ -262,9 +264,7 @@ class TestReduceSpools:
         assert reduced.devices == len(SPECS)
         assert [s["device"] for s in reduced.summaries] == [0, 1, 2]
         assert reduced.by_event["device_finish"] == len(SPECS)
-        assert reduced.wall_sketch.count == len(SPECS)
-        assert reduced.throughput_sketch.count == len(SPECS)
-        assert reduced.throughput_sketch.p50 > 0.0
+        assert all(s["result"]["write_mb_s"] > 0.0 for s in reduced.summaries)
 
     def test_accepts_explicit_file_list(self, spool_dir):
         directory, _ = spool_dir
@@ -343,8 +343,24 @@ class TestMonitor:
         assert view.counts()["done"] == 3
         text = stream.render_top(view)
         assert "3 done" in text
-        assert "throughput MB/s" in text
-        assert "p95" in text
+        finishes = [
+            event
+            for path in sorted(directory.glob("spool-*.jsonl"))
+            for event in _events(path)
+            if event["event"] == "device_finish"
+        ]
+        throughput = [e["result"]["write_mb_s"] for e in finishes]
+        wall = [e["wall_s"] for e in finishes]
+        qs = (0.5, 0.95, 0.99)
+        t50, t95, t99 = (nearest_rank(throughput, q) for q in qs)
+        w50, w95, w99 = (nearest_rank(wall, q) for q in qs)
+        assert (
+            f"throughput MB/s: p50 {t50:.2f}  p95 {t95:.2f}  "
+            f"p99 {t99:.2f}  (n=3)"
+        ) in text.splitlines()
+        assert (
+            f"worker wall s:   p50 {w50:.3f}  p95 {w95:.3f}  p99 {w99:.3f}"
+        ) in text.splitlines()
 
     def test_partial_stream_shows_running_devices(self, spool_dir, tmp_path):
         directory, _ = spool_dir
@@ -370,6 +386,24 @@ class TestMonitor:
         view = stream.scan_spools(directory)
         text = stream.render_top(view, max_rows=1)
         assert "... and 2 more device(s)" in text
+
+
+class TestMetricSnapshot:
+    def test_capture_and_delta(self):
+        registry = MetricRegistry()
+        registry.counter("ops").add(5)
+        registry.gauge("occ").set(0.25)
+        first = stream.MetricSnapshot.capture(registry)
+        assert first.counters == {"ops": 5.0}
+        assert first.gauges == {"occ": 0.25}
+        assert first.delta(None) == {"ops": 5.0}
+        registry.counter("ops").add(2)
+        registry.counter("bytes").add(100)
+        second = stream.MetricSnapshot.capture(registry)
+        assert second.delta(first) == {"bytes": 100.0, "ops": 2.0}
+        # unchanged counters are omitted from deltas
+        third = stream.MetricSnapshot.capture(registry)
+        assert third.delta(second) == {}
 
 
 def _summary(device, write_mb_s=5.0, amp=2.0, dummy=0.3, ops=10,

@@ -3,12 +3,13 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.util.stats import (
     Summary,
     chi_square_uniform,
-    mean_confidence_interval,
+    median,
+    percentile,
     shannon_entropy,
     summarize,
 )
@@ -20,6 +21,7 @@ from repro.util.units import (
     format_duration,
     format_throughput,
 )
+from tests.oracles.percentile import nearest_rank
 
 
 class TestSummarize:
@@ -93,15 +95,44 @@ class TestChiSquare:
         assert chi_square_uniform(b"A" * 8192) < 1e-6
 
 
-class TestConfidenceInterval:
-    def test_single_value(self):
-        mean, half = mean_confidence_interval([3.0])
-        assert mean == 3.0 and half == 0.0
+class TestPercentile:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+            max_size=60,
+        ),
+        q=st.one_of(
+            st.sampled_from([0.5, 0.9, 0.95, 0.99, 1.0]),
+            st.floats(min_value=1e-6, max_value=1.0),
+        ),
+    )
+    def test_matches_sorted_list_reference(self, values, q):
+        assert percentile(values, q) == nearest_rank(values, q)
 
-    def test_tighter_with_more_samples(self):
-        _, wide = mean_confidence_interval([1.0, 2.0, 3.0])
-        _, narrow = mean_confidence_interval([1.0, 2.0, 3.0] * 10)
-        assert narrow < wide
+    def test_single_value(self):
+        for q in (1e-9, 0.5, 0.99, 1.0):
+            assert percentile([7.5], q) == 7.5
+
+    def test_q_one_is_the_maximum(self):
+        assert percentile([3.0, 9.0, 1.0, 9.0, 4.0], 1.0) == 9.0
+
+    @pytest.mark.parametrize("q", [0.0, -0.5, 1.0000001, 2.0])
+    def test_q_outside_the_unit_interval_raises(self, q):
+        with pytest.raises(ValueError, match="must be in"):
+            percentile([1.0, 2.0], q)
+
+    def test_empty_raises(self):
+        with pytest.raises(ValueError, match="empty"):
+            percentile([], 0.5)
+
+
+class TestMedian:
+    def test_median(self):
+        assert median([]) == 0.0
+        assert median([3.0]) == 3.0
+        assert median([5.0, 1.0, 3.0]) == 3.0
+        assert median([4.0, 1.0, 2.0, 3.0]) == 2.5
 
 
 class TestUnits:
