@@ -19,7 +19,6 @@ import time
 
 from repro.blockdev import EMMCDevice, LatencyModel, RAMBlockDevice, SimClock
 from repro.crypto.rng import Rng
-from repro.crypto.stream import Blake2Ctr
 from repro.dm import create_crypt_device
 from repro.dm.crypt import NEXUS4_CRYPTO_BYTE_COST_S
 from repro.dm.thin import ThinPool
@@ -78,12 +77,11 @@ def _scenario_crypt_seq_write_cold():
     # honestly instead of letting best-of-N settle on warm rounds.
     clock = SimClock()
     emmc = EMMCDevice(2 * EXTENT_BLOCKS, clock=clock, latency=LatencyModel())
-    cipher = Blake2Ctr(bytes(32))
     crypt = create_crypt_device(
         "hot-cold", emmc, key=bytes(32), clock=clock,
         crypto_byte_cost_s=NEXUS4_CRYPTO_BYTE_COST_S,
-        cipher_factory=lambda key: cipher,
     )
+    cipher = crypt.table[0].target.cipher
 
     def op():
         cipher.clear_keystream_cache()

@@ -8,7 +8,6 @@ from repro.blockdev.device import (
     IOStats,
     PerBlockDevice,
     RAMBlockDevice,
-    ReadOnlyView,
     SubDevice,
     in_recovery,
     recovery_io,
@@ -31,7 +30,6 @@ from repro.blockdev.store import (
 from repro.blockdev.snapshot import (
     Snapshot,
     SnapshotDiff,
-    SnapshotSeries,
     capture,
     diff,
     restore,
@@ -46,7 +44,6 @@ __all__ = [
     "IOStats",
     "PerBlockDevice",
     "RAMBlockDevice",
-    "ReadOnlyView",
     "SubDevice",
     "in_recovery",
     "recovery_io",
@@ -64,7 +61,6 @@ __all__ = [
     "LatencyModel",
     "Snapshot",
     "SnapshotDiff",
-    "SnapshotSeries",
     "capture",
     "diff",
     "restore",

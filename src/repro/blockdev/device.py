@@ -19,7 +19,6 @@ from repro.errors import (
     BadBlockSizeError,
     DeviceClosedError,
     OutOfRangeError,
-    ReadOnlyDeviceError,
 )
 from repro.blockdev.store import (
     SPARSE_THRESHOLD,
@@ -599,33 +598,3 @@ class SubDevice(BlockDevice):
 
     def _discard(self, block: int) -> None:
         self._base.discard(self._start + block)
-
-
-class ReadOnlyView(BlockDevice):
-    """A read-only view of a device, used for forensic snapshot analysis."""
-
-    def __init__(self, base: BlockDevice) -> None:
-        super().__init__(base.num_blocks, base.block_size)
-        self._base = base
-
-    def _read_extent(
-        self, start: int, count: int, costs: Optional[ExtentCosts]
-    ) -> bytes:
-        return self._base.read_blocks(start, count, costs)
-
-    def peek_extent(self, start: int, count: int) -> bytes:
-        # rides the base's costed path, like the historical per-block peek
-        return b"".join(
-            self._base.read_block(start + i) for i in range(count)
-        )
-
-    def _write_extent(
-        self, start: int, data: bytes, costs: Optional[ExtentCosts]
-    ) -> None:
-        raise ReadOnlyDeviceError("write on read-only view")
-
-    def poke_extent(self, start: int, data: bytes) -> None:
-        raise ReadOnlyDeviceError("write on read-only view")
-
-    def _discard(self, block: int) -> None:
-        raise ReadOnlyDeviceError("discard on read-only view")

@@ -9,7 +9,7 @@ primitives are shared by the adversary toolkit and by tests.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.blockdev.device import BlockDevice
@@ -175,38 +175,6 @@ def diff(before: Snapshot, after: Snapshot) -> SnapshotDiff:
         after=after.label,
         changed_blocks=tuple(changed_blocks(before.blocks, after.blocks)),
     )
-
-
-@dataclass
-class SnapshotSeries:
-    """An ordered series of snapshots, as collected at repeated inspections."""
-
-    snapshots: List[Snapshot] = field(default_factory=list)
-
-    def add(self, snapshot: Snapshot) -> None:
-        self.snapshots.append(snapshot)
-
-    def __len__(self) -> int:
-        return len(self.snapshots)
-
-    def pairwise_diffs(self) -> List[SnapshotDiff]:
-        """Diffs between each consecutive pair of snapshots."""
-        return [
-            diff(a, b)
-            for a, b in zip(self.snapshots, self.snapshots[1:])
-        ]
-
-    def churn_per_interval(self) -> List[int]:
-        """Number of changed blocks in each inter-snapshot interval."""
-        return [d.num_changed for d in self.pairwise_diffs()]
-
-    def blocks_ever_changed(self) -> Dict[int, int]:
-        """Map block index -> number of intervals in which it changed."""
-        counts: Dict[int, int] = {}
-        for d in self.pairwise_diffs():
-            for b in d.changed_blocks:
-                counts[b] = counts.get(b, 0) + 1
-        return counts
 
 
 def restore(device, snapshot: Snapshot) -> None:

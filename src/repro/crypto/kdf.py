@@ -10,7 +10,6 @@ the hidden volume *index* ``k = (PBKDF2(pwd, salt) mod (n-1)) + 2``
 from __future__ import annotations
 
 import hashlib
-import hmac
 
 #: Android 4.2's FDE iteration count for PBKDF2 (cryptfs.c).
 ANDROID_PBKDF2_ITERATIONS = 2000
@@ -32,32 +31,6 @@ def pbkdf2(
     if dklen < 1:
         raise ValueError("dklen must be >= 1")
     return hashlib.pbkdf2_hmac(hash_name, password, salt, iterations, dklen)
-
-
-def pbkdf2_reference(
-    password: bytes,
-    salt: bytes,
-    iterations: int,
-    dklen: int,
-    hash_name: str = "sha1",
-) -> bytes:
-    """From-scratch RFC 2898 implementation, cross-checked against stdlib.
-
-    Kept as an executable specification; tests assert it matches
-    :func:`pbkdf2` on random inputs.
-    """
-    hlen = hashlib.new(hash_name).digest_size
-    nblocks = -(-dklen // hlen)  # ceil division
-    derived = bytearray()
-    for i in range(1, nblocks + 1):
-        u = hmac.new(password, salt + i.to_bytes(4, "big"), hash_name).digest()
-        t = bytearray(u)
-        for _ in range(iterations - 1):
-            u = hmac.new(password, u, hash_name).digest()
-            for j in range(hlen):
-                t[j] ^= u[j]
-        derived.extend(t)
-    return bytes(derived[:dklen])
 
 
 def derive_hidden_volume_index(

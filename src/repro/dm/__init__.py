@@ -1,4 +1,4 @@
-"""Device-mapper framework: dm core, linear/zero/crypt targets, thin provisioning."""
+"""Device-mapper framework: dm core, linear/crypt targets, thin provisioning."""
 
 from repro.dm.core import DMDevice, TableEntry, Target, single_target_device
 from repro.dm.crypt import (
@@ -6,7 +6,7 @@ from repro.dm.crypt import (
     CryptTarget,
     create_crypt_device,
 )
-from repro.dm.linear import LinearTarget, ZeroTarget
+from repro.dm.linear import LinearTarget
 
 __all__ = [
     "DMDevice",
@@ -17,5 +17,4 @@ __all__ = [
     "CryptTarget",
     "create_crypt_device",
     "LinearTarget",
-    "ZeroTarget",
 ]

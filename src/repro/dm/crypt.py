@@ -2,7 +2,7 @@
 
 Android FDE layers a dm-crypt device over the userdata partition; MobiCeal
 layers it over each thin volume. The target encrypts each block with a
-:class:`~repro.crypto.stream.SectorCipher` using the (512-byte-granular)
+:class:`~repro.crypto.stream.Blake2Ctr` using the (512-byte-granular)
 sector number of the block's first sector as IV input, matching dm-crypt's
 addressing.
 
@@ -13,12 +13,12 @@ materializes in the benches.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro import obs
 from repro.blockdev.device import BlockDevice, ExtentCosts
 from repro.blockdev.clock import SimClock
-from repro.crypto.stream import Blake2Ctr, SectorCipher
+from repro.crypto.stream import Blake2Ctr
 from repro.dm.core import Target, single_target_device
 from repro.util.units import SECTOR_SIZE
 
@@ -32,7 +32,7 @@ class CryptTarget(Target):
     def __init__(
         self,
         device: BlockDevice,
-        cipher: SectorCipher,
+        cipher: Blake2Ctr,
         clock: Optional[SimClock] = None,
         crypto_byte_cost_s: float = 0.0,
     ) -> None:
@@ -44,7 +44,7 @@ class CryptTarget(Target):
         self._sectors_per_block = device.block_size // SECTOR_SIZE
 
     @property
-    def cipher(self) -> SectorCipher:
+    def cipher(self) -> Blake2Ctr:
         return self._cipher
 
     def _sector_of(self, block: int) -> int:
@@ -118,12 +118,11 @@ def create_crypt_device(
     key: bytes,
     clock: Optional[SimClock] = None,
     crypto_byte_cost_s: float = 0.0,
-    cipher_factory: Callable[[bytes], SectorCipher] = Blake2Ctr,
 ):
     """Create an encrypted dm device over *device* (``cryptsetup`` analog)."""
     target = CryptTarget(
         device,
-        cipher_factory(key),
+        Blake2Ctr(key),
         clock=clock,
         crypto_byte_cost_s=crypto_byte_cost_s,
     )

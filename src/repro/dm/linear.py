@@ -1,4 +1,4 @@
-"""dm-linear and dm-zero targets."""
+"""The dm-linear target."""
 
 from __future__ import annotations
 
@@ -37,27 +37,3 @@ class LinearTarget(Target):
 
     def flush(self) -> None:
         self._device.flush()
-
-
-class ZeroTarget(Target):
-    """Reads return zeroes; writes are swallowed (like /dev/zero)."""
-
-    def __init__(self, num_blocks: int, block_size: int) -> None:
-        super().__init__(num_blocks, block_size)
-
-    def read_extent(
-        self, block: int, count: int, costs: Optional[ExtentCosts] = None
-    ) -> bytes:
-        if costs is not None and not costs.empty:
-            for _ in range(count):
-                costs.replay_pre()
-                costs.replay_post()
-        return b"\x00" * (self.block_size * count)
-
-    def write_extent(
-        self, block: int, data: bytes, costs: Optional[ExtentCosts] = None
-    ) -> None:
-        if costs is not None and not costs.empty:
-            for _ in range(len(data) // self.block_size):
-                costs.replay_pre()
-                costs.replay_post()

@@ -43,10 +43,6 @@ class BadBlockSizeError(BlockDeviceError):
         self.expected = expected
 
 
-class ReadOnlyDeviceError(BlockDeviceError):
-    """A write was attempted on a read-only device (e.g. a snapshot view)."""
-
-
 class DeviceClosedError(BlockDeviceError):
     """I/O was attempted on a device that has been closed/torn down."""
 

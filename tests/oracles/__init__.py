@@ -7,11 +7,14 @@ code and its oracle from the same inputs and requires identical results,
 including RNG draw order. :func:`per_block_baseline` is the cost oracle
 for extent I/O: block-at-a-time delivery through the whole stack.
 :func:`nearest_rank` is the counting reference for the one percentile
-definition, :func:`repro.util.stats.percentile`.
+definition, :func:`repro.util.stats.percentile`, and
+:func:`pbkdf2_reference` is RFC 2898 PBKDF2 written out, checked against
+:func:`repro.crypto.kdf.pbkdf2`.
 """
 
 from tests.oracles.allocation import RandomAllocator, SequentialAllocator
 from tests.oracles.bitmap import iter_allocated, iter_free, popcount
+from tests.oracles.pbkdf2 import pbkdf2_reference
 from tests.oracles.per_block import per_block_baseline
 from tests.oracles.percentile import nearest_rank
 from tests.oracles.xor import xor_bytes
@@ -22,6 +25,7 @@ __all__ = [
     "iter_allocated",
     "iter_free",
     "nearest_rank",
+    "pbkdf2_reference",
     "per_block_baseline",
     "popcount",
     "xor_bytes",

@@ -7,7 +7,6 @@ from repro.blockdev import (
     EMMCDevice,
     LatencyModel,
     RAMBlockDevice,
-    ReadOnlyView,
     SimClock,
     Stopwatch,
     SubDevice,
@@ -22,7 +21,6 @@ from repro.errors import (
     BadBlockSizeError,
     DeviceClosedError,
     OutOfRangeError,
-    ReadOnlyDeviceError,
 )
 from tests.oracles.per_block import per_block_baseline
 
@@ -210,18 +208,6 @@ class TestSubDevice:
         assert base.stats.flushes == 1
 
 
-class TestReadOnlyView:
-    def test_read_allowed_write_denied(self):
-        base = RAMBlockDevice(4)
-        base.write_block(0, block(8))
-        view = ReadOnlyView(base)
-        assert view.read_block(0) == block(8)
-        with pytest.raises(ReadOnlyDeviceError):
-            view.write_block(0, block(1))
-        with pytest.raises(ReadOnlyDeviceError):
-            view.discard(0)
-
-
 class TestEMMCDevice:
     def test_clock_advances_on_io(self):
         clock = SimClock()
@@ -323,20 +309,6 @@ class TestSnapshots:
         dev.write_block(0, block(1))
         assert capture(dev).manifest_digest() != \
             capture(RAMBlockDevice(4)).manifest_digest()
-
-    def test_series_churn(self):
-        from repro.blockdev import SnapshotSeries
-
-        dev = RAMBlockDevice(8)
-        series = SnapshotSeries()
-        series.add(capture(dev))
-        dev.write_block(0, block(1))
-        series.add(capture(dev))
-        dev.write_block(0, block(2))
-        dev.write_block(1, block(2))
-        series.add(capture(dev))
-        assert series.churn_per_interval() == [1, 2]
-        assert series.blocks_ever_changed() == {0: 2, 1: 1}
 
 
 class TestBulkPass:
@@ -444,13 +416,6 @@ class TestExtentPath:
         with per_block_baseline():
             slow = dev.read_blocks(0, 8)
         assert fast == slow
-
-    def test_readonly_view_rejects_extent_writes(self):
-        dev = RAMBlockDevice(4)
-        view = ReadOnlyView(dev)
-        assert view.read_blocks(0, 2) == block(0) * 2
-        with pytest.raises(ReadOnlyDeviceError):
-            view.write_blocks(0, block(1) * 2)
 
     def test_subdevice_extent_maps_window(self):
         base = RAMBlockDevice(10)

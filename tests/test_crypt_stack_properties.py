@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.blockdev import RAMBlockDevice
-from repro.crypto import AesCbcEssiv, AesCtrEssiv, Blake2Ctr, Rng
+from repro.crypto import Rng
 from repro.dm import create_crypt_device
 from repro.dm.thin import ThinPool
 from repro.util.stats import shannon_entropy
@@ -49,22 +49,3 @@ def test_full_stack_ciphertext_entropy(seed):
         dev.write_block(i, bytes([i % 3]) * BS)
     for pblock in pool.volume_record(1).mappings.values():
         assert shannon_entropy(dd.peek(pblock)) > 7.2
-
-
-@settings(max_examples=10, deadline=None)
-@given(
-    key=st.binary(min_size=16, max_size=16),
-    sector=st.integers(0, 2**32),
-    payload=st.binary(min_size=512, max_size=512),
-)
-def test_cipher_cross_compatibility(key, sector, payload):
-    """All three sector ciphers are self-consistent and mutually distinct."""
-    ciphers = [Blake2Ctr(key.ljust(32, b"\x00")), AesCtrEssiv(key),
-               AesCbcEssiv(key)]
-    outputs = []
-    for cipher in ciphers:
-        ct = cipher.encrypt_sector(sector, payload)
-        assert cipher.decrypt_sector(sector, ct) == payload
-        outputs.append(ct)
-    # distinct constructions should (overwhelmingly) disagree
-    assert len(set(outputs)) == len(outputs) or payload == b"\x00" * 512

@@ -1,74 +1,26 @@
-"""Tests for the crypto substrate: AES, sector ciphers, KDF, RNG models."""
+"""Tests for the crypto substrate: the sector cipher, KDF, RNG models."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.blockdev.clock import SimClock
 from repro.crypto import (
-    AES,
-    AesCbcEssiv,
-    AesCtrEssiv,
     Blake2Ctr,
     FlashNoiseTRNG,
     JiffiesSource,
     Rng,
-    SectorCipher,
     constant_time_equal,
     derive_dummy_volume_index,
     derive_hidden_volume_index,
     pbkdf2,
-    pbkdf2_reference,
 )
 from repro.errors import InvalidKeyError
 from repro.util.stats import shannon_entropy
-
-
-class TestAESKnownAnswers:
-    """FIPS-197 Appendix C known-answer tests."""
-
-    PLAINTEXT = bytes.fromhex("00112233445566778899aabbccddeeff")
-
-    def test_aes128(self):
-        key = bytes(range(16))
-        expected = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
-        assert AES(key).encrypt_block(self.PLAINTEXT) == expected
-
-    def test_aes192(self):
-        key = bytes(range(24))
-        expected = bytes.fromhex("dda97ca4864cdfe06eaf70a0ec0d7191")
-        assert AES(key).encrypt_block(self.PLAINTEXT) == expected
-
-    def test_aes256(self):
-        key = bytes(range(32))
-        expected = bytes.fromhex("8ea2b7ca516745bfeafc49904b496089")
-        assert AES(key).encrypt_block(self.PLAINTEXT) == expected
-
-    def test_decrypt_inverts(self):
-        for klen in (16, 24, 32):
-            cipher = AES(bytes(range(klen)))
-            assert cipher.decrypt_block(
-                cipher.encrypt_block(self.PLAINTEXT)
-            ) == self.PLAINTEXT
-
-    def test_bad_key_length(self):
-        with pytest.raises(InvalidKeyError):
-            AES(b"short")
-
-    def test_bad_block_length(self):
-        with pytest.raises(ValueError):
-            AES(bytes(16)).encrypt_block(b"tiny")
-        with pytest.raises(ValueError):
-            AES(bytes(16)).decrypt_block(b"tiny")
-
-    @given(st.binary(min_size=16, max_size=16), st.binary(min_size=16, max_size=16))
-    @settings(max_examples=20, deadline=None)
-    def test_roundtrip_property(self, key, block):
-        cipher = AES(key)
-        assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
+from tests.oracles import pbkdf2_reference
 
 
 class TestSectorCiphers:
-    @pytest.mark.parametrize("cls", [Blake2Ctr, AesCtrEssiv, AesCbcEssiv])
+    @pytest.mark.parametrize("cls", [Blake2Ctr])
     def test_roundtrip(self, cls):
         cipher = cls(b"k" * 32)
         plaintext = bytes(range(256)) * 16  # 4096 bytes
@@ -76,28 +28,24 @@ class TestSectorCiphers:
         assert ct != plaintext
         assert cipher.decrypt_sector(42, ct) == plaintext
 
-    @pytest.mark.parametrize("cls", [Blake2Ctr, AesCtrEssiv, AesCbcEssiv])
+    @pytest.mark.parametrize("cls", [Blake2Ctr])
     def test_sector_number_matters(self, cls):
         cipher = cls(b"k" * 32)
         pt = b"\x00" * 512
         assert cipher.encrypt_sector(1, pt) != cipher.encrypt_sector(2, pt)
 
-    @pytest.mark.parametrize("cls", [Blake2Ctr, AesCtrEssiv, AesCbcEssiv])
+    @pytest.mark.parametrize("cls", [Blake2Ctr])
     def test_key_matters(self, cls):
         pt = b"\x00" * 512
         a = cls(b"a" * 32).encrypt_sector(0, pt)
         b = cls(b"b" * 32).encrypt_sector(0, pt)
         assert a != b
 
-    @pytest.mark.parametrize("cls", [Blake2Ctr, AesCtrEssiv, AesCbcEssiv])
+    @pytest.mark.parametrize("cls", [Blake2Ctr])
     def test_ciphertext_looks_random(self, cls):
         cipher = cls(b"k" * 32)
         ct = cipher.encrypt_sector(0, b"\x00" * 4096)
         assert shannon_entropy(ct) > 7.2
-
-    def test_cbc_requires_block_multiple(self):
-        with pytest.raises(ValueError):
-            AesCbcEssiv(b"k" * 16).encrypt_sector(0, b"x" * 100)
 
     def test_blake2_key_length_validation(self):
         with pytest.raises(InvalidKeyError):
@@ -301,12 +249,17 @@ class TestBlake2CtrKeystream:
         )
         assert cipher.encrypt_extent(7, data, 512) == per_sector
 
-    def test_encrypt_extent_odd_unit_falls_back(self):
-        # unit not a multiple of the 64-byte chunk: generic per-unit path
+    def test_encrypt_extent_rejects_sub_sector_units(self):
+        # units are addressed by the sector number of their first sector,
+        # so units shorter than a sector would share one keystream (a
+        # two-time pad); a unit must be a positive multiple of a sector
         cipher = Blake2Ctr(self.KEY)
-        data = b"cd" * 144  # three 96-byte units
-        generic = SectorCipher.encrypt_extent(cipher, 3, data, 96)
-        assert cipher.encrypt_extent(3, data, 96) == generic
+        units = ((64, 256), (96, 192), (100, 400), (520, 1040), (0, 0))
+        for unit, nbytes in units:
+            with pytest.raises(ValueError):
+                cipher.encrypt_extent(0, bytes(nbytes), unit)
+            with pytest.raises(ValueError):
+                cipher.decrypt_extent(0, bytes(nbytes), unit)
 
     def test_extent_length_validated(self):
         with pytest.raises(ValueError):

@@ -3,13 +3,12 @@
 import pytest
 
 from repro.blockdev import RAMBlockDevice, SimClock
-from repro.crypto import AesCtrEssiv, Blake2Ctr
+from repro.crypto import Blake2Ctr
 from repro.dm import (
     CryptTarget,
     DMDevice,
     LinearTarget,
     TableEntry,
-    ZeroTarget,
     create_crypt_device,
     single_target_device,
 )
@@ -60,7 +59,7 @@ class TestTableValidation:
             "d",
             [
                 TableEntry(0, 4, LinearTarget(base, 8, 4)),
-                TableEntry(4, 4, ZeroTarget(4, BS)),
+                TableEntry(4, 4, LinearTarget(base, 12, 4)),
                 TableEntry(8, 4, LinearTarget(base, 0, 4)),
             ],
             BS,
@@ -68,9 +67,11 @@ class TestTableValidation:
         assert dev.num_blocks == 12
         dev.write_block(0, block(1))  # -> base block 8
         dev.write_block(9, block(2))  # -> base block 1
+        dev.write_block(5, block(3))  # -> base block 13
         assert base.read_block(8) == block(1)
         assert base.read_block(1) == block(2)
-        assert dev.read_block(5) == b"\x00" * BS  # zero target
+        assert base.read_block(13) == block(3)
+        assert dev.read_block(5) == block(3)
 
     def test_flush_propagates(self):
         base = RAMBlockDevice(8)
@@ -97,13 +98,6 @@ class TestLinearTarget:
         target.write(3, block(1))
         target.discard(3)
         assert base.read_block(3) == b"\x00" * BS
-
-
-class TestZeroTarget:
-    def test_reads_zero_writes_dropped(self):
-        target = ZeroTarget(4, BS)
-        target.write(0, block(1))
-        assert target.read(0) == b"\x00" * BS
 
 
 class TestCryptTarget:
@@ -133,14 +127,6 @@ class TestCryptTarget:
         create_crypt_device("c", base, b"a" * 32).write_block(0, block(1))
         wrong = create_crypt_device("c", base, b"b" * 32)
         assert wrong.read_block(0) != block(1)
-
-    def test_aes_cipher_factory(self):
-        base = RAMBlockDevice(4)
-        dev = create_crypt_device(
-            "c", base, b"k" * 16, cipher_factory=AesCtrEssiv
-        )
-        dev.write_block(0, block(3))
-        assert dev.read_block(0) == block(3)
 
     def test_crypto_cost_charged(self):
         clock = SimClock()

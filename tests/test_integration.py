@@ -5,7 +5,7 @@ import pytest
 from repro.android import Phone
 from repro.blockdev import RAMBlockDevice
 from repro.core import Mode, MobiCealConfig, MobiCealSystem
-from repro.crypto import AesCtrEssiv, Rng
+from repro.crypto import Rng
 from repro.dm import DMDevice, LinearTarget, TableEntry, create_crypt_device
 from repro.dm.thin import ThinPool, ThinTarget
 
@@ -59,19 +59,6 @@ class TestThinTargetInDMTables:
         raw = thin.read_block(32)
         assert b"secret" not in raw
         assert crypt.read_block(0)[:7] == b"secret "
-
-    def test_aes_cipher_end_to_end_on_thin(self):
-        """Pure-Python AES (slow path) works through the whole stack."""
-        md, dd = RAMBlockDevice(16), RAMBlockDevice(64)
-        pool = ThinPool.format(md, dd, rng=Rng(2))
-        pool.create_thin(1, 32)
-        crypt = create_crypt_device(
-            "aes", pool.get_thin(1), key=b"k" * 16, cipher_factory=AesCtrEssiv
-        )
-        payload = bytes(range(256)) * 16
-        crypt.write_block(3, payload)
-        assert crypt.read_block(3) == payload
-        assert pool.get_thin(1).read_block(3) != payload
 
 
 class TestMultiUserScenario:

@@ -13,8 +13,8 @@ shares the generator but not the cache. These KATs pin both against:
 
 Coverage targets the shapes where a vectorized counter layout could
 silently diverge: counters crossing byte boundaries (little-endian
-layout), sectors past the 4 GiB mark and at the 64-bit ceiling, odd
-extent lengths that take the non-vectorized fallback, and the cache.
+layout), sectors past the 4 GiB mark and at the 64-bit ceiling, and the
+cache.
 A hardcoded seed-stability pin guards the construction itself against
 accidental layout changes.
 """
@@ -52,7 +52,7 @@ def fixture_encrypt_extent(
     key: bytes, sector: int, data: bytes, unit_bytes: int
 ) -> bytes:
     # each unit is addressed by the 512-byte sector number of its first
-    # sector, exactly as SectorCipher.encrypt_extent documents
+    # sector, exactly as Blake2Ctr.encrypt_extent documents
     step = unit_bytes // 512
     out = bytearray()
     for i in range(len(data) // unit_bytes):
@@ -121,19 +121,6 @@ def test_sector_above_4gib_and_64bit_ceiling():
         cipher = Blake2Ctr(KEY)
         assert cipher.encrypt_extent(sector, data, unit) == expected
         assert cipher.encrypt_sector(sector, data) == expected
-
-
-def test_odd_unit_lengths_fall_back_exactly():
-    """Units that are not a whole number of 64-byte chunks.
-
-    These take the generic (truncating) fallback rather than the
-    vectorized matrix; the answer must still match the fixture.
-    """
-    for unit in (96, 100, 520):
-        data = _pattern(4 * unit)
-        expected = fixture_encrypt_extent(KEY, 3, data, unit)
-        cipher = Blake2Ctr(KEY)
-        assert cipher.encrypt_extent(3, data, unit) == expected
 
 
 def test_keystream_is_key_dependent():
