@@ -1,11 +1,12 @@
-"""BlockStore backend costs — checkpoint wall-clock and the RAM hotpath.
+"""Store costs — checkpoint wall-clock and the extent hotpath.
 
-Three scenarios back the backend acceptance criteria:
+Three scenarios back the store's acceptance criteria:
 
 * ``cow_checkpoint`` — checkpointing a 1 %-dirty device through
   :class:`CowOverlayStore.freeze` must beat the full capture-and-re-hash
-  scan by >= 10x: the overlay hashes only dirty blocks and reuses every
-  clean block's bytes and cached hash.
+  scan (a device on the flat reference store in ``tests/oracles``) by
+  >= 10x: the overlay hashes only dirty blocks and reuses every clean
+  block's bytes and cached hash.
 * ``fleet_checkpoint`` — the SQLite half of the daemon's checkpoint:
   :meth:`FleetStore.checkpoint` of a 1 %-dirty capture, diffed against the
   last committed manifest, must beat rewriting the full manifest by
@@ -13,9 +14,9 @@ Three scenarios back the backend acceptance criteria:
   rewrites only the chunk rows holding them; at 1 % scattered dirt about
   half the 64-LBA chunk rows still change, and the new blocks' bytes cost
   both legs the same, which bounds the ratio.
-* ``hotpath_ram`` — the extent fast path's headline speedups, pinned on
-  an explicit :class:`RamStore`, so backend pluggability never erodes the
-  hotpath bars.
+* ``hotpath_ram`` — the extent fast path's headline speedup on the
+  store every device ships on, so the store never erodes the hotpath
+  bars.
 
 Like ``BENCH_hotpath.json``, ``BENCH_store.json`` records wall-clock
 measurements: machine-dependent, excluded from CI's
@@ -27,16 +28,15 @@ import tempfile
 import time
 
 from repro.blockdev import (
-    CowOverlayStore,
     EMMCDevice,
     LatencyModel,
     RAMBlockDevice,
-    RamStore,
     SimClock,
     capture,
 )
 from repro.crypto.rng import Rng
 from repro.server import FleetStore
+from tests.oracles.flat_store import FlatStore
 from tests.oracles.per_block import per_block_baseline
 
 BS = 4096
@@ -52,15 +52,13 @@ COW_CHECKPOINT_MIN_SPEEDUP = 10.0
 #: Acceptance: delta vs full-manifest FleetStore.checkpoint at 1 % dirty.
 FLEET_CHECKPOINT_MIN_SPEEDUP = 1.25
 
-#: Acceptance: extent-path speedup on RamStore (same bar as hotpath).
+#: Acceptance: extent-path speedup on the shipped store (same bar as
+#: hotpath).
 SEQ_WRITE_MIN_SPEEDUP = 3.0
 
 
 def _cow_device() -> RAMBlockDevice:
-    return RAMBlockDevice(
-        CHECKPOINT_BLOCKS, block_size=BS,
-        store=CowOverlayStore(CHECKPOINT_BLOCKS, BS),
-    )
+    return RAMBlockDevice(CHECKPOINT_BLOCKS, block_size=BS)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +77,8 @@ def _measure_checkpoint():
     dirty = int(CHECKPOINT_BLOCKS * DIRTY_FRACTION)
     cow = _cow_device()
     full = RAMBlockDevice(
-        CHECKPOINT_BLOCKS, block_size=BS, store=RamStore(CHECKPOINT_BLOCKS, BS)
+        CHECKPOINT_BLOCKS, block_size=BS,
+        store=FlatStore(CHECKPOINT_BLOCKS, BS),
     )
     capture(cow)  # freeze the factory base; later captures are O(dirty)
 
@@ -174,7 +173,7 @@ def _measure_fleet_checkpoint():
 
 
 # ---------------------------------------------------------------------------
-# (b) hotpath bars pinned on an explicit RamStore
+# (b) the hotpath bar on the shipped store
 # ---------------------------------------------------------------------------
 
 
@@ -189,10 +188,7 @@ def _best_of(op, rounds: int) -> float:
 
 def _ram_scenario(blocks: int = 64):
     clock = SimClock()
-    device = EMMCDevice(
-        2 * blocks, clock=clock, latency=LatencyModel(),
-        store=RamStore(2 * blocks, BS),
-    )
+    device = EMMCDevice(2 * blocks, clock=clock, latency=LatencyModel())
     payload = b"\x5a" * (BS * blocks)
     return clock, lambda: device.write_blocks(0, payload)
 
@@ -219,7 +215,7 @@ def _measure_ram_hotpath(blocks: int = 64, rounds: int = 40):
 
 
 def test_store_backends(benchmark, save_result, save_json):
-    """CoW + fleet checkpoint speedups, RamStore hotpath."""
+    """CoW + fleet checkpoint speedups, the extent hotpath."""
     checkpoint = _measure_checkpoint()
     fleet = _measure_fleet_checkpoint()
     hotpath = _measure_ram_hotpath()
@@ -228,7 +224,7 @@ def test_store_backends(benchmark, save_result, save_json):
     benchmark.pedantic(op, rounds=10, iterations=1)
 
     lines = [
-        "BlockStore backends: checkpoint cost and the RAM hotpath",
+        "Store: checkpoint cost and the extent hotpath",
         "",
         f"CoW checkpoint, {checkpoint['dirty_blocks']} dirty of "
         f"{checkpoint['device_blocks']} blocks (1%)",
@@ -244,7 +240,7 @@ def test_store_backends(benchmark, save_result, save_json):
         f"  speedup:            {fleet['speedup']:8.1f}x "
         f"(bound {FLEET_CHECKPOINT_MIN_SPEEDUP:.2f}x)",
         "",
-        "RamStore extent hotpath (64-block sequential eMMC write)",
+        "Extent hotpath on the shipped store (64-block sequential eMMC write)",
         f"  extent:    {hotpath['extent_blocks_per_s']:>12.0f} blocks/s",
         f"  per-block: {hotpath['per_block_blocks_per_s']:>12.0f} blocks/s",
         f"  speedup:   {hotpath['speedup']:>11.1f}x "

@@ -17,7 +17,6 @@ from repro.android.profiles import NEXUS4, DeviceProfile
 from repro.blockdev.clock import SimClock
 from repro.blockdev.device import BlockDevice
 from repro.blockdev.emmc import EMMCDevice
-from repro.blockdev.store import BlockStore, CowOverlayStore
 from repro.crypto.rng import FlashNoiseTRNG, JiffiesSource, Rng
 
 #: Userdata size used by tests/examples when full phone scale is not needed
@@ -28,10 +27,10 @@ SMALL_USERDATA_BLOCKS = 1024
 class Phone:
     """One simulated mobile device.
 
-    ``cow=True`` builds every partition on a
-    :class:`~repro.blockdev.store.CowOverlayStore`, whose images freeze in
-    O(dirty blocks): the daemon, which checkpoints after every op, asks
-    for it. Otherwise each eMMC device builds its own RAM store.
+    Every partition keeps its bytes in a
+    :class:`~repro.blockdev.store.CowOverlayStore`, so a phone holds only
+    the blocks it wrote, and its images freeze in O(dirty blocks) for
+    snapshot capture and the daemon's per-op checkpoints.
     """
 
     def __init__(
@@ -40,16 +39,10 @@ class Phone:
         userdata_blocks: Optional[int] = None,
         seed: int = 0,
         userdata_device: Optional[BlockDevice] = None,
-        cow: bool = False,
     ) -> None:
         self.profile = profile
         self.clock = SimClock()
         self.rng = Rng(seed)
-
-        def medium(num_blocks: int) -> Optional[BlockStore]:
-            if not cow:
-                return None  # the device builds its own RAM store
-            return CowOverlayStore(num_blocks, profile.block_size)
 
         if userdata_device is not None:
             # bring-your-own medium (e.g. a fault injector); the caller
@@ -66,15 +59,14 @@ class Phone:
                 latency=profile.emmc,
                 jitter=0.03,
                 jitter_rng=self.rng.fork("io-jitter"),
-                store=medium(blocks),
             )
         self.cache_dev = EMMCDevice(
             512, block_size=profile.block_size, clock=self.clock,
-            latency=profile.emmc, store=medium(512),
+            latency=profile.emmc,
         )
         self.devlog_dev = EMMCDevice(
             256, block_size=profile.block_size, clock=self.clock,
-            latency=profile.emmc, store=medium(256),
+            latency=profile.emmc,
         )
         self.framework = AndroidFramework(self.clock, profile)
         self.jiffies = JiffiesSource(self.clock, self.rng.fork("jiffies"))

@@ -65,10 +65,10 @@ METRIC_FLOORS: Mapping[str, Mapping[str, float]] = {
         "scenarios.crypt_seq_write.speedup": 5.0,
         "scenarios.emmc_seq_write.speedup": 3.0,
     },
-    # BlockStore acceptance bars: the CoW overlay checkpoint must stay an
+    # Store acceptance bars: the CoW overlay checkpoint must stay an
     # order of magnitude ahead of a full re-intern at 1% dirty, the fleet
-    # store's delta checkpoint ahead of a full manifest rewrite, and backend
-    # pluggability must never erode the extent hotpath on the RAM store.
+    # store's delta checkpoint ahead of a full manifest rewrite, and the
+    # extent hotpath on the shipped store must keep the eMMC bar.
     "store": {
         "cow_checkpoint.speedup": 10.0,
         "fleet_checkpoint.speedup": 1.25,

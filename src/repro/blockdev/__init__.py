@@ -21,12 +21,7 @@ from repro.blockdev.faults import (
     inject,
 )
 from repro.blockdev.latency import FREE, LatencyModel
-from repro.blockdev.store import (
-    BlockStore,
-    CowOverlayStore,
-    FrozenImage,
-    RamStore,
-)
+from repro.blockdev.store import CowOverlayStore, FrozenImage
 from repro.blockdev.snapshot import (
     Snapshot,
     SnapshotDiff,
@@ -48,10 +43,8 @@ __all__ = [
     "in_recovery",
     "recovery_io",
     "replay_per_block",
-    "BlockStore",
     "CowOverlayStore",
     "FrozenImage",
-    "RamStore",
     "EMMCDevice",
     "FaultPlan",
     "FaultyBlockDevice",

@@ -22,9 +22,8 @@ from repro.errors import (
 )
 from repro.blockdev.store import (
     SPARSE_THRESHOLD,
-    BlockStore,
+    CowOverlayStore,
     FrozenImage,
-    RamStore,
 )
 
 
@@ -310,7 +309,7 @@ class BlockDevice(ABC):
     def freeze_image(self) -> Optional[FrozenImage]:
         """A content-addressed image of the medium, or ``None``.
 
-        Devices whose backing store freezes incrementally
+        Store-backed devices
         (:class:`~repro.blockdev.store.CowOverlayStore`) return a
         :class:`~repro.blockdev.store.FrozenImage` built in O(dirty
         blocks), which snapshot capture and server checkpoints reuse
@@ -459,19 +458,17 @@ class PerBlockDevice(BlockDevice):
 
 
 class RAMBlockDevice(BlockDevice):
-    """A block device over a pluggable :class:`BlockStore`.
+    """A block device over a :class:`~repro.blockdev.store.CowOverlayStore`.
 
     Blocks read before ever being written return ``fill`` bytes (zeroes by
     default), mirroring a factory-fresh or discarded flash region.
 
-    Without a *store* the device builds a :class:`RamStore`: dense, or
-    sparse (only written blocks held) above
-    :data:`~repro.blockdev.store.SPARSE_THRESHOLD` blocks, so experiments
-    can instantiate full phone-sized partitions (e.g. the Nexus 4's
-    13.7 GiB userdata) without allocating that much memory. An owner that
-    wants another medium passes a ready :class:`BlockStore` of the same
-    geometry and fill. Every backend is bit-identical at this interface;
-    the choice only moves where the bytes live.
+    Without a *store* the device builds a fresh copy-on-write store,
+    which holds only the blocks written to it, so experiments can
+    instantiate full phone-sized partitions (e.g. the Nexus 4's 13.7 GiB
+    userdata) without allocating that much memory. An owner that already
+    holds a store (a resumed image, a test's reference store) passes it
+    in; its geometry and fill must match the device's.
     """
 
     def __init__(
@@ -479,14 +476,11 @@ class RAMBlockDevice(BlockDevice):
         num_blocks: int,
         block_size: int = DEFAULT_BLOCK_SIZE,
         fill: int = 0,
-        store: Optional[BlockStore] = None,
+        store: Optional[CowOverlayStore] = None,
     ) -> None:
         super().__init__(num_blocks, block_size)
         if store is None:
-            store = RamStore(
-                num_blocks, block_size, fill=fill,
-                sparse=num_blocks > SPARSE_THRESHOLD,
-            )
+            store = CowOverlayStore(num_blocks, block_size, fill=fill)
         elif store.num_blocks != num_blocks or store.block_size != block_size:
             raise ValueError("store geometry does not match device")
         elif store.fill_block != bytes([fill]) * block_size:
@@ -495,11 +489,12 @@ class RAMBlockDevice(BlockDevice):
 
     @property
     def sparse(self) -> bool:
-        """True when the device is large enough to be stored sparsely."""
+        """True above :data:`~repro.blockdev.store.SPARSE_THRESHOLD` blocks:
+        bulk passes skip materializing such a device's content."""
         return self._num_blocks > SPARSE_THRESHOLD
 
     @property
-    def store(self) -> BlockStore:
+    def store(self) -> CowOverlayStore:
         """The backing store (read-mostly; swapping it mid-flight is on you)."""
         return self._store
 
@@ -536,8 +531,8 @@ class RAMBlockDevice(BlockDevice):
         self._store.write_extent(start, data)
 
     def _discard(self, block: int) -> None:
-        # restore the fill pattern, matching sparse mode and never-written
-        # blocks (a discarded flash region reads back as factory-fresh)
+        # restore the fill pattern, matching never-written blocks (a
+        # discarded flash region reads back as factory-fresh)
         self._store.discard_extent(block, 1)
 
     def freeze_image(self) -> Optional[FrozenImage]:

@@ -18,7 +18,7 @@ from repro import obs
 from repro.blockdev.clock import SimClock
 from repro.blockdev.device import DEFAULT_BLOCK_SIZE, ExtentCosts, RAMBlockDevice
 from repro.blockdev.latency import FREE, LatencyModel
-from repro.blockdev.store import BlockStore
+from repro.blockdev.store import CowOverlayStore
 from repro.crypto.rng import Rng
 
 
@@ -40,7 +40,7 @@ class EMMCDevice(RAMBlockDevice):
         fill: int = 0,
         jitter: float = 0.0,
         jitter_rng: Optional[Rng] = None,
-        store: Optional[BlockStore] = None,
+        store: Optional[CowOverlayStore] = None,
     ) -> None:
         super().__init__(num_blocks, block_size, fill=fill, store=store)
         self.clock = clock if clock is not None else SimClock()
@@ -112,18 +112,24 @@ class EMMCDevice(RAMBlockDevice):
         observe = obs.observe_latency
         jitter = self._jitter
         draw = self._jitter_rng.random
-        replay = costs is not None and not costs.empty
+        # an empty half of the schedule is skipped, not replayed per block
+        pre = post = None
+        if costs is not None:
+            if costs.pre or costs.pre_calls:
+                pre = costs.replay_pre
+            if costs.post or costs.post_calls:
+                post = costs.replay_post
         cost = first
         for _ in range(count):
-            if replay:
-                costs.replay_pre()
+            if pre is not None:
+                pre()
             charge = cost
             if jitter:
                 charge = cost * (1.0 + jitter * (2.0 * draw() - 1.0))
             advance(charge, reason)
             observe(metric, charge)
-            if replay:
-                costs.replay_post()
+            if post is not None:
+                post()
             cost = rest
 
     def _flush(self) -> None:

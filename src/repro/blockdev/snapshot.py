@@ -75,10 +75,11 @@ def capture(device: BlockDevice, label: str = "", taken_at: float = 0.0) -> Snap
 
     The adversary images the raw medium (e.g. by desoldering or via a
     forensic port), so the capture bypasses the stats/latency machinery.
-    Devices on a copy-on-write store hand over a frozen image directly
+    Store-backed devices hand over a frozen image directly
     (:meth:`~repro.blockdev.device.BlockDevice.freeze_image`, O(dirty
-    blocks) with per-block hashes attached); everything else is read
-    through the out-of-band ``peek_extent`` hook, ~1 MiB at a time.
+    blocks) with per-block hashes attached); everything else (e.g. a
+    :class:`~repro.blockdev.device.SubDevice` window) is read through
+    the out-of-band ``peek_extent`` hook, ~1 MiB at a time.
     Identical blocks are interned so an image dominated by one fill
     pattern (sparse or factory-fresh devices) stays cheap in memory.
     """

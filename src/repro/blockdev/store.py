@@ -1,45 +1,37 @@
-"""Pluggable backing stores for block devices.
+"""The copy-on-write medium under every block device.
 
-A :class:`BlockStore` is the *medium* under a
-:class:`~repro.blockdev.device.RAMBlockDevice`: a flat array of
-fixed-size blocks with bulk extent accessors and no notion of clocks,
-stats or costs — all of that lives in the device layer. Separating the
-two gives the whole stack one seam where the storage substrate can be
-swapped without any simulated-behaviour change:
+:class:`CowOverlayStore` is where a
+:class:`~repro.blockdev.device.RAMBlockDevice` keeps its bytes: a flat
+array of fixed-size blocks with bulk extent accessors and no notion of
+clocks, stats or costs — all of that lives in the device layer.
 
-* :class:`RamStore` — everything in process memory (a NumPy ``uint8``
-  array, or a per-block dict in sparse mode). What a
-  :class:`~repro.blockdev.device.RAMBlockDevice` builds unless its owner
-  hands it another store: dense for small devices, sparse above
-  :data:`SPARSE_THRESHOLD` blocks.
-* :class:`CowOverlayStore` — a frozen, content-addressed base image
-  plus a dirty-block overlay. :meth:`~CowOverlayStore.freeze` produces
-  a new :class:`FrozenImage` in O(dirty blocks): unchanged blocks reuse
-  the base's interned bytes *and* their cached SHA-256 hashes, which is
-  what makes server checkpoints and snapshot capture near-free on a
-  slowly changing device.
-
-Every backend is bit-identical at the device interface: same bytes out,
-same fill semantics for never-written and discarded blocks, and zero
-interaction with clocks or RNG streams. The equivalence battery in
-``tests/test_extent_equivalence.py`` asserts exactly that. Which backend
-holds a device's bytes is the device owner's choice (the daemon builds
-its phones on :class:`CowOverlayStore`); there is no process-wide
-switch.
+The store is a frozen, content-addressed base image plus a dirty-block
+overlay. A factory-fresh store has no base at all: every block it was
+never handed reads back as the fill block, so a store holds only the
+blocks written to it, whatever the size of the device.
+:meth:`~CowOverlayStore.freeze` produces a :class:`FrozenImage` that
+hashes only the blocks dirtied since the previous freeze: unchanged
+blocks reuse the base's interned bytes *and* their cached SHA-256
+hashes, which is what makes server checkpoints and snapshot capture
+near-free on a slowly changing device.
 """
 
 from __future__ import annotations
 
 import hashlib
-from abc import ABC, abstractmethod
+import operator
+import struct
+from itertools import repeat
 from typing import Dict, Optional
 
-import numpy as np
-
-#: Devices larger than this many blocks get a sparse :class:`RamStore`,
-#: so full phone-scale partitions (the Nexus 4's 13.7 GiB userdata) cost
-#: memory in proportion to the blocks actually written.
+#: Devices larger than this many blocks count as sparse
+#: (:attr:`~repro.blockdev.device.RAMBlockDevice.sparse`): bulk passes
+#: over them, such as the hidden-volume baseline's random fill, skip
+#: materializing every block's content, so full phone-scale partitions
+#: (the Nexus 4's 13.7 GiB userdata) stay cheap to set up.
 SPARSE_THRESHOLD = 65536
+
+_first = operator.itemgetter(0)
 
 
 class FrozenImage:
@@ -64,139 +56,17 @@ class FrozenImage:
         return len(self.blocks)
 
 
-def _uniform_image(
-    fill_block: bytes, num_blocks: int, block_size: int
-) -> FrozenImage:
-    """A frozen image of a factory-fresh device: one interned fill block."""
-    h = hashlib.sha256(fill_block).hexdigest()
-    return FrozenImage(
-        (fill_block,) * num_blocks, (h,) * num_blocks, block_size
-    )
-
-
-class BlockStore(ABC):
-    """Bulk random-access storage for whole-block extents.
-
-    The contract mirrors the out-of-band half of a block device: reads
-    and writes move whole extents of ``block_size`` bytes, blocks never
-    written (or discarded) read back as the fill pattern, and nothing
-    here touches simulated time.
-    """
-
-    def __init__(
-        self, num_blocks: int, block_size: int, fill: int = 0
-    ) -> None:
-        self.num_blocks = num_blocks
-        self.block_size = block_size
-        self.fill_block = bytes([fill]) * block_size
-
-    # -- the extent I/O surface -------------------------------------------
-
-    @abstractmethod
-    def read_extent(self, start: int, count: int) -> bytes:
-        """Return ``count`` consecutive blocks starting at ``start``."""
-
-    @abstractmethod
-    def write_extent(self, start: int, data: bytes) -> None:
-        """Store ``data`` (a whole number of blocks) at ``start``."""
-
-    @abstractmethod
-    def discard_extent(self, start: int, count: int) -> None:
-        """Restore the fill pattern over ``count`` blocks (TRIM)."""
-
-    # -- content addressing ------------------------------------------------
-
-    def digest(self) -> str:
-        """SHA-256 over the full image, streamed ~1 MiB at a time."""
-        h = hashlib.sha256()
-        chunk = max(1, (1 << 20) // self.block_size)
-        start = 0
-        while start < self.num_blocks:
-            take = min(chunk, self.num_blocks - start)
-            h.update(self.read_extent(start, take))
-            start += take
-        return h.hexdigest()
-
-    def freeze(self) -> Optional[FrozenImage]:
-        """A content-addressed image of the current state, or ``None``.
-
-        Backends without incremental hashing return ``None`` and callers
-        fall back to a full scan; :class:`CowOverlayStore` returns a
-        frozen image built in O(dirty blocks).
-        """
-        return None
-
-    @property
-    def sparse(self) -> bool:
-        """True when unwritten blocks occupy no backing memory."""
-        return False
-
-
-class RamStore(BlockStore):
-    """Process-memory backing: one flat buffer, or a dict in sparse mode.
-
-    Dense mode uses a NumPy ``uint8`` array (zero-copy slicing). Sparse
-    mode keeps only written blocks, keyed by block number, so phone-scale
-    partitions cost memory proportional to their churn.
-    """
-
-    def __init__(
-        self,
-        num_blocks: int,
-        block_size: int,
-        fill: int = 0,
-        sparse: bool = False,
-    ) -> None:
-        super().__init__(num_blocks, block_size, fill)
-        self._sparse = sparse
-        if sparse:
-            self._blocks: Dict[int, bytes] = {}
-            self._buf = None
-        else:
-            self._buf = np.full(num_blocks * block_size, fill, dtype=np.uint8)
-
-    @property
-    def sparse(self) -> bool:
-        return self._sparse
-
-    def read_extent(self, start: int, count: int) -> bytes:
-        if self._sparse:
-            get = self._blocks.get
-            fill = self.fill_block
-            return b"".join(get(start + i, fill) for i in range(count))
-        lo = start * self.block_size
-        hi = lo + count * self.block_size
-        return self._buf[lo:hi].tobytes()
-
-    def write_extent(self, start: int, data: bytes) -> None:
-        bs = self.block_size
-        if self._sparse:
-            blocks = self._blocks
-            for i in range(len(data) // bs):
-                blocks[start + i] = bytes(data[i * bs : (i + 1) * bs])
-            return
-        lo = start * bs
-        self._buf[lo : lo + len(data)] = np.frombuffer(data, dtype=np.uint8)
-
-    def discard_extent(self, start: int, count: int) -> None:
-        if self._sparse:
-            pop = self._blocks.pop
-            for i in range(count):
-                pop(start + i, None)
-            return
-        self.write_extent(start, self.fill_block * count)
-
-
-class CowOverlayStore(BlockStore):
+class CowOverlayStore:
     """A frozen base image plus a dirty-block overlay.
 
     Reads come from the overlay when a block is dirty and from the base
-    otherwise; writes land in the overlay (a write restoring a block to
-    its base content *cleans* it, keeping the dirty set minimal — a full
-    image restore of a mostly-unchanged device stays cheap).
-    :meth:`freeze` promotes the overlay into a new base, hashing only
-    the dirty blocks and interning by content hash, and returns the new
-    base as a :class:`FrozenImage`.
+    otherwise (the fill block until the first :meth:`freeze`); writes
+    land in the overlay. A write restoring a block to its base content
+    *cleans* it, keeping the dirty set minimal: a full image restore of a
+    mostly-unchanged device stays cheap, and discarded blocks of a fresh
+    store hold no memory. :meth:`freeze` promotes the overlay into a new
+    base, hashing only the dirty blocks and interning by content hash,
+    and returns the new base as a :class:`FrozenImage`.
     """
 
     def __init__(
@@ -206,51 +76,100 @@ class CowOverlayStore(BlockStore):
         fill: int = 0,
         base: Optional[FrozenImage] = None,
     ) -> None:
-        super().__init__(num_blocks, block_size, fill)
-        if base is None:
-            base = _uniform_image(self.fill_block, num_blocks, block_size)
-        if base.num_blocks != num_blocks or base.block_size != block_size:
+        if base is not None and (
+            base.num_blocks != num_blocks or base.block_size != block_size
+        ):
             raise ValueError("base image geometry does not match store")
+        self.num_blocks = num_blocks
+        self.block_size = block_size
+        self.fill_block = bytes([fill]) * block_size
+        #: ``None`` until the first freeze: every clean block is the fill
         self._base = base
         self._overlay: Dict[int, bytes] = {}
-
-    @property
-    def sparse(self) -> bool:
-        return True
+        # splits an extent into one-block 1-tuples in C, without a
+        # Python-level slice per block
+        self._unpack_blocks = struct.Struct(f"{block_size}s").iter_unpack
 
     @property
     def dirty_blocks(self) -> int:
         """Number of blocks that differ from the last frozen base."""
         return len(self._overlay)
 
+    def _clean(self, start: int, count: int):
+        """The base content of *count* blocks from *start*."""
+        if self._base is None:
+            return repeat(self.fill_block, count)
+        return self._base.blocks[start : start + count]
+
+    # -- the extent I/O surface -------------------------------------------
+
     def read_extent(self, start: int, count: int) -> bytes:
-        overlay = self._overlay
-        base = self._base.blocks
+        """Return ``count`` consecutive blocks starting at ``start``."""
         return b"".join(
-            overlay.get(start + i, base[start + i]) for i in range(count)
+            map(
+                self._overlay.get,
+                range(start, start + count),
+                self._clean(start, count),
+            )
         )
 
     def write_extent(self, start: int, data: bytes) -> None:
+        """Store ``data`` (a whole number of blocks) at ``start``."""
         bs = self.block_size
         overlay = self._overlay
-        base = self._base.blocks
-        for i in range(len(data) // bs):
-            block = start + i
-            chunk = bytes(data[i * bs : (i + 1) * bs])
-            if chunk == base[block]:
+        data = bytes(data)
+        if len(data) == bs:  # small synced I/O: one block per call
+            base = self._base
+            clean = self.fill_block if base is None else base.blocks[start]
+            if data == clean:
+                overlay.pop(start, None)
+            else:
+                overlay[start] = data
+            return
+        chunks = list(map(_first, self._unpack_blocks(data)))
+        blocks = range(start, start + len(chunks))
+        if not any(map(operator.eq, chunks, self._clean(start, len(chunks)))):
+            overlay.update(zip(blocks, chunks))
+            return
+        for block, chunk, clean in zip(
+            blocks, chunks, self._clean(start, len(chunks))
+        ):
+            if chunk == clean:
                 overlay.pop(block, None)
             else:
                 overlay[block] = chunk
 
     def discard_extent(self, start: int, count: int) -> None:
+        """Restore the fill pattern over ``count`` blocks (TRIM)."""
         self.write_extent(start, self.fill_block * count)
 
+    # -- content addressing ------------------------------------------------
+
+    def digest(self) -> str:
+        """SHA-256 over the full image, streamed ~1 MiB at a time."""
+        h = hashlib.sha256()
+        chunk = max(1, (1 << 20) // self.block_size)
+        for start in range(0, self.num_blocks, chunk):
+            h.update(
+                self.read_extent(start, min(chunk, self.num_blocks - start))
+            )
+        return h.hexdigest()
+
     def freeze(self) -> FrozenImage:
-        """Checkpoint: O(dirty) new base reusing clean blocks and hashes."""
-        if not self._overlay:
+        """Checkpoint: a new base reusing clean blocks and their hashes.
+
+        Only dirty blocks are hashed. The first freeze of a fresh store
+        also lays out the base itself: one interned fill block.
+        """
+        if self._base is None:
+            fill = self.fill_block
+            blocks = [fill] * self.num_blocks
+            hashes = [hashlib.sha256(fill).hexdigest()] * self.num_blocks
+        elif not self._overlay:
             return self._base
-        blocks = list(self._base.blocks)
-        hashes = list(self._base.hashes)
+        else:
+            blocks = list(self._base.blocks)
+            hashes = list(self._base.hashes)
         interned: Dict[str, bytes] = {}
         for block, data in self._overlay.items():
             h = hashlib.sha256(data).hexdigest()
@@ -261,4 +180,3 @@ class CowOverlayStore(BlockStore):
         )
         self._overlay = {}
         return self._base
-

@@ -175,11 +175,7 @@ class DeviceConfig:
         )
 
     def make_phone(self) -> Phone:
-        # every medium on the copy-on-write store: the daemon checkpoints
-        # after every op, and a CoW image freezes in O(dirty blocks)
-        return Phone(
-            seed=self.seed, userdata_blocks=self.userdata_blocks, cow=True
-        )
+        return Phone(seed=self.seed, userdata_blocks=self.userdata_blocks)
 
 
 def decode_write_request(payload: object) -> Tuple[str, bytes]:

@@ -6,6 +6,8 @@ scans and a big-int XOR. ``tests/test_oracles.py`` drives the shipped
 code and its oracle from the same inputs and requires identical results,
 including RNG draw order. :func:`per_block_baseline` is the cost oracle
 for extent I/O: block-at-a-time delivery through the whole stack.
+:class:`FlatStore` is a one-buffer reference for the copy-on-write
+medium every device keeps its bytes in.
 :func:`nearest_rank` is the counting reference for the one percentile
 definition, :func:`repro.util.stats.percentile`, and
 :func:`pbkdf2_reference` is RFC 2898 PBKDF2 written out, checked against
@@ -14,12 +16,14 @@ definition, :func:`repro.util.stats.percentile`, and
 
 from tests.oracles.allocation import RandomAllocator, SequentialAllocator
 from tests.oracles.bitmap import iter_allocated, iter_free, popcount
+from tests.oracles.flat_store import FlatStore
 from tests.oracles.pbkdf2 import pbkdf2_reference
 from tests.oracles.per_block import per_block_baseline
 from tests.oracles.percentile import nearest_rank
 from tests.oracles.xor import xor_bytes
 
 __all__ = [
+    "FlatStore",
     "RandomAllocator",
     "SequentialAllocator",
     "iter_allocated",

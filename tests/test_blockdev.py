@@ -16,12 +16,13 @@ from repro.blockdev import (
 )
 from repro.blockdev.bulk import bulk_pass, sequential_pass_cost
 from repro.blockdev.latency import FREE
-from repro.blockdev.store import SPARSE_THRESHOLD, RamStore
+from repro.blockdev.store import SPARSE_THRESHOLD, CowOverlayStore
 from repro.errors import (
     BadBlockSizeError,
     DeviceClosedError,
     OutOfRangeError,
 )
+from tests.oracles.flat_store import FlatStore
 from tests.oracles.per_block import per_block_baseline
 
 BS = 4096
@@ -157,8 +158,8 @@ class TestRAMBlockDevice:
 
 class TestSparseRAMDevice:
     def test_sparse_semantics_match_dense(self):
-        dense = RAMBlockDevice(16)
-        sparse = RAMBlockDevice(16, store=RamStore(16, BS, sparse=True))
+        dense = RAMBlockDevice(16, store=FlatStore(16, BS))
+        sparse = RAMBlockDevice(16)
         for dev in (dense, sparse):
             dev.write_block(3, block(3))
             dev.write_block(9, block(9))
@@ -166,11 +167,13 @@ class TestSparseRAMDevice:
         for i in range(16):
             assert dense.read_block(i) == sparse.read_block(i)
 
-    def test_size_picks_sparse_store(self):
+    def test_sparse_is_a_size_rule_on_one_store(self):
+        # the size only tells bulk passes whether to materialize content;
+        # every device keeps its bytes in the same copy-on-write store
         at = RAMBlockDevice(SPARSE_THRESHOLD)
         above = RAMBlockDevice(SPARSE_THRESHOLD + 1)
-        assert not at.sparse and not at.store.sparse
-        assert above.sparse and above.store.sparse
+        assert not at.sparse and above.sparse
+        assert type(at.store) is type(above.store) is CowOverlayStore
 
     def test_huge_device_cheap(self):
         dev = RAMBlockDevice(10_000_000)
@@ -370,8 +373,8 @@ class TestExtentPath:
 
     def test_discard_restores_fill_pattern(self):
         # regression: the dense fast path used to zero instead of refilling
-        for sparse in (False, True):
-            store = RamStore(4, BS, fill=0xAB, sparse=sparse)
+        for make in (CowOverlayStore, FlatStore):
+            store = make(4, BS, fill=0xAB)
             dev = RAMBlockDevice(4, fill=0xAB, store=store)
             dev.write_block(1, block(7))
             dev.discard(1)

@@ -2,8 +2,8 @@
 
 ``docs/performance.md`` quotes the extent-vs-per-block speedups of
 ``benchmarks/results/BENCH_hotpath.json`` in its hotpath table, and the
-BlockStore results of ``benchmarks/results/BENCH_store.json`` in the
-bullets under "Pluggable BlockStore backends". Whenever a bench is re-run
+store results of ``benchmarks/results/BENCH_store.json`` in the
+bullets under "The copy-on-write store". Whenever a bench is re-run
 and its payload committed, the docs must be updated with it: every quoted
 number has to equal the committed value rounded to the precision the doc
 quotes (``~11x`` to the integer, ``~1.7x`` to one decimal).
@@ -66,7 +66,7 @@ _STORE_QUOTES = {
 
 
 def _store_bullets():
-    """Bullet title -> its text, for the BlockStore results list."""
+    """Bullet title -> its text, for the store results list."""
     text = PERFORMANCE_MD.read_text()
     start = text.index("Representative numbers from the committed baseline:")
     end = text.index("## Reading `BENCH_hotpath.json`")

@@ -11,7 +11,7 @@ require bit-exact agreement.
 The NumPy sites underneath (allocators, thin bitmap, wide XOR) are pinned
 one by one against their plain-Python oracles in ``tests/test_oracles.py``;
 this battery covers their composition along the two I/O paths and, at the
-end, across the BlockStore backends.
+end, between the shipped copy-on-write store and its flat reference.
 """
 
 from unittest import mock
@@ -23,7 +23,6 @@ from repro.blockdev import (
     EMMCDevice,
     LatencyModel,
     RAMBlockDevice,
-    RamStore,
     SimClock,
     capture,
 )
@@ -37,6 +36,7 @@ from repro.dm.thin import ThinPool
 from repro.dm.thin.pool import ThinCosts
 from repro.errors import PowerCutError, TransientIOError
 from repro.fs.ext4 import Ext4Filesystem
+from tests.oracles.flat_store import FlatStore
 from tests.oracles.per_block import per_block_baseline
 
 BS = 4096
@@ -50,11 +50,10 @@ def _payload(tag: int, count: int) -> bytes:
     return bytes([(tag * 37 + i) % 251 for i in range(BS)]) * count
 
 
-#: The BlockStore backends under test, each as a factory of a store
-#: instance for an ``n``-block device.
+#: The stores under test, each as a factory of a store instance for an
+#: ``n``-block device: the flat reference and the shipped CoW store.
 STORES = (
-    ("ram", lambda n: RamStore(n, BS)),
-    ("ram-sparse", lambda n: RamStore(n, BS, sparse=True)),
+    ("flat", lambda n: FlatStore(n, BS)),
     ("cow", lambda n: CowOverlayStore(n, BS)),
 )
 
@@ -381,19 +380,19 @@ def test_faulty_interleaving_equivalence(seed, ops, cut_after, error_rate):
 
 
 # ---------------------------------------------------------------------------
-# BlockStore backends: dense RAM, sparse RAM and CoW must be unobservable
+# The store: CoW and the flat reference must be indistinguishable
 # ---------------------------------------------------------------------------
 #
-# The store is a pure byte container below the extent IR; swapping it must
-# leave every observable — returned reads, device images, simulated clocks,
-# IOStats, RNG draw order — bit-identical. These legs run the same stacks
-# as above over every entry of STORES.
+# The store is a pure byte container below the extent IR; the shipped CoW
+# store must leave every observable — returned reads, device images,
+# simulated clocks, IOStats, RNG draw order — bit-identical to the flat
+# reference. These legs run the same stacks as above over both STORES.
 
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 10_000), ops=op_lists)
 def test_block_stack_store_equivalence(seed, ops):
-    """crypt-thin-eMMC over every BlockStore backend."""
+    """crypt-thin-eMMC over the CoW store and the flat reference."""
     legs = []
     for name, store in STORES:
         stack = _build_block_stack(seed, store=store)
@@ -412,12 +411,12 @@ def test_block_stack_store_equivalence(seed, ops):
     error_rate=st.sampled_from([0.0, 0.2]),
 )
 def test_faulty_store_equivalence(seed, ops, cut_after, error_rate):
-    """Armed fault plans land identically on every store backend.
+    """Armed fault plans land identically on both stores.
 
     Transient errors, power cuts and torn writes are drawn per block from
-    the plan RNG; the backend under the medium must not shift a single
+    the plan RNG; the store under the medium must not shift a single
     draw, so every outcome (including torn-write contents and power-cut
-    write counters) agrees bit-exactly across backends.
+    write counters) agrees bit-exactly across the two.
     """
     legs = []
     for name, store in STORES:
@@ -445,10 +444,8 @@ def _pde_session_signature(leg: str):
 
     Mirrors the server's lifecycle ops (the same call sequence
     ``ServerDevice`` makes), so this covers the crash/attach boots the
-    daemon relies on, per store backend. The phone picks its own media:
-    ``cow`` asks for the daemon's CoW partitions, and ``ram-sparse``
-    drops the sparse threshold so every partition gets a sparse RAM
-    store.
+    daemon relies on. The ``flat`` leg builds every partition of the
+    phone on the flat reference store in place of the shipped CoW store.
     """
     from repro.android.framework import PhoneState
     from repro.android.phone import Phone
@@ -456,10 +453,10 @@ def _pde_session_signature(leg: str):
     from repro.core.system import MobiCealSystem
 
     config = MobiCealConfig(num_volumes=4)
-    threshold = 0 if leg == "ram-sparse" else device_module.SPARSE_THRESHOLD
-    with mock.patch.object(device_module, "SPARSE_THRESHOLD", threshold):
-        phone = Phone(seed=13, cow=leg == "cow")
-    assert phone.userdata.store.sparse == (leg != "ram")
+    store = {"flat": FlatStore, "cow": CowOverlayStore}[leg]
+    with mock.patch.object(device_module, "CowOverlayStore", store):
+        phone = Phone(seed=13)
+    assert type(phone.userdata.store) is store
     system = MobiCealSystem(phone, config)
     phone.framework.power_on()
     system.initialize("decoy", hidden_passwords=("hidden",))
@@ -488,12 +485,12 @@ def _pde_session_signature(leg: str):
 
 
 def test_crash_attach_boot_store_equivalence():
-    """Crash + attach + recovery boot is backend-invariant.
+    """Crash + attach + recovery boot is store-invariant.
 
     The end-of-session raw-byte store digest, the snapshot's manifest
-    digest and the final simulated clock must agree across all three
-    backends — including the CoW leg, whose capture comes from
-    ``freeze_image()`` rather than the peek scan.
+    digest and the final simulated clock must agree between the CoW
+    store, whose capture comes from ``freeze_image()``, and the flat
+    reference, whose capture is the peek scan.
     """
     legs = [(name, _pde_session_signature(name)) for name, _ in STORES]
     for name, sig in legs[1:]:

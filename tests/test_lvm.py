@@ -104,3 +104,27 @@ class TestVolumeGroup:
         vg.create_lv("lv0", 8)
         report = vg.report()
         assert "VG vg" in report and "LV lv0" in report
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="LogicalVolume.open() maps one linear segment per extent and a "
+    "dm flush visits every segment, so the data LV flushes the eMMC once "
+    "per extent (62 times here); lvcreate would map one merged segment",
+)
+def test_pool_flush_reaches_the_emmc_once_per_lv_flush():
+    """On an mc-p stack, ``pool.flush()`` flushes the data LV once and the
+    metadata LV at the commit's two barriers; each should cost one eMMC
+    flush (60 µs on the Nexus 4 profile), not one per LV extent."""
+    from repro.bench.stacks import build_fig4_stack
+
+    stack = build_fig4_stack("mc-p", seed=0, userdata_blocks=16384)
+    pool = stack.system.pool
+    devices = (stack.phone.userdata, pool.data_device, pool._store.device)
+    before = [device.stats.flushes for device in devices]
+    pool.flush()
+    emmc, data_lv, meta_lv = (
+        device.stats.flushes - b for device, b in zip(devices, before)
+    )
+    assert (data_lv, meta_lv) == (1, 2)
+    assert emmc == data_lv + meta_lv

@@ -1,23 +1,25 @@
-"""BlockStore backends and the checkpoints built on them.
+"""The copy-on-write store and the checkpoints built on it.
 
-Three layers under test: the :class:`~repro.blockdev.store.BlockStore`
-contract itself (every backend must be bit-identical at the interface),
-the snapshot capture path on top (frozen CoW captures must be
-indistinguishable from the legacy peek-scan interner), and the fleet
-store's atomic multi-medium checkpoint (a daemon killed between rows must
-never leave a torn image behind).
+Three layers under test: the store's extent contract itself (bit-identical
+to the flat reference in ``tests/oracles/flat_store.py``), the snapshot
+capture path on top (frozen CoW captures must be indistinguishable from
+the peek-scan interner), and the fleet store's atomic multi-medium
+checkpoint (a daemon killed between rows must never leave a torn image
+behind).
 """
 
 import sqlite3
+import tracemalloc
 
 import pytest
 
+from repro.android.phone import Phone
+from repro.android.profiles import NEXUS4
 from repro.blockdev import (
     CowOverlayStore,
     EMMCDevice,
     FrozenImage,
     RAMBlockDevice,
-    RamStore,
 )
 from repro.blockdev.snapshot import Snapshot, capture, diff, restore
 from repro.errors import NoSuchDeviceError, ServerError
@@ -29,14 +31,15 @@ from repro.server.store import (
     pack_manifest,
     unpack_manifest,
 )
+from tests.oracles.flat_store import FlatStore
 
 BS = 512
 N = 64
 
-#: The BlockStore backends under test: name -> factory(num_blocks, fill).
+#: The stores under test: name -> factory(num_blocks, fill). ``ram`` is
+#: the flat in-memory reference; ``cow`` is the store every device ships on.
 STORES = {
-    "ram": lambda n, fill=0: RamStore(n, BS, fill=fill),
-    "ram-sparse": lambda n, fill=0: RamStore(n, BS, fill=fill, sparse=True),
+    "ram": lambda n, fill=0: FlatStore(n, BS, fill=fill),
     "cow": lambda n, fill=0: CowOverlayStore(n, BS, fill=fill),
 }
 
@@ -62,7 +65,7 @@ def _rows(db, table):
 
 
 # ---------------------------------------------------------------------------
-# The BlockStore contract, per backend
+# The store contract: the shipped store and its reference
 # ---------------------------------------------------------------------------
 
 
@@ -106,7 +109,7 @@ class TestStoreContract:
 
 
 def test_device_rejects_mismatched_store_geometry():
-    store = RamStore(N, BS)
+    store = CowOverlayStore(N, BS)
     with pytest.raises(ValueError, match="geometry"):
         RAMBlockDevice(N + 1, block_size=BS, store=store)
     with pytest.raises(ValueError, match="geometry"):
@@ -117,8 +120,10 @@ def test_device_rejects_store_with_other_fill():
     # a ready store's fill must agree with the device's, or never-written
     # blocks would silently read back as the store's pattern
     with pytest.raises(ValueError, match="fill"):
-        RAMBlockDevice(4, fill=0xAB, store=RamStore(4, 4096))
-    device = RAMBlockDevice(4, fill=0xAB, store=RamStore(4, 4096, fill=0xAB))
+        RAMBlockDevice(4, fill=0xAB, store=CowOverlayStore(4, 4096))
+    device = RAMBlockDevice(
+        4, fill=0xAB, store=CowOverlayStore(4, 4096, fill=0xAB)
+    )
     assert device.read_block(0) == bytes([0xAB]) * 4096
 
 
@@ -193,6 +198,16 @@ class TestCowOverlay:
         image = store.freeze()
         assert image.blocks[2] is image.blocks[40]
 
+    def test_fresh_store_holds_only_written_blocks(self):
+        # no base until the first freeze: a phone-scale store costs its
+        # writes, and fill writes (discards, zeroing) on it cost nothing
+        store = CowOverlayStore(10_000_000, BS)
+        store.write_extent(9_999_998, _block(1) + _block(2))
+        store.write_extent(5, b"\x00" * BS * 3)
+        store.discard_extent(9_999_999, 1)
+        assert store.dirty_blocks == 1
+        assert store.read_extent(9_999_998, 2) == _block(1) + b"\x00" * BS
+
     def test_base_geometry_validated(self):
         base = CowOverlayStore(N, BS).freeze()
         with pytest.raises(ValueError, match="geometry"):
@@ -202,7 +217,33 @@ class TestCowOverlay:
 
 
 # ---------------------------------------------------------------------------
-# Snapshot capture: frozen CoW path vs the legacy peek-scan interner
+# Fresh media cost what they hold
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "userdata_blocks, budget_mib",
+    [(16384, 8), (NEXUS4.userdata_blocks, 4)],
+    ids=["16384", "nexus4"],
+)
+def test_phone_construction_allocates_only_what_it_holds(
+    userdata_blocks, budget_mib
+):
+    """A factory-fresh phone allocates no per-block state: no dense
+    buffer (64 MiB for 16384 blocks) and no materialized base image
+    (two 3.4M-entry tuples for a Nexus 4 userdata)."""
+    tracemalloc.start()
+    try:
+        phone = Phone(seed=0, userdata_blocks=userdata_blocks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert phone.userdata.num_blocks == userdata_blocks
+    assert peak < budget_mib * 2**20, peak
+
+
+# ---------------------------------------------------------------------------
+# Snapshot capture: frozen CoW path vs the peek-scan interner
 # ---------------------------------------------------------------------------
 
 
