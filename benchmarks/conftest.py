@@ -15,8 +15,9 @@ from repro.obs import write_bench_json
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-# the hotpath and store benches time the per-block cost oracle, which
-# lives with the other test oracles in tests/oracles/
+# the hotpath bench times the per-block cost oracle and the store bench
+# the flat reference store; both live with the test oracles in
+# tests/oracles/
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
 

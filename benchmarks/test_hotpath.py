@@ -5,7 +5,9 @@ measures how fast the simulator itself moves blocks, which is what bounds
 trace length at fixed wall-clock budget (Sec. VI-scale experiments). Each
 scenario drives the same operation stream through the extent path and
 through the legacy per-block decomposition (the ``per_block_baseline``
-test oracle in ``tests/oracles/per_block.py``) and reports wall-clock blocks-simulated-per-second for both.
+test oracle in ``tests/oracles/per_block.py``) and reports wall-clock
+blocks-simulated-per-second for both. The two paths run in paired,
+interleaved rounds and the bars gate the median per-round ratio.
 
 Fidelity first: both paths must land on the identical simulated clock —
 asserted here for every scenario — so the speedup is free.
@@ -15,6 +17,7 @@ wall-clock measurements and is therefore machine-dependent: CI runs this
 bench as a smoke test but excludes the file from the byte-drift check.
 """
 
+import statistics
 import time
 
 from repro.blockdev import EMMCDevice, LatencyModel, RAMBlockDevice, SimClock
@@ -26,7 +29,7 @@ from tests.oracles.per_block import per_block_baseline
 
 BS = 4096
 EXTENT_BLOCKS = 64
-ROUNDS = 40
+ROUNDS = 100
 PAYLOAD = b"\x5a" * (BS * EXTENT_BLOCKS)
 
 #: The acceptance bar for the headline microbench (64-block sequential
@@ -72,9 +75,9 @@ def _scenario_crypt_seq_write():
 
 
 def _scenario_crypt_seq_write_cold():
-    # Same stack, but the keystream cache is dropped before every round,
-    # so this row prices the cache-miss path (first touch of an extent)
-    # honestly instead of letting best-of-N settle on warm rounds.
+    # Same stack, but the keystream cache is dropped before every call
+    # (the untimed warm-up included), so this row prices the cache-miss
+    # path: the first touch of an extent.
     clock = SimClock()
     emmc = EMMCDevice(2 * EXTENT_BLOCKS, clock=clock, latency=LatencyModel())
     crypt = create_crypt_device(
@@ -111,37 +114,59 @@ SCENARIOS = [
 ]
 
 
-def _best_of(op, rounds: int) -> float:
-    """Best-of-N wall time for one invocation of *op* (noise floor)."""
-    best = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        op()
-        best = min(best, time.perf_counter() - t0)
-    return best
+def _timed(op) -> float:
+    """Wall time of one call of *op*, after one untimed call.
+
+    The untimed call refills the CPU caches the other path's call just
+    evicted, so each path is timed warm, as it runs in a long sequence.
+    """
+    op()
+    t0 = time.perf_counter()
+    op()
+    return time.perf_counter() - t0
 
 
 def _measure(build, blocks_per_op: int):
-    clock_fast, op_fast = build()
-    fast_s = _best_of(op_fast, ROUNDS)
-    sim_fast = clock_fast.now
+    """Paired rounds: each round times both paths back to back.
 
+    The two paths alternate which goes first, and the per-block oracle is
+    entered only around its own call, so a load change on the machine
+    lands on both sides of a round's ratio instead of on one path's whole
+    timing window. The speedup is the median of the per-round ratios;
+    the wall times are each path's median round.
+    """
+    clock_fast, op_fast = build()
     clock_slow, op_slow = build()
-    with per_block_baseline():
-        slow_s = _best_of(op_slow, ROUNDS)
-        sim_slow = clock_slow.now
+
+    def slow():
+        with per_block_baseline():
+            op_slow()
+
+    fast_times, slow_times, ratios = [], [], []
+    for i in range(ROUNDS):
+        if i % 2:
+            slow_s = _timed(slow)
+            fast_s = _timed(op_fast)
+        else:
+            fast_s = _timed(op_fast)
+            slow_s = _timed(slow)
+        fast_times.append(fast_s)
+        slow_times.append(slow_s)
+        ratios.append(slow_s / fast_s)
 
     # the whole point of the fast path: wall time drops, simulated
     # time (same ops, same order, same floats) does not move at all
-    assert sim_fast == sim_slow, (sim_fast, sim_slow)
+    assert clock_fast.now == clock_slow.now, (clock_fast.now, clock_slow.now)
 
+    fast_s = statistics.median(fast_times)
+    slow_s = statistics.median(slow_times)
     return {
         "blocks_per_op": blocks_per_op,
         "extent_wall_s": fast_s,
         "per_block_wall_s": slow_s,
         "extent_blocks_per_s": blocks_per_op / fast_s,
         "per_block_blocks_per_s": blocks_per_op / slow_s,
-        "speedup": slow_s / fast_s,
+        "speedup": statistics.median(ratios),
     }
 
 

@@ -1,6 +1,6 @@
-"""Store costs — checkpoint wall-clock and the extent hotpath.
+"""Store costs — checkpoint wall-clock.
 
-Three scenarios back the store's acceptance criteria:
+Two scenarios back the store's acceptance criteria:
 
 * ``cow_checkpoint`` — checkpointing a 1 %-dirty device through
   :class:`CowOverlayStore.freeze` must beat the full capture-and-re-hash
@@ -14,9 +14,9 @@ Three scenarios back the store's acceptance criteria:
   rewrites only the chunk rows holding them; at 1 % scattered dirt about
   half the 64-LBA chunk rows still change, and the new blocks' bytes cost
   both legs the same, which bounds the ratio.
-* ``hotpath_ram`` — the extent fast path's headline speedup on the
-  store every device ships on, so the store never erodes the hotpath
-  bars.
+
+The extent hotpath's bars run on the same store (every device ships on
+it) and live in ``test_hotpath.py``.
 
 Like ``BENCH_hotpath.json``, ``BENCH_store.json`` records wall-clock
 measurements: machine-dependent, excluded from CI's
@@ -27,17 +27,10 @@ one-sided loose bands plus the METRIC_FLOORS hard minimums.
 import tempfile
 import time
 
-from repro.blockdev import (
-    EMMCDevice,
-    LatencyModel,
-    RAMBlockDevice,
-    SimClock,
-    capture,
-)
+from repro.blockdev import RAMBlockDevice, capture
 from repro.crypto.rng import Rng
 from repro.server import FleetStore
 from tests.oracles.flat_store import FlatStore
-from tests.oracles.per_block import per_block_baseline
 
 BS = 4096
 
@@ -51,10 +44,6 @@ COW_CHECKPOINT_MIN_SPEEDUP = 10.0
 
 #: Acceptance: delta vs full-manifest FleetStore.checkpoint at 1 % dirty.
 FLEET_CHECKPOINT_MIN_SPEEDUP = 1.25
-
-#: Acceptance: extent-path speedup on the shipped store (same bar as
-#: hotpath).
-SEQ_WRITE_MIN_SPEEDUP = 3.0
 
 
 def _cow_device() -> RAMBlockDevice:
@@ -172,59 +161,15 @@ def _measure_fleet_checkpoint():
     }
 
 
-# ---------------------------------------------------------------------------
-# (b) the hotpath bar on the shipped store
-# ---------------------------------------------------------------------------
-
-
-def _best_of(op, rounds: int) -> float:
-    best = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        op()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def _ram_scenario(blocks: int = 64):
-    clock = SimClock()
-    device = EMMCDevice(2 * blocks, clock=clock, latency=LatencyModel())
-    payload = b"\x5a" * (BS * blocks)
-    return clock, lambda: device.write_blocks(0, payload)
-
-
-def _measure_ram_hotpath(blocks: int = 64, rounds: int = 40):
-    clock_fast, op_fast = _ram_scenario(blocks)
-    fast_s = _best_of(op_fast, rounds)
-    sim_fast = clock_fast.now
-
-    clock_slow, op_slow = _ram_scenario(blocks)
-    with per_block_baseline():
-        slow_s = _best_of(op_slow, rounds)
-        sim_slow = clock_slow.now
-
-    assert sim_fast == sim_slow, (sim_fast, sim_slow)
-    return {
-        "blocks_per_op": blocks,
-        "extent_wall_s": fast_s,
-        "per_block_wall_s": slow_s,
-        "extent_blocks_per_s": blocks / fast_s,
-        "per_block_blocks_per_s": blocks / slow_s,
-        "speedup": slow_s / fast_s,
-    }
-
-
 def test_store_backends(benchmark, save_result, save_json):
-    """CoW + fleet checkpoint speedups, the extent hotpath."""
-    checkpoint = _measure_checkpoint()
+    """CoW and fleet checkpoint speedups."""
+    checkpoint = benchmark.pedantic(
+        _measure_checkpoint, rounds=1, iterations=1
+    )
     fleet = _measure_fleet_checkpoint()
-    hotpath = _measure_ram_hotpath()
-
-    clock, op = _ram_scenario()
-    benchmark.pedantic(op, rounds=10, iterations=1)
 
     lines = [
-        "Store: checkpoint cost and the extent hotpath",
+        "Store: checkpoint cost",
         "",
         f"CoW checkpoint, {checkpoint['dirty_blocks']} dirty of "
         f"{checkpoint['device_blocks']} blocks (1%)",
@@ -239,18 +184,11 @@ def test_store_backends(benchmark, save_result, save_json):
         f"  full manifest:      {fleet['full_manifest_s'] * 1e3:8.2f} ms",
         f"  speedup:            {fleet['speedup']:8.1f}x "
         f"(bound {FLEET_CHECKPOINT_MIN_SPEEDUP:.2f}x)",
-        "",
-        "Extent hotpath on the shipped store (64-block sequential eMMC write)",
-        f"  extent:    {hotpath['extent_blocks_per_s']:>12.0f} blocks/s",
-        f"  per-block: {hotpath['per_block_blocks_per_s']:>12.0f} blocks/s",
-        f"  speedup:   {hotpath['speedup']:>11.1f}x "
-        f"(bound {SEQ_WRITE_MIN_SPEEDUP:.0f}x)",
     ]
     save_result("store", "\n".join(lines))
     save_json("store", {
         "cow_checkpoint": checkpoint,
         "fleet_checkpoint": fleet,
-        "hotpath_ram": {"emmc_seq_write": hotpath},
     })
     benchmark.extra_info["cow_checkpoint_speedup"] = round(
         checkpoint["speedup"], 1
@@ -262,4 +200,3 @@ def test_store_backends(benchmark, save_result, save_json):
     # acceptance bars (also enforced as METRIC_FLOORS by bench compare)
     assert checkpoint["speedup"] >= COW_CHECKPOINT_MIN_SPEEDUP, checkpoint
     assert fleet["speedup"] >= FLEET_CHECKPOINT_MIN_SPEEDUP, fleet
-    assert hotpath["speedup"] >= SEQ_WRITE_MIN_SPEEDUP, hotpath

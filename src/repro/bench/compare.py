@@ -1,41 +1,23 @@
-"""Bench-history regression harness.
+"""Bench regression gate: compare two directories of BENCH payloads.
 
-Two pieces:
-
-* **History**: :func:`append_history` folds a ``BENCH_<experiment>.json``
-  payload into ``benchmarks/results/history.jsonl`` — one JSON line per
-  (experiment, seed, git SHA) with the flattened numeric results. The
-  records carry no wall-clock timestamps; identity is the schema version,
-  the experiment's seed and the commit (``REPRO_GIT_SHA`` in CI), so
-  re-appending an unchanged payload is a no-op and the file never
-  accumulates duplicates.
-
-* **Compare**: :func:`compare_dirs` diffs two directories of BENCH files
-  metric by metric under per-experiment tolerance bands. Deterministic
-  sim-clock experiments must reproduce essentially bit-for-bit (tight
-  band); wall-clock measurements (the hotpath microbench) swing with
-  machine load and get a loose band. ``repro bench compare`` exits
-  non-zero when any metric leaves its band, which is the CI regression
-  gate.
+:func:`compare_dirs` diffs two directories of BENCH files metric by
+metric under per-experiment tolerance bands. Deterministic sim-clock
+experiments must reproduce essentially bit-for-bit (tight band);
+wall-clock measurements (the hotpath and store microbenches) swing with
+machine load and get a loose band. ``repro bench compare`` exits non-zero
+when any metric leaves its band, which is the CI regression gate. The
+git log of the committed BENCH files is the trajectory of each number.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import pathlib
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional
 
 from repro.errors import BenchError
-from repro.obs import SCHEMA_VERSION
-
-#: One JSON record per line; lives next to the BENCH files it summarizes.
-HISTORY_FILE = "history.jsonl"
-
-#: Version of the history record layout (independent of the BENCH schema).
-HISTORY_SCHEMA_VERSION = 1
 
 #: Relative band for deterministic sim-clock experiments: regeneration at
 #: the same seed must reproduce the numbers exactly, so anything beyond
@@ -66,13 +48,11 @@ METRIC_FLOORS: Mapping[str, Mapping[str, float]] = {
         "scenarios.emmc_seq_write.speedup": 3.0,
     },
     # Store acceptance bars: the CoW overlay checkpoint must stay an
-    # order of magnitude ahead of a full re-intern at 1% dirty, the fleet
-    # store's delta checkpoint ahead of a full manifest rewrite, and the
-    # extent hotpath on the shipped store must keep the eMMC bar.
+    # order of magnitude ahead of a full re-intern at 1% dirty, and the
+    # fleet store's delta checkpoint ahead of a full manifest rewrite.
     "store": {
         "cow_checkpoint.speedup": 10.0,
         "fleet_checkpoint.speedup": 1.25,
-        "hotpath_ram.emmc_seq_write.speedup": 3.0,
     },
 }
 
@@ -134,101 +114,6 @@ def experiment_metrics(payload: Mapping[str, object]) -> Dict[str, float]:
     """
     results = payload.get("results", payload)
     return flatten_numeric(results)
-
-
-# ---------------------------------------------------------------------------
-# History
-# ---------------------------------------------------------------------------
-
-
-def _local_git_sha() -> str:
-    """The working tree's short commit id, or ``"unknown"``.
-
-    Used when ``REPRO_GIT_SHA`` isn't set (i.e. outside CI): local bench
-    history records still attribute runs to commits. Any failure — no git
-    binary, not a repository, timeout — degrades to ``"unknown"`` rather
-    than erroring, because history is bookkeeping, not a gate.
-    """
-    import subprocess
-
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    sha = proc.stdout.strip()
-    if proc.returncode != 0 or not sha:
-        return "unknown"
-    return sha
-
-
-def history_record(
-    payload: Mapping[str, object],
-    experiment: Optional[str] = None,
-    git_sha: Optional[str] = None,
-) -> Dict[str, object]:
-    """One ``history.jsonl`` record for a BENCH payload.
-
-    Deterministic by construction: the record is keyed by schema version,
-    seed and commit, never by wall-clock time. *git_sha* defaults to the
-    ``REPRO_GIT_SHA`` environment variable (set by CI), then the working
-    tree's ``git rev-parse --short HEAD``, then ``"unknown"`` outside a
-    repository.
-    """
-    if experiment is None:
-        experiment = str(payload.get("experiment", "unknown"))
-    if git_sha is None:
-        git_sha = os.environ.get("REPRO_GIT_SHA")
-    if git_sha is None:
-        git_sha = _local_git_sha()
-    params = payload.get("params")
-    seed = params.get("seed") if isinstance(params, Mapping) else None
-    return {
-        "history_schema": HISTORY_SCHEMA_VERSION,
-        "schema_version": payload.get("schema_version", SCHEMA_VERSION),
-        "experiment": experiment,
-        "seed": seed,
-        "git_sha": git_sha,
-        "metrics": experiment_metrics(payload),
-    }
-
-
-def load_history(directory) -> List[Dict[str, object]]:
-    """All records of ``history.jsonl`` under *directory* (may be empty)."""
-    path = pathlib.Path(directory) / HISTORY_FILE
-    if not path.exists():
-        return []
-    records = []
-    for line in path.read_text().splitlines():
-        if line.strip():
-            records.append(json.loads(line))
-    return records
-
-
-def append_history(
-    directory,
-    payload: Mapping[str, object],
-    experiment: Optional[str] = None,
-    git_sha: Optional[str] = None,
-) -> bool:
-    """Append *payload*'s history record under *directory*; dedupe.
-
-    Returns ``True`` if a record was appended, ``False`` if an identical
-    record (same experiment/seed/sha/metrics) is already present.
-    """
-    record = history_record(payload, experiment=experiment, git_sha=git_sha)
-    existing = load_history(directory)
-    if record in existing:
-        return False
-    out_dir = pathlib.Path(directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / HISTORY_FILE).open("a") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
-    return True
 
 
 # ---------------------------------------------------------------------------

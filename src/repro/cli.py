@@ -17,7 +17,6 @@ Usage::
     python -m repro metrics
     python -m repro profile [--workload NAME] [--wall] [--out DIR]
     python -m repro flame [--workload NAME] [--out FILE]
-    python -m repro bench history [--results-dir DIR]
     python -m repro bench compare --baseline DIR [--current DIR]
     python -m repro all
 
@@ -31,10 +30,9 @@ under observation and print the span tree / metric tables; ``trace
 --format chrome`` exports the same session as a Chrome trace-event JSON
 for ui.perfetto.dev. ``profile`` and ``flame`` run a deep-instrumented
 session or personality workload and emit per-layer time attribution /
-folded flamegraph stacks. ``bench history`` folds BENCH payloads into
-``history.jsonl``; ``bench compare`` diffs two results directories under
-per-experiment tolerance bands and exits non-zero on regression. The
-workload commands drive app-shaped traffic (``repro workload`` records a
+folded flamegraph stacks. ``bench compare`` diffs two results directories
+under per-experiment tolerance bands and exits non-zero on regression.
+The workload commands drive app-shaped traffic (``repro workload`` records a
 trace, ``repro replay`` re-drives one on any stack, ``repro fleet`` runs
 N simulated phones in parallel); see docs/workloads.md. Commands building
 small stacks directly share the ``--userdata-mib`` flag for the simulated
@@ -469,30 +467,8 @@ def _cmd_flame(args: argparse.Namespace) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Bench-history commands: bench history / bench compare
+# Bench regression gate: bench compare
 # ---------------------------------------------------------------------------
-
-
-def _cmd_bench_history(args: argparse.Namespace) -> None:
-    from repro.bench import append_history
-
-    results_dir = pathlib.Path(args.results_dir)
-    bench_files = sorted(results_dir.glob("BENCH_*.json"))
-    if not bench_files:
-        raise SystemExit(
-            f"repro bench history: no BENCH_*.json under {results_dir}"
-        )
-    appended = 0
-    for path in bench_files:
-        payload = json.loads(path.read_text())
-        experiment = path.stem[len("BENCH_"):]
-        if append_history(results_dir, payload, experiment=experiment):
-            appended += 1
-    print(
-        f"history: {appended} new record(s), "
-        f"{len(bench_files) - appended} unchanged "
-        f"({results_dir / 'history.jsonl'})"
-    )
 
 
 def _cmd_bench_compare(args: argparse.Namespace) -> None:
@@ -1046,17 +1022,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_flame)
 
-    p = sub.add_parser("bench", help="bench-history regression utilities")
+    p = sub.add_parser("bench", help="bench regression gate")
     bench_sub = p.add_subparsers(dest="bench_command", required=True)
-    pb = bench_sub.add_parser(
-        "history",
-        help="fold BENCH_*.json payloads into history.jsonl (deduped)",
-    )
-    pb.add_argument(
-        "--results-dir", default="benchmarks/results",
-        help="directory holding the BENCH files and the history",
-    )
-    pb.set_defaults(func=_cmd_bench_history)
     pb = bench_sub.add_parser(
         "compare",
         help="diff two BENCH directories under per-experiment tolerance "

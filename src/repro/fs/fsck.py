@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set
 
+from repro.errors import FileNotFoundInFS
 from repro.fs.ext4 import MODE_DIR, MODE_FILE, Ext4Filesystem
 
 
@@ -34,7 +35,11 @@ def fsck_ext4(fs: Ext4Filesystem) -> List[str]:
             issues.append(f"inode {inode_number} reached twice (at {path})")
             return
         reachable_inodes.add(inode_number)
-        inode = fs._load_inode(inode_number)
+        try:
+            inode = fs._load_inode(inode_number)
+        except FileNotFoundInFS:
+            issues.append(f"entry {path} names free inode {inode_number}")
+            return
         if inode.mode not in (MODE_FILE, MODE_DIR):
             issues.append(f"inode {inode_number} has bad mode {inode.mode}")
             return

@@ -1,20 +1,16 @@
-"""Tests for the bench-history regression harness (repro.bench.history)."""
+"""Tests for the bench regression gate (repro.bench.compare)."""
 
 import json
 
 import pytest
 
-from repro.bench.history import (
-    HISTORY_FILE,
+from repro.bench.compare import (
     LOOSE_TOLERANCE,
     TIGHT_TOLERANCE,
-    append_history,
     compare_dirs,
     compare_payloads,
     experiment_metrics,
     flatten_numeric,
-    history_record,
-    load_history,
     render_compare,
     tolerance_for,
 )
@@ -56,73 +52,6 @@ class TestFlatten:
         # BENCH_hotpath.json has no results wrapper
         metrics = experiment_metrics({"rounds": 40, "scenarios": {"a": 1.5}})
         assert metrics == {"rounds": 40.0, "scenarios.a": 1.5}
-
-
-class TestHistory:
-    def test_record_carries_schema_seed_and_sha(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GIT_SHA", "abc123")
-        record = history_record(_payload())
-        assert record["schema_version"] == SCHEMA_VERSION
-        assert record["experiment"] == "fig4"
-        assert record["seed"] == 7
-        assert record["git_sha"] == "abc123"
-        assert record["metrics"]["mc-p.write.mean"] == 12.5
-        # wall-clock keys must never appear
-        assert not any("wall" in key for key in record)
-
-    def test_sha_falls_back_to_git_rev_parse(self, monkeypatch):
-        import subprocess
-
-        monkeypatch.delenv("REPRO_GIT_SHA", raising=False)
-        record = history_record(_payload())
-        expected = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True,
-        ).stdout.strip()
-        assert record["git_sha"] == expected
-        assert record["git_sha"] not in ("", None)
-
-    def test_sha_is_unknown_outside_a_repository(self, monkeypatch):
-        monkeypatch.delenv("REPRO_GIT_SHA", raising=False)
-
-        def no_git(*args, **kwargs):
-            raise FileNotFoundError("git")
-
-        monkeypatch.setattr("subprocess.run", no_git)
-        assert history_record(_payload())["git_sha"] == "unknown"
-
-    def test_sha_is_unknown_when_rev_parse_fails(self, monkeypatch):
-        monkeypatch.delenv("REPRO_GIT_SHA", raising=False)
-
-        class _Proc:
-            returncode = 128
-            stdout = ""
-
-        monkeypatch.setattr("subprocess.run", lambda *a, **k: _Proc())
-        assert history_record(_payload())["git_sha"] == "unknown"
-
-    def test_env_sha_still_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GIT_SHA", "from-ci")
-        assert history_record(_payload())["git_sha"] == "from-ci"
-
-    def test_append_and_dedupe(self, tmp_path):
-        assert append_history(tmp_path, _payload(), git_sha="s1") is True
-        assert append_history(tmp_path, _payload(), git_sha="s1") is False
-        assert append_history(tmp_path, _payload(), git_sha="s2") is True
-        assert append_history(tmp_path, _payload(mean=13.0), git_sha="s2")
-        records = load_history(tmp_path)
-        assert len(records) == 3
-        assert (tmp_path / HISTORY_FILE).exists()
-
-    def test_load_missing_history_is_empty(self, tmp_path):
-        assert load_history(tmp_path) == []
-
-    def test_cli_history_appends_per_bench_file(self, tmp_path, capsys):
-        _write_bench(tmp_path, "fig4", _payload())
-        _write_bench(tmp_path, "table1", _payload(experiment="table1"))
-        assert main(["bench", "history", "--results-dir", str(tmp_path)]) == 0
-        assert "2 new record(s)" in capsys.readouterr().out
-        assert len(load_history(tmp_path)) == 2
 
 
 class TestCompare:

@@ -25,10 +25,8 @@ class TestParser:
         assert args.stream_dir == "/tmp/spools"
         args = parser.parse_args(["replay", "some.trace"])
         assert args.command == "replay"
-        for bench_command in (["bench", "history"],
-                              ["bench", "compare", "--baseline", "x"]):
-            args = parser.parse_args(bench_command)
-            assert args.command == "bench"
+        args = parser.parse_args(["bench", "compare", "--baseline", "x"])
+        assert args.command == "bench"
 
     def test_seed_option(self):
         args = build_parser().parse_args(["--seed", "7", "table1"])

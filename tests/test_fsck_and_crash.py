@@ -7,6 +7,7 @@ from repro.blockdev import RAMBlockDevice, capture, restore
 from repro.crypto import Rng
 from repro.dm.thin import MetadataStore, ThinPool
 from repro.fs import Ext4Filesystem, fsck_ext4
+from repro.fs.ext4 import INODE_SIZE
 
 
 def make_ext4(blocks=1024):
@@ -52,6 +53,19 @@ class TestFsckClean:
         fs._free_block(block)  # bitmap says free, file still points at it
         issues = fsck_ext4(fs)
         assert any("free in bitmap" in issue for issue in issues)
+
+    def test_fsck_reports_entry_naming_a_free_inode(self):
+        fs, dev = make_ext4()
+        fs.write_file("/f", b"x" * 100)
+        fs.flush()
+        fs.unmount()
+        # corrupt: zero the file's on-disk inode, keep the directory entry
+        block, offset = fs._inode_location(2)
+        raw = bytearray(dev.read_block(block))
+        raw[offset : offset + INODE_SIZE] = bytes(INODE_SIZE)
+        dev.write_block(block, bytes(raw))
+        fs.mount()
+        assert "entry /f names free inode 2" in fsck_ext4(fs)
 
 
 @settings(max_examples=10, deadline=None)
