@@ -48,19 +48,27 @@ def xor_buffers(a: bytes, b: bytes) -> bytes:
 class Blake2Ctr:
     """Counter-mode stream cipher keyed with BLAKE2b, the one sector cipher.
 
-    Keystream units are hashed through a pre-keyed template in one tight
-    loop (:meth:`_generate_units`) shared by the per-sector and extent
-    paths, and every XOR runs on uint64 lanes (:func:`xor_buffers`). The
+    Keystream units are hashed cold in one tight loop
+    (:meth:`_generate_units`) shared by the per-sector and extent paths:
+    a unit's ``key || sector`` prefix state is compressed once, and each
+    64-byte chunk then costs one compression of its counter block. The
     extent path also memoizes units in a per-cipher cache: the keystream
     depends only on ``(key, sector, counter)``, never on the payload, so
     rewriting an extent — journal commits, hot files, bench rounds —
-    skips regeneration entirely. The per-sector path stays uncached. The
-    keystream KATs pin both paths against an independent hashlib fixture.
+    skips regeneration entirely. A streaming extent (more than
+    :attr:`_STREAM_UNITS` units) reads the cache but does not fill it,
+    so one large write does not flush the small hot units. The extent
+    keystream is assembled in one buffer and the payload XORed into it
+    in place. The per-sector path stays uncached. The keystream KATs pin
+    both paths against an independent hashlib fixture.
     """
 
     #: Cached keystream units per cipher instance (4 KiB units -> 8 MiB
     #: ceiling); the cache is cleared wholesale when it would overflow.
     _CACHE_UNITS = 2048
+    #: Extents longer than this (1 MiB of 4 KiB units) are streaming:
+    #: they use cache hits but leave their cold units out of the cache.
+    _STREAM_UNITS = _CACHE_UNITS // 8
 
     def __init__(self, key: bytes) -> None:
         if not 16 <= len(key) <= 64:
@@ -68,7 +76,7 @@ class Blake2Ctr:
                 f"Blake2Ctr key must be 16..64 bytes, got {len(key)}"
             )
         # Keyed hashers pay the key-block compression on construction;
-        # copying a pre-keyed template skips that per chunk.
+        # copying a pre-keyed template skips that per unit.
         self._template = hashlib.blake2b(key=key, digest_size=_CHUNK)
         self._ks_cache: dict = {}  # (sector, unit_bytes) -> keystream bytes
 
@@ -89,11 +97,11 @@ class Blake2Ctr:
         Each unit is addressed by the sector number of its first 512-byte
         sector: the keystream of unit ``u`` is exactly
         ``_keystream(sector + u*step, unit_bytes)``, served from the unit
-        cache and XORed in one operation, so the result is bitwise
-        identical to per-unit :meth:`encrypt_sector`. A unit shorter than
-        a sector would share its sector number, and so its keystream,
-        with its neighbour; *unit_bytes* must be a positive multiple of
-        ``SECTOR_SIZE``.
+        cache into one buffer that the payload is XORed into in place, so
+        the result is bitwise identical to per-unit :meth:`encrypt_sector`.
+        A unit shorter than a sector would share its sector number, and
+        so its keystream, with its neighbour; *unit_bytes* must be a
+        positive multiple of ``SECTOR_SIZE``.
         """
         if unit_bytes <= 0 or unit_bytes % SECTOR_SIZE != 0:
             raise ValueError(
@@ -104,47 +112,60 @@ class Blake2Ctr:
             raise ValueError(
                 f"extent length {len(data)} not a multiple of {unit_bytes}"
             )
-        ks = self._extent_keystream(
+        buf = self._extent_keystream(
             sector, len(data) // unit_bytes, unit_bytes
         )
-        return xor_buffers(data, ks)
+        # unit_bytes is a multiple of 512, so the extent is whole uint64s
+        lanes = np.frombuffer(buf, dtype=np.uint64)
+        np.bitwise_xor(lanes, np.frombuffer(data, dtype=np.uint64), out=lanes)
+        return bytes(buf)
 
     def _extent_keystream(
         self, sector: int, nunits: int, unit_bytes: int
-    ) -> bytes:
-        """Keystream for *nunits* consecutive units, cache-backed."""
+    ) -> bytearray:
+        """Keystream for *nunits* consecutive units in one fresh buffer.
+
+        Cache hits are served for any extent; cold units enter the cache
+        only for extents of at most :attr:`_STREAM_UNITS` units.
+        """
         step = unit_bytes // SECTOR_SIZE
         cache = self._ks_cache
         sectors = [sector + u * step for u in range(nunits)]
         parts = [cache.get((s, unit_bytes)) for s in sectors]
         missing = [s for s, ks in zip(sectors, parts) if ks is None]
         if missing:
-            if len(cache) + len(missing) > self._CACHE_UNITS:
-                cache.clear()
             fresh = iter(self._generate_units(missing, unit_bytes))
-            for u, (s, ks) in enumerate(zip(sectors, parts)):
-                if ks is None:
-                    parts[u] = cache[(s, unit_bytes)] = next(fresh)
-        return b"".join(parts)
+            if nunits > self._STREAM_UNITS:
+                parts = [next(fresh) if ks is None else ks for ks in parts]
+            else:
+                if len(cache) + len(missing) > self._CACHE_UNITS:
+                    cache.clear()
+                for u, (s, ks) in enumerate(zip(sectors, parts)):
+                    if ks is None:
+                        parts[u] = cache[(s, unit_bytes)] = next(fresh)
+        return bytearray().join(parts)
 
     def _generate_units(self, sectors, unit_bytes: int) -> list:
         """Generate unit keystreams cold (shared pre-keyed template).
 
-        Message construction is plain bytes concatenation: assembling the
-        ``sector || counter`` blocks as a NumPy matrix costs more than it
-        saves, because BLAKE2b compression dominates the cold path. The
-        extent path's win is the unit cache and the uint64-lane XOR, not
-        the hashing itself.
+        BLAKE2b is a streaming hash, so absorbing ``sector`` and then
+        ``counter`` hashes the same message as ``sector || counter``.
+        Each unit copies the template and absorbs its 8-byte sector
+        once, which compresses the key block; each chunk copies that
+        prefix state and absorbs only its 4-byte counter, so it costs
+        one compression, not two.
         """
         template_copy = self._template.copy
         counters = _chunk_counters(unit_bytes // _CHUNK)
         units = []
         for s in sectors:
-            prefix = s.to_bytes(8, "little")
+            prefix = template_copy()
+            prefix.update(s.to_bytes(8, "little"))
+            prefix_copy = prefix.copy
             chunks = []
             for counter in counters:
-                h = template_copy()
-                h.update(prefix + counter)
+                h = prefix_copy()
+                h.update(counter)
                 chunks.append(h.digest())
             units.append(b"".join(chunks))
         return units

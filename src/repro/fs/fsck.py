@@ -8,6 +8,7 @@ inconsistency descriptions; an empty list means the filesystem is clean.
 
 from __future__ import annotations
 
+import struct
 from typing import Dict, List, Set
 
 from repro.errors import FileNotFoundInFS
@@ -20,7 +21,8 @@ def fsck_ext4(fs: Ext4Filesystem) -> List[str]:
     Verifies that (1) every block reachable from the root is marked
     allocated exactly once, (2) no two files share a block, (3) the block
     bitmap marks nothing beyond metadata + reachable blocks, and (4) the
-    inode bitmap agrees with the set of reachable inodes.
+    inode bitmap agrees with the set of reachable inodes. A directory
+    whose entries do not parse is reported and not descended into.
     """
     issues: List[str] = []
     if not fs.mounted:
@@ -51,7 +53,14 @@ def fsck_ext4(fs: Ext4Filesystem) -> List[str]:
                 )
             block_owners[block] = inode_number
         if inode.mode == MODE_DIR:
-            for name, child in fs._read_dir_entries(inode).items():
+            try:
+                entries = fs._read_dir_entries(inode)
+            except (struct.error, ValueError):
+                issues.append(
+                    f"directory {path} (inode {inode_number}) does not parse"
+                )
+                return
+            for name, child in entries.items():
                 visit(child, f"{path.rstrip('/')}/{name}")
 
     visit(1, "/")

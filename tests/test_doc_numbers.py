@@ -11,8 +11,10 @@ is re-run and its payload committed, the docs must be regenerated from it:
 * ``EXPERIMENTS.md``: Fig. 4 (table and shape-check percentages),
   Table I, Table II and the workload-mix table against ``BENCH_fig4``,
   ``BENCH_table1``, ``BENCH_table2`` and ``BENCH_workloads``, and the
-  security-game table against ``security_game.txt``;
-* ``README.md``: the Table II boot row against ``BENCH_table2``.
+  security-game table against ``security_game.txt``, and Table I's
+  prose quote of MobiCeal's overhead;
+* ``README.md``: the Table II boot row against ``BENCH_table2`` and the
+  security-game row against ``security_game.txt``.
 """
 
 import json
@@ -237,6 +239,12 @@ def test_table1_matches_bench_payload():
         _assert_quotes(
             where, row["measured OH"], [100 * committed["overhead"]]
         )
+    _percent_quote(
+        "Table I shape",
+        _prose(_section("Table I")),
+        r"MobiCeal loses (\d+\.\d) %",
+        results["MobiCeal"]["overhead"],
+    )
     prose = _prose(_section("Calibration provenance"))
     match = re.search(r"HIVE raw SSD throughput (\d+) vs", prose)
     assert match, "Calibration provenance: HIVE raw SSD throughput"
@@ -337,3 +345,17 @@ def test_security_game_table_matches_results():
         _assert_quotes(
             f"security game {name}", advantage, [committed[name]]
         )
+
+
+def test_readme_security_game_row_matches_results():
+    committed = _security_game_rows()
+    match = re.search(
+        r"advantage (\d\.\d+) vs MobiPluto [^,]*, (\d\.\d+) vs MobiCeal",
+        README_MD.read_text(),
+    )
+    assert match, "README.md lost its security-game row"
+    _assert_quotes(
+        "README.md security-game row",
+        " ".join(match.groups()),
+        [committed["MobiPluto"], committed["MobiCeal"]],
+    )

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.blockdev import RAMBlockDevice, capture, restore
+from repro.blockdev.faults import FaultyBlockDevice
 from repro.crypto import Rng
 from repro.dm.thin import MetadataStore, ThinPool
 from repro.fs import Ext4Filesystem, fsck_ext4
 from repro.fs.ext4 import INODE_SIZE
+from repro.testing import Ext4FlushScenario, crash_sweep
 
 
 def make_ext4(blocks=1024):
@@ -66,6 +68,37 @@ class TestFsckClean:
         dev.write_block(block, bytes(raw))
         fs.mount()
         assert "entry /f names free inode 2" in fsck_ext4(fs)
+
+    def test_fsck_reports_directory_that_does_not_parse(self):
+        fs, dev = make_ext4()
+        fs.mkdir("/d")
+        fs.write_file("/d/f", b"x" * 100)
+        fs.flush()
+        inode = fs._resolve("/d")
+        fs.unmount()
+        dev.write_block(inode.direct[0], b"\xff" * 4096)
+        fs.mount()
+        issues = fsck_ext4(fs)
+        assert f"directory /d (inode {inode.number}) does not parse" in issues
+        # /d/f is not reached through the corrupt directory
+        assert any("marked in use but unreachable" in i for i in issues)
+
+    def test_unjournaled_crash_sweep_reports_corrupt_directory(self):
+        class Unjournaled(Ext4FlushScenario):
+            def build(self):
+                base = RAMBlockDevice(self.NUM_BLOCKS, 4096)
+                self.faulty = FaultyBlockDevice(base)
+                fs = Ext4Filesystem(self.faulty)
+                fs.format()
+                fs.mount()
+                fs.write_file("/durable.bin", self.DURABLE)
+                fs.flush()
+                self.fs = fs
+                self._rng = Rng(self.seed).fork("ext4-workload")
+
+        (outcome,) = crash_sweep(Unjournaled, indices=[23], seed=0).outcomes
+        assert outcome.error is None
+        assert any("does not parse" in i for i in outcome.issues)
 
 
 @settings(max_examples=10, deadline=None)

@@ -147,16 +147,63 @@ def test_cache_hits_are_identical_to_cold():
 def test_cache_eviction_never_corrupts():
     """Overflowing the unit cache drops entries, never falsifies them."""
     cipher = Blake2Ctr(KEY)
-    data = _pattern(4096)
-    expected = {
-        s: fixture_encrypt_extent(KEY, s, data, 4096) for s in range(0, 4096, 64)
-    }
-    # touch far more distinct sectors than _CACHE_UNITS can hold
-    for s in expected:
+    extent = 64  # units per extent: below the streaming threshold
+    data = _pattern(extent * 4096)
+    # 40 extents of distinct units: 2,560 units, more than the cache holds
+    sectors = [i * extent * 8 for i in range(40)]
+    assert len(sectors) * extent > Blake2Ctr._CACHE_UNITS
+    expected = {s: fixture_encrypt_extent(KEY, s, data, 4096) for s in sectors}
+    sizes = []
+    for s in sectors:
         assert cipher.encrypt_extent(s, data, 4096) == expected[s]
-    # and again, in reverse, across whatever eviction happened
-    for s in reversed(list(expected)):
+        sizes.append(len(cipher._ks_cache))
+    assert max(sizes) <= Blake2Ctr._CACHE_UNITS
+    # the cache was cleared wholesale once it would have overflowed
+    assert any(b < a for a, b in zip(sizes, sizes[1:])), sizes
+    # and again, in reverse, across the clears
+    for s in reversed(sectors):
         assert cipher.encrypt_extent(s, data, 4096) == expected[s]
+        assert len(cipher._ks_cache) <= Blake2Ctr._CACHE_UNITS
+
+
+def _counting_generator(cipher):
+    """Record the sectors *cipher* generates cold, one list per call."""
+    calls = []
+    generate = cipher._generate_units
+
+    def counted(sectors, unit_bytes):
+        calls.append(list(sectors))
+        return generate(sectors, unit_bytes)
+
+    cipher._generate_units = counted
+    return calls
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["at-threshold", "one-above"])
+def test_streaming_extent_reads_cache_but_does_not_fill_it(extra):
+    """An extent of more than ``_CACHE_UNITS // 8`` units (over 1 MiB)
+    uses cached units but adds none; one at the threshold is cached."""
+    threshold = Blake2Ctr._CACHE_UNITS // 8
+    nunits = threshold + extra
+    cipher = Blake2Ctr(KEY)
+    small = _pattern(4 * 4096)
+    cipher.encrypt_extent(16, small, 4096)  # caches units at sectors 16..40
+    warm = set(cipher._ks_cache)
+    assert len(warm) == 4
+    calls = _counting_generator(cipher)
+    data = _pattern(nunits * 4096)
+    assert cipher.encrypt_extent(0, data, 4096) == fixture_encrypt_extent(
+        KEY, 0, data, 4096
+    )
+    # the four warm units were hits, the rest generated cold
+    (generated,) = calls
+    assert len(generated) == nunits - 4
+    assert not {s for s, _ in warm} & set(generated)
+    if extra:
+        assert set(cipher._ks_cache) == warm
+    else:
+        assert len(cipher._ks_cache) == nunits
+        assert warm <= set(cipher._ks_cache)
 
 
 def test_ciphers_do_not_share_cache_across_keys():
