@@ -3,11 +3,9 @@
 from repro.adversary.forensics import (
     RANDOMNESS_ENTROPY_THRESHOLD,
     ChangeAnalysis,
-    ForensicSummary,
     analyze_changes,
     entropy_map,
     grep_snapshot,
-    summarize_snapshot,
 )
 from repro.adversary.game import (
     AccessOp,
@@ -35,11 +33,9 @@ from repro.adversary.sidechannel import LeakReport, side_channel_attack
 __all__ = [
     "RANDOMNESS_ENTROPY_THRESHOLD",
     "ChangeAnalysis",
-    "ForensicSummary",
     "analyze_changes",
     "entropy_map",
     "grep_snapshot",
-    "summarize_snapshot",
     "AccessOp",
     "ClusteredAllocationAdversary",
     "Adversary",

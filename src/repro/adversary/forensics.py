@@ -42,39 +42,6 @@ def entropy_map(snapshot: Snapshot) -> List[BlockClass]:
 
 
 @dataclass(frozen=True)
-class ForensicSummary:
-    """Aggregate forensic view of one snapshot."""
-
-    num_blocks: int
-    zero_blocks: int
-    random_blocks: int
-    structured_blocks: int
-
-    @property
-    def random_fraction(self) -> float:
-        return self.random_blocks / self.num_blocks if self.num_blocks else 0.0
-
-
-def summarize_snapshot(snapshot: Snapshot) -> ForensicSummary:
-    zero = 0
-    rnd = 0
-    structured = 0
-    for block in entropy_map(snapshot):
-        if block.is_zero:
-            zero += 1
-        elif block.looks_random:
-            rnd += 1
-        else:
-            structured += 1
-    return ForensicSummary(
-        num_blocks=snapshot.num_blocks,
-        zero_blocks=zero,
-        random_blocks=rnd,
-        structured_blocks=structured,
-    )
-
-
-@dataclass(frozen=True)
 class ChangeAnalysis:
     """Change statistics between two snapshots of the same device."""
 

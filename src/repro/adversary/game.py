@@ -30,6 +30,13 @@ from repro.crypto.rng import Rng
 
 PUBLIC_VOLUME_ID = 1
 
+#: size range of a canonical round's public write
+PUBLIC_BYTES_RANGE = (200 * 1024, 800 * 1024)
+#: size of the one hidden write world 1 adds per round
+HIDDEN_BYTES = 32 * 1024
+#: simulated time between rounds (one day)
+INTER_ROUND_GAP_S = 86400.0
+
 
 @dataclass(frozen=True)
 class AccessOp:
@@ -44,10 +51,7 @@ AccessPattern = Tuple[AccessOp, ...]
 
 
 def make_pattern_pairs(
-    rounds: int,
-    rng: Rng,
-    public_bytes_range: Tuple[int, int] = (200 * 1024, 800 * 1024),
-    hidden_bytes: int = 32 * 1024,
+    rounds: int, rng: Rng
 ) -> List[Tuple[AccessPattern, AccessPattern]]:
     """The canonical pattern pairs (public-only vs hidden+public cover).
 
@@ -56,17 +60,15 @@ def make_pattern_pairs(
     """
     pairs: List[Tuple[AccessPattern, AccessPattern]] = []
     for i in range(rounds):
-        public_bytes = rng.randint(*public_bytes_range)
+        public_bytes = rng.randint(*PUBLIC_BYTES_RANGE)
         public_op = AccessOp("public", f"/docs/report_{i}.bin", public_bytes)
-        hidden_op = AccessOp("hidden", f"/secret/evidence_{i}.bin", hidden_bytes)
+        hidden_op = AccessOp("hidden", f"/secret/evidence_{i}.bin", HIDDEN_BYTES)
         pairs.append(((public_op,), (hidden_op, public_op)))
     return pairs
 
 
 def pattern_pairs_from_trace(
-    trace_ops: Sequence[object],
-    rounds: int,
-    hidden_bytes: int = 32 * 1024,
+    trace_ops: Sequence[object], rounds: int
 ) -> List[Tuple[AccessPattern, AccessPattern]]:
     """Pattern pairs whose public cover traffic is a recorded workload.
 
@@ -80,7 +82,7 @@ def pattern_pairs_from_trace(
 
     The security model's restriction holds by construction: both patterns
     of a pair share the identical public operations; world 1 prepends one
-    hidden write of *hidden_bytes*.
+    hidden write of ``HIDDEN_BYTES``.
     """
     writes = [
         op for op in trace_ops
@@ -104,21 +106,19 @@ def pattern_pairs_from_trace(
         if not public_ops:
             break
         hidden_op = AccessOp(
-            "hidden", f"/secret/evidence_{i}.bin", hidden_bytes
+            "hidden", f"/secret/evidence_{i}.bin", HIDDEN_BYTES
         )
         pairs.append((public_ops, (hidden_op,) + public_ops))
     return pairs
 
 
 def trace_pairs_factory(
-    trace_ops: Sequence[object], hidden_bytes: int = 32 * 1024
+    trace_ops: Sequence[object],
 ) -> Callable[[int, Rng], List[Tuple[AccessPattern, AccessPattern]]]:
     """A ``pairs_factory`` for :class:`MultiSnapshotGame` built on a trace."""
 
     def factory(rounds: int, rng: Rng):
-        return pattern_pairs_from_trace(
-            trace_ops, rounds, hidden_bytes=hidden_bytes
-        )
+        return pattern_pairs_from_trace(trace_ops, rounds)
 
     return factory
 
@@ -272,7 +272,6 @@ class MultiSnapshotGame:
         self,
         harness_factory: Callable[[int], GameHarness],
         rounds: int = 4,
-        inter_round_gap_s: float = 86400.0,
         seed: int = 0,
         pairs_factory: Optional[
             Callable[[int, Rng], List[Tuple[AccessPattern, AccessPattern]]]
@@ -280,7 +279,6 @@ class MultiSnapshotGame:
     ) -> None:
         self._harness_factory = harness_factory
         self.rounds = rounds
-        self.inter_round_gap_s = inter_round_gap_s
         self._rng = Rng(seed)
         # how the adversary's pattern pairs are produced per game; defaults
         # to the canonical synthetic pairs, or e.g. trace_pairs_factory()
@@ -297,7 +295,7 @@ class MultiSnapshotGame:
         for i, (o0, o1) in enumerate(pairs):
             harness.execute(o1 if b == 1 else o0)
             snapshots.append(harness.snapshot(f"D{i + 1}"))
-            harness.pass_time(self.inter_round_gap_s)
+            harness.pass_time(INTER_ROUND_GAP_S)
         guess = adversary.guess(snapshots, pairs, harness.metadata_fraction)
         return guess == b
 

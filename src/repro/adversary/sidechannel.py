@@ -61,14 +61,12 @@ class LeakReport:
 
 
 def side_channel_attack(
-    phone: Phone,
-    hidden_paths: Sequence[str],
-    inspect_ram: bool = True,
+    phone: Phone, hidden_paths: Sequence[str]
 ) -> LeakReport:
     """Run the full attack against a (seized) phone.
 
     Images userdata, /cache and /devlog and greps each for every hidden
-    path; optionally inspects RAM (the device was captured powered on).
+    path, then inspects RAM (the device was captured powered on).
     """
     report = LeakReport()
     media = {
@@ -87,9 +85,8 @@ def side_channel_attack(
             hits = grep_snapshot(snapshot, needle)
             if hits:
                 sinks[name][path] = hits
-    if inspect_ram:
-        report.ram_hits = [
-            path for path in hidden_paths
-            if path in phone.framework.ram_residue
-        ]
+    report.ram_hits = [
+        path for path in hidden_paths
+        if path in phone.framework.ram_residue
+    ]
     return report

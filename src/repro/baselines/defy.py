@@ -11,7 +11,7 @@ a ~94 % overhead.
 This reproduction is a *stylized but mechanical* model: a real
 log-structured block store (append head, logical→physical map, threshold
 cleaning with live-page copying) whose per-page costs follow DEFY's
-published design: ``crypto_passes`` passes of AEAD work per page plus one
+published design: ``CRYPTO_PASSES`` passes of AEAD work per page plus one
 out-of-band metadata page per data page.
 """
 
@@ -25,13 +25,20 @@ from repro.crypto.rng import Rng
 from repro.crypto.stream import Blake2Ctr
 from repro.errors import BlockDeviceError, NoSpaceError
 
+#: passes of per-byte AEAD work per page (DEFY's chained per-level keys)
+CRYPTO_PASSES = 5
+#: clean when at most this fraction of the log's pages is free ...
+CLEAN_THRESHOLD_FRACTION = 0.10
+#: ... and copy live pages forward until this fraction is free
+CLEAN_TARGET_FRACTION = 0.25
+
 
 class DefyDevice(PerBlockDevice):
     """Log-structured deniable store over a flash-like backing device.
 
     *num_blocks* logical blocks are stored in a log of
     ``backing.num_blocks`` pages; every logical write appends one data page
-    and one metadata (OOB/commit) page, both costed with ``crypto_passes``
+    and one metadata (OOB/commit) page, both costed with ``CRYPTO_PASSES``
     of per-byte cryptographic work. When fewer than ``clean_threshold``
     free pages remain, the cleaner copies live pages from the log tail
     until ``clean_target`` pages are free — DEFY's (and YAFFS's) write
@@ -46,9 +53,6 @@ class DefyDevice(PerBlockDevice):
         rng: Optional[Rng] = None,
         clock: Optional[SimClock] = None,
         crypto_byte_cost_s: float = 0.0,
-        crypto_passes: int = 5,
-        clean_threshold_fraction: float = 0.10,
-        clean_target_fraction: float = 0.25,
     ) -> None:
         if num_blocks * 2 > backing.num_blocks:
             raise BlockDeviceError(
@@ -61,9 +65,9 @@ class DefyDevice(PerBlockDevice):
         self._cipher = Blake2Ctr(key)
         self._rng = rng if rng is not None else Rng()
         self._clock = clock
-        self._crypto_cost = crypto_byte_cost_s * crypto_passes
-        self._clean_threshold = max(2, int(self._pages * clean_threshold_fraction))
-        self._clean_target = max(4, int(self._pages * clean_target_fraction))
+        self._crypto_cost = crypto_byte_cost_s * CRYPTO_PASSES
+        self._clean_threshold = max(2, int(self._pages * CLEAN_THRESHOLD_FRACTION))
+        self._clean_target = max(4, int(self._pages * CLEAN_TARGET_FRACTION))
         self._map: Dict[int, int] = {}      # logical -> page
         self._owner: Dict[int, int] = {}    # page -> logical (live pages)
         self._meta_pages: set = set()       # OOB/commit pages awaiting erase

@@ -26,12 +26,16 @@ from repro.crypto.stream import xor_buffers
 from repro.errors import BlockDeviceError
 
 _IV_LEN = 16
+#: physical slots per logical block
+SPARE_FACTOR = 3
+#: stashed blocks beyond this many raise ``BlockDeviceError``
+MAX_STASH = 4096
 
 
 class WriteOnlyORAMDevice(PerBlockDevice):
     """A logical block device whose writes are oblivious.
 
-    Physical layout: ``spare_factor * num_blocks`` slots on the backing
+    Physical layout: ``SPARE_FACTOR * num_blocks`` slots on the backing
     device, plus one metadata block for (modeled) position-map persistence.
     Each logical write:
 
@@ -54,12 +58,10 @@ class WriteOnlyORAMDevice(PerBlockDevice):
         key: bytes,
         rng: Optional[Rng] = None,
         k: int = 3,
-        spare_factor: int = 3,
         clock: Optional[SimClock] = None,
         crypto_byte_cost_s: float = 0.0,
-        max_stash: int = 4096,
     ) -> None:
-        slots = num_blocks * spare_factor
+        slots = num_blocks * SPARE_FACTOR
         if slots + 1 > backing.num_blocks:
             raise BlockDeviceError(
                 f"backing device too small: need {slots + 1} blocks, "
@@ -80,7 +82,6 @@ class WriteOnlyORAMDevice(PerBlockDevice):
         self._reverse: Dict[int, int] = {}    # slot -> logical
         self._iv: Dict[int, bytes] = {}       # slot -> current IV
         self._stash: "OrderedDict[int, bytes]" = OrderedDict()
-        self._max_stash = max_stash
         self.stats_physical_writes = 0
         self.stats_physical_reads = 0
         self.stats_stash_peak = 0
@@ -168,7 +169,7 @@ class WriteOnlyORAMDevice(PerBlockDevice):
         # whatever could not be placed goes (back) to the stash
         for logical, plaintext in pending.items():
             self._stash[logical] = plaintext
-        if len(self._stash) > self._max_stash:
+        if len(self._stash) > MAX_STASH:
             raise BlockDeviceError("ORAM stash overflow")
         self.stats_stash_peak = max(self.stats_stash_peak, len(self._stash))
         # position-map persistence

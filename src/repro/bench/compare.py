@@ -198,7 +198,6 @@ def compare_payloads(
     baseline: Mapping[str, object],
     current: Mapping[str, object],
     experiment: str,
-    tolerance: Optional[float] = None,
 ) -> List[MetricDelta]:
     """Metric-by-metric deltas between two payloads of one experiment.
 
@@ -206,8 +205,7 @@ def compare_payloads(
     ``None`` (never ``ok``) — a silently vanished metric is a regression
     of the bench itself.
     """
-    if tolerance is None:
-        tolerance = tolerance_for(experiment)
+    tolerance = tolerance_for(experiment)
     base = experiment_metrics(baseline)
     cur = experiment_metrics(current)
     wall_clock = experiment in WALL_CLOCK_EXPERIMENTS

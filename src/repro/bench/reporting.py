@@ -2,26 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.bench.runners import OverheadRow, TimingRow
 from repro.util.stats import Summary
-from repro.util.units import format_duration
-
-
-def render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    """Simple fixed-width table renderer."""
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines)
+from repro.util.units import format_duration, render_table
 
 
 def render_fig4(results: Dict[str, Dict[str, Summary]]) -> str:

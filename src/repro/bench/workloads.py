@@ -56,12 +56,11 @@ def sequential_write(
     path: str,
     total_bytes: int,
     chunk: int = DD_CHUNK,
-    fsync: bool = True,
 ) -> ThroughputSample:
     """Sequential write of *total_bytes* (``dd if=/dev/zero of=...``).
 
-    ``fsync`` mirrors dd's ``conv=fdatasync``: flush before stopping the
-    stopwatch so the measurement includes reaching stable storage.
+    Flushes before stopping the stopwatch, like dd's ``conv=fdatasync``,
+    so the measurement includes reaching stable storage.
     """
     payload = _pattern(chunk)
     with Stopwatch(clock) as sw:
@@ -71,8 +70,7 @@ def sequential_write(
                 take = min(chunk, remaining)
                 handle.write(payload[:take])
                 remaining -= take
-        if fsync:
-            fs.flush()
+        fs.flush()
     return ThroughputSample(nbytes=total_bytes, seconds=sw.elapsed)
 
 
@@ -108,33 +106,6 @@ def bonnie_block_read(
     return sequential_read(fs, clock, path, chunk=BONNIE_CHUNK)
 
 
-def bonnie_rewrite(
-    fs: Filesystem, clock: SimClock, path: str
-) -> ThroughputSample:
-    """Bonnie++ rewrite: read a chunk, modify, write it back, repeat."""
-    size = fs.stat(path).size
-    total = 0
-    with Stopwatch(clock) as sw:
-        with fs.open(path, "r") as reader:
-            offset = 0
-            while offset < size:
-                reader.seek(offset)
-                data = reader.read(BONNIE_CHUNK)
-                if not data:
-                    break
-                total += len(data)
-                offset += len(data)
-        with fs.open(path, "a") as writer:
-            offset = 0
-            while offset < size:
-                writer.seek(offset)
-                take = min(BONNIE_CHUNK, size - offset)
-                writer.write(_pattern(take))
-                offset += take
-                total += take
-    return ThroughputSample(nbytes=total, seconds=sw.elapsed)
-
-
 #: CPU cost of Bonnie++'s per-character stdio loop (putc/getc). The char
 #: tests are CPU-bound on the Nexus 4 (~3 MB/s), which is why the paper's
 #: Fig. 4 notes similar CPU overhead across settings.
@@ -142,11 +113,7 @@ CHAR_CPU_BYTE_S = 1.0 / (3 * 1024 * 1024)
 
 
 def bonnie_char_write(
-    fs: Filesystem,
-    clock: SimClock,
-    path: str,
-    total_bytes: int,
-    char_cpu_byte_s: float = CHAR_CPU_BYTE_S,
+    fs: Filesystem, clock: SimClock, path: str, total_bytes: int
 ) -> ThroughputSample:
     """Bonnie++ "write per chr": putc() every byte, stdio-buffered.
 
@@ -158,7 +125,7 @@ def bonnie_char_write(
             remaining = total_bytes
             while remaining > 0:
                 take = min(BONNIE_CHUNK, remaining)
-                clock.advance(take * char_cpu_byte_s, "bonnie-putc")
+                clock.advance(take * CHAR_CPU_BYTE_S, "bonnie-putc")
                 handle.write(_pattern(take))
                 remaining -= take
         fs.flush()
@@ -166,10 +133,7 @@ def bonnie_char_write(
 
 
 def bonnie_char_read(
-    fs: Filesystem,
-    clock: SimClock,
-    path: str,
-    char_cpu_byte_s: float = CHAR_CPU_BYTE_S,
+    fs: Filesystem, clock: SimClock, path: str
 ) -> ThroughputSample:
     """Bonnie++ "read per chr": getc() every byte, stdio-buffered."""
     total = 0
@@ -179,6 +143,6 @@ def bonnie_char_read(
                 data = handle.read(BONNIE_CHUNK)
                 if not data:
                     break
-                clock.advance(len(data) * char_cpu_byte_s, "bonnie-getc")
+                clock.advance(len(data) * CHAR_CPU_BYTE_S, "bonnie-getc")
                 total += len(data)
     return ThroughputSample(nbytes=total, seconds=sw.elapsed)

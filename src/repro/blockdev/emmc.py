@@ -135,8 +135,3 @@ class EMMCDevice(RAMBlockDevice):
     def _flush(self) -> None:
         # Model a cache flush as one write-op worth of latency.
         self.clock.advance(self.latency.write_op_s, "emmc-flush")
-
-    def reset_locality(self) -> None:
-        """Forget sequential-access state (e.g. after a remount)."""
-        self._last_read_end = None
-        self._last_write_end = None

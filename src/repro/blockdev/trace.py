@@ -16,7 +16,7 @@ analysis helpers) is unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro import obs
 from repro.blockdev.clock import SimClock
@@ -117,12 +117,6 @@ class TracingDevice(BlockDevice):
             return list(self.events)
         return [e for e in self.events if e.op == kind]
 
-    def op_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for event in self.events:
-            counts[event.op] = counts.get(event.op, 0) + 1
-        return counts
-
     def sequentiality(self, kind: str = "write") -> float:
         """Fraction of *kind* ops that continue where the previous ended.
 
@@ -140,13 +134,3 @@ class TracingDevice(BlockDevice):
             1 for a, b in zip(ops, ops[1:]) if b.block == a.block + 1
         )
         return sequential / (len(ops) - 1)
-
-    def touched_blocks(self, kind: Optional[str] = None) -> List[int]:
-        return sorted({e.block for e in self.ops(kind) if e.block >= 0})
-
-
-def trace_filter(
-    events: List[TraceEvent], predicate: Callable[[TraceEvent], bool]
-) -> List[TraceEvent]:
-    """Convenience filter over a trace."""
-    return [e for e in events if predicate(e)]

@@ -23,14 +23,13 @@ def pbkdf2(
     salt: bytes,
     iterations: int = ANDROID_PBKDF2_ITERATIONS,
     dklen: int = ANDROID_KEY_LEN,
-    hash_name: str = "sha1",
 ) -> bytes:
-    """PBKDF2-HMAC as used by Android's cryptfs. Thin stdlib wrapper."""
+    """PBKDF2-HMAC-SHA1 as used by Android's cryptfs. Thin stdlib wrapper."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if dklen < 1:
         raise ValueError("dklen must be >= 1")
-    return hashlib.pbkdf2_hmac(hash_name, password, salt, iterations, dklen)
+    return hashlib.pbkdf2_hmac("sha1", password, salt, iterations, dklen)
 
 
 def derive_hidden_volume_index(

@@ -111,9 +111,12 @@ class FlashNoiseTRNG:
     consumers (``stored_rand`` refresh, dummy data generation) rely on.
     """
 
-    def __init__(self, rng: Rng, pool_size: int = 64) -> None:
+    #: bytes in the noise pool
+    POOL_SIZE = 64
+
+    def __init__(self, rng: Rng) -> None:
         self._rng = rng
-        self._pool = bytearray(rng.random_bytes(pool_size))
+        self._pool = bytearray(rng.random_bytes(self.POOL_SIZE))
         self._counter = 0
 
     def observe_noise(self) -> None:

@@ -14,7 +14,7 @@ from repro.dm.thin.metadata import (
     VolumeRecord,
 )
 from repro.dm.thin.pool import PoolRecovery, PoolStats, ThinCosts, ThinPool
-from repro.dm.thin.thin import ThinDevice, ThinTarget
+from repro.dm.thin.thin import ThinDevice
 
 __all__ = [
     "Allocator",
@@ -31,5 +31,4 @@ __all__ = [
     "ThinCosts",
     "ThinPool",
     "ThinDevice",
-    "ThinTarget",
 ]

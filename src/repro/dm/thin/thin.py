@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.blockdev.device import BlockDevice, ExtentCosts
-from repro.dm.core import Target
 from repro.dm.thin.metadata import VolumeRecord
 from repro.dm.thin.pool import ThinPool
 
@@ -67,27 +66,3 @@ class ThinDevice(BlockDevice):
     def _flush(self) -> None:
         self._pool.flush()
 
-
-class ThinTarget(Target):
-    """dm table wrapper so thin volumes can appear in device-mapper tables."""
-
-    def __init__(self, pool: ThinPool, vol_id: int) -> None:
-        record = pool.volume_record(vol_id)
-        super().__init__(record.virtual_blocks, pool.block_size)
-        self._device = ThinDevice(pool, record)
-
-    def read_extent(
-        self, block: int, count: int, costs: Optional[ExtentCosts] = None
-    ) -> bytes:
-        return self._device.read_blocks(block, count, costs)
-
-    def write_extent(
-        self, block: int, data: bytes, costs: Optional[ExtentCosts] = None
-    ) -> None:
-        self._device.write_blocks(block, data, costs)
-
-    def discard(self, block: int) -> None:
-        self._device.discard(block)
-
-    def flush(self) -> None:
-        self._device.flush()

@@ -136,16 +136,12 @@ class Ext4Filesystem(Filesystem):
         self,
         device: BlockDevice,
         blocks_per_group: Optional[int] = None,
-        discard_on_delete: bool = False,
         journal: Union[bool, int] = False,
     ) -> None:
-        """*discard_on_delete* models ``mount -o discard``: freed blocks are
-        passed down as TRIM, letting thin pools and FTLs reclaim them.
-        *journal* enables the metadata journal (True for an auto-sized
+        """*journal* enables the metadata journal (True for an auto-sized
         region, or an explicit block count); the journal lives at the
         device tail, outside all block groups."""
         bs = device.block_size
-        self._discard_on_delete = discard_on_delete
         if journal is True:
             self._journal_blocks = default_journal_blocks(device.num_blocks)
         else:
@@ -185,7 +181,6 @@ class Ext4Filesystem(Filesystem):
         self._dirty_dirs: Set[int] = set()
         self._zeroed_inodes: Set[int] = set()
         self._capture: Optional[Dict[int, bytes]] = None
-        self._pending_discards: List[int] = []
         self._journal_seq = 0
         self.journal_replayed = 0   # blocks replayed by the last mount
         self.journal_overflows = 0  # txns that exceeded one journal window
@@ -232,13 +227,6 @@ class Ext4Filesystem(Filesystem):
         else:
             self._device.write_block(block, data)
 
-    def _dev_discard(self, block: int) -> None:
-        if self._capture is not None:
-            # a discard inside a txn only takes effect once checkpointed
-            self._pending_discards.append(block)
-        else:
-            self._device.discard(block)
-
     def _dev_read_run(self, start: int, count: int) -> bytes:
         """Read *count* consecutive device blocks, as one extent if possible.
 
@@ -278,7 +266,6 @@ class Ext4Filesystem(Filesystem):
         self._dir_cache = {}
         self._dirty_dirs = set()
         self._zeroed_inodes = set()
-        self._pending_discards = []
         self._journal_seq = 0
         if self._journal_blocks:
             # wipe any stale journal header so a fresh format never replays
@@ -313,7 +300,7 @@ class Ext4Filesystem(Filesystem):
     def _write_superblock(self, clean: bool) -> None:
         self._device.write_block(0, self._pack_superblock(clean))
 
-    def mount(self, replay_journal: bool = True) -> None:
+    def mount(self) -> None:
         if self._mounted:
             raise FilesystemError("already mounted")
         raw = self._device.read_block(0)
@@ -342,9 +329,8 @@ class Ext4Filesystem(Filesystem):
         self._dir_cache = {}
         self._dirty_dirs = set()
         self._zeroed_inodes = set()
-        self._pending_discards = []
         self.journal_replayed = 0
-        if self._journal_blocks and replay_journal:
+        if self._journal_blocks:
             if _clean:
                 # clean unmount: nothing to replay, but keep the journal
                 # sequence number monotonic across sessions
@@ -411,9 +397,6 @@ class Ext4Filesystem(Filesystem):
             txn, self._capture = self._capture, None
         if journaling and txn:
             self._journal_commit(txn)
-        pending, self._pending_discards = self._pending_discards, []
-        for block in pending:
-            self._device.discard(block)
         self._device.flush()
 
     def _flush_dirs(self) -> None:
@@ -620,8 +603,6 @@ class Ext4Filesystem(Filesystem):
             raise FilesystemError(f"double free of block {block}")
         self._clear_bit(bitmap, offset)
         self._dirty_groups.add(g)
-        if self._discard_on_delete:
-            self._dev_discard(block)
 
     def free_block_count(self) -> int:
         self._require_mounted()

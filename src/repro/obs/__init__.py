@@ -22,7 +22,7 @@ See ``docs/observability.md`` for the full guide.
 # load, because instrumented modules they pull in do `from repro.obs import
 # mark` against this (then partially initialized) package.
 from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
+    LATENCY_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -104,7 +104,7 @@ from repro.obs.health import (
 )
 
 __all__ = [
-    "DEFAULT_LATENCY_BUCKETS",
+    "LATENCY_BUCKETS",
     "Counter",
     "Gauge",
     "GaugeSample",

@@ -24,6 +24,7 @@ from typing import Dict, List, Optional
 
 from repro.errors import ObsError
 from repro.obs.recorder import Recorder, SpanRecord
+from repro.util.units import format_seconds, render_table
 
 #: First dotted component of a span name → the layer it reports under.
 #: Stable span names are part of the observability contract (see
@@ -130,14 +131,6 @@ def attribution(
     }
 
 
-def _fmt_s(seconds: float) -> str:
-    if seconds >= 1.0:
-        return f"{seconds:.3f}s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.2f}ms"
-    return f"{seconds * 1e6:.1f}us"
-
-
 def render_attribution(report: Dict[str, object]) -> str:
     """The attribution report as a fixed-width text table."""
     layers: Dict[str, Dict[str, float]] = report["layers"]  # type: ignore
@@ -153,30 +146,19 @@ def render_attribution(report: Dict[str, object]) -> str:
             [
                 layer,
                 str(int(entry["spans"])),
-                _fmt_s(entry["inclusive_s"]),
-                _fmt_s(entry["exclusive_s"]),
+                format_seconds(entry["inclusive_s"]),
+                format_seconds(entry["exclusive_s"]),
                 f"{entry['share']:6.1%}",
             ]
         )
-    headers = ["layer", "spans", "inclusive", "exclusive", "share"]
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * w for w in widths),
-    ]
-    lines.extend(
-        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
-        for row in rows
+    table = render_table(
+        ["layer", "spans", "inclusive", "exclusive", "share"], rows
     )
     total = report["total_s"]
     unattributed = report["unattributed_s"]
     share = unattributed / total if total else 0.0
-    lines.append("")
-    lines.append(
-        f"total {_fmt_s(total)} ({report['timeline']} clock), "
-        f"unattributed {_fmt_s(unattributed)} ({share:.1%})"
+    return (
+        f"{table}\n\n"
+        f"total {format_seconds(total)} ({report['timeline']} clock), "
+        f"unattributed {format_seconds(unattributed)} ({share:.1%})"
     )
-    return "\n".join(lines)

@@ -16,29 +16,15 @@ from __future__ import annotations
 import json
 import pathlib
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.errors import ObsError
 from repro.obs.metrics import Histogram
 from repro.obs.recorder import Recorder, SpanRecord
+from repro.util.units import format_seconds, render_table
 
 #: Version of the BENCH_*.json schema. Bump on incompatible layout changes.
 SCHEMA_VERSION = 1
-
-
-def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    """Local fixed-width table renderer (obs must not import repro.bench)."""
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +193,6 @@ def write_bench_json(
 # ---------------------------------------------------------------------------
 
 
-def _fmt_s(seconds: float) -> str:
-    if seconds >= 1.0:
-        return f"{seconds:.3f}s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.2f}ms"
-    return f"{seconds * 1e6:.1f}us"
-
-
 def render_span_tree(
     recorder: Recorder, max_children: int = 12
 ) -> str:
@@ -226,7 +204,7 @@ def render_span_tree(
     def emit(span: SpanRecord) -> None:
         indent = "  " * span.depth
         lines.append(
-            f"{indent}{span.name}  [{_fmt_s(span.duration)}"
+            f"{indent}{span.name}  [{format_seconds(span.duration)}"
             f" @ t={span.start:.4f}]"
         )
         children = recorder.children_of(span)
@@ -251,13 +229,13 @@ def render_span_aggregates(recorder: Recorder) -> str:
         [
             name,
             str(int(agg["count"])),
-            _fmt_s(agg["total_s"]),
-            _fmt_s(agg["mean_s"]),
-            _fmt_s(agg["max_s"]),
+            format_seconds(agg["total_s"]),
+            format_seconds(agg["mean_s"]),
+            format_seconds(agg["max_s"]),
         ]
         for name, agg in sorted(aggregates.items())
     ]
-    return _render_table(["span", "count", "total", "mean", "max"], rows)
+    return render_table(["span", "count", "total", "mean", "max"], rows)
 
 
 def render_metrics(recorder: Recorder) -> str:
@@ -269,29 +247,29 @@ def render_metrics(recorder: Recorder) -> str:
             [name, f"{c.value:g}"]
             for name, c in sorted(metrics.counters.items())
         ]
-        sections.append("Counters\n" + _render_table(["counter", "value"], rows))
+        sections.append("Counters\n" + render_table(["counter", "value"], rows))
     if metrics.gauges:
         rows = [
             [name, f"{g.value:.4f}"]
             for name, g in sorted(metrics.gauges.items())
         ]
-        sections.append("Gauges\n" + _render_table(["gauge", "value"], rows))
+        sections.append("Gauges\n" + render_table(["gauge", "value"], rows))
     if metrics.histograms:
         rows = [
             [
                 name,
                 str(h.count),
-                _fmt_s(h.mean),
-                _fmt_s(h.p50),
-                _fmt_s(h.p95),
-                _fmt_s(h.p99),
-                _fmt_s(h.maximum),
+                format_seconds(h.mean),
+                format_seconds(h.p50),
+                format_seconds(h.p95),
+                format_seconds(h.p99),
+                format_seconds(h.maximum),
             ]
             for name, h in sorted(metrics.histograms.items())
         ]
         sections.append(
             "Latency histograms\n"
-            + _render_table(
+            + render_table(
                 ["histogram", "n", "mean", "p50", "p95", "p99", "max"], rows
             )
         )
@@ -310,12 +288,12 @@ def render_metrics(recorder: Recorder) -> str:
         ]
         sections.append(
             "Histogram buckets (upper bound in seconds : count)\n"
-            + _render_table(["histogram", "buckets"], bucket_rows)
+            + render_table(["histogram", "buckets"], bucket_rows)
         )
     marks = recorder.mark_counts()
     if marks:
         rows = [[name, str(count)] for name, count in sorted(marks.items())]
-        sections.append("Marks\n" + _render_table(["mark", "hits"], rows))
+        sections.append("Marks\n" + render_table(["mark", "hits"], rows))
     if not sections:
         return "(no metrics recorded)"
     return "\n\n".join(sections)

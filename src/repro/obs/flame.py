@@ -7,7 +7,7 @@ exactly the input ``flamegraph.pl``, speedscope and most flamegraph
 viewers consume, so ``repro flame`` output can be piped straight into
 standard tooling.
 
-Counts are integer microseconds by default (``scale=1e6``); the sim-clock
+Counts are integer microseconds; the sim-clock
 timeline is deterministic per seed, the wall-clock timeline is opt-in via
 ``observe(wall=True)``. :func:`parse_folded` reads the format back so the
 aggregation round-trips (asserted in tests).
@@ -39,15 +39,15 @@ def folded_stacks(
     return out
 
 
-def render_folded(stacks: Dict[str, float], scale: float = 1e6) -> str:
+def render_folded(stacks: Dict[str, float]) -> str:
     """Folded-stack text: one ``path count`` line per path, sorted.
 
-    Counts are ``round(seconds * scale)``; paths that round to zero are
+    Counts are ``round(seconds * 1e6)``; paths that round to zero are
     dropped (flamegraph tools ignore zero-weight frames anyway).
     """
     lines = []
     for path in sorted(stacks):
-        count = int(round(stacks[path] * scale))
+        count = int(round(stacks[path] * 1e6))
         if count > 0:
             lines.append(f"{path} {count}")
     return "\n".join(lines) + ("\n" if lines else "")

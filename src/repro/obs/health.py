@@ -49,6 +49,9 @@ GAUGE_DRIFT_REL = 0.75
 #: Devices scoring below this are counted unhealthy in the summary.
 UNHEALTHY_BELOW = 0.75
 
+#: Unhealthy devices listed in a health payload's ``worst`` detail.
+MAX_LISTED = 32
+
 
 @dataclass
 class DeviceHealth:
@@ -193,12 +196,11 @@ def health_payload(
     scores: Sequence[DeviceHealth],
     medians: Dict[str, float],
     params: Optional[Dict[str, object]] = None,
-    max_listed: int = 32,
 ) -> Dict[str, object]:
     """The ``BENCH_fleet_health.json`` payload.
 
     Aggregate counts cover the whole fleet; the per-device detail list is
-    capped at *max_listed* lowest-scoring devices so the payload stays
+    capped at the ``MAX_LISTED`` lowest-scoring devices so the payload stays
     fixed-size no matter how large the fleet is.
     """
     flag_counts: Dict[str, int] = {}
@@ -206,7 +208,7 @@ def health_payload(
         for flag in health.flags:
             flag_counts[flag] = flag_counts.get(flag, 0) + 1
     unhealthy = [h for h in scores if h.score < UNHEALTHY_BELOW]
-    worst = sorted(unhealthy, key=lambda h: (h.score, h.device))[:max_listed]
+    worst = sorted(unhealthy, key=lambda h: (h.score, h.device))[:MAX_LISTED]
     results: Dict[str, object] = {
         "devices": len(scores),
         "healthy": sum(1 for h in scores if h.score >= UNHEALTHY_BELOW),

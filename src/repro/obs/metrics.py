@@ -12,24 +12,22 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import ObsError
 
-#: Default latency buckets in seconds: 1-2-5 decades from 1 µs to 10 s.
+#: Latency buckets in seconds: 1-2-5 decades from 1 µs to 10 s.
 #: Wide enough for everything the stack models, from a single eMMC read
 #: (~100 µs) to a whole-partition initialization pass (minutes land in the
 #: overflow bucket, which percentile() clamps to the observed maximum).
-DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = tuple(
+LATENCY_BUCKETS: Tuple[float, ...] = tuple(
     m * 10.0 ** e for e in range(-6, 1) for m in (1.0, 2.0, 5.0)
 ) + (10.0,)
 
-
-@lru_cache(maxsize=None)
-def _bucket_labels(bounds: Tuple[float, ...]) -> Tuple[str, ...]:
-    """Serialized bucket labels by index: ``f"{bound:g}"``, then ``inf``."""
-    return tuple(f"{bound:g}" for bound in bounds) + ("inf",)
+#: Serialized bucket labels by index: ``f"{bound:g}"``, then ``inf``.
+_BUCKET_LABELS: Tuple[str, ...] = tuple(
+    f"{bound:g}" for bound in LATENCY_BUCKETS
+) + ("inf",)
 
 
 class Counter:
@@ -69,35 +67,26 @@ class Gauge:
 class Histogram:
     """Fixed-bucket histogram with percentile estimation.
 
-    ``bounds`` are inclusive upper bucket edges; values above the last
-    bound land in an implicit overflow bucket. Percentiles interpolate
+    :data:`LATENCY_BUCKETS` are inclusive upper bucket edges; values above
+    the last bound land in an implicit overflow bucket. Percentiles interpolate
     linearly within the bucket the target rank falls in and clamp to the
     observed min/max, so estimates are exact at the extremes and never
     outside the observed range. ``total`` is a float while observing and
     an exact rational once :meth:`fold` has merged serialized histograms.
     """
 
-    __slots__ = (
-        "name", "_bounds", "_counts", "count", "total", "_min", "_max",
-    )
+    __slots__ = ("name", "_counts", "count", "total", "_min", "_max")
 
-    def __init__(
-        self, name: str, bounds: Iterable[float] = DEFAULT_LATENCY_BUCKETS
-    ) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self._bounds = tuple(float(b) for b in bounds)
-        if not self._bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        if any(b <= a for a, b in zip(self._bounds, self._bounds[1:])):
-            raise ValueError("bucket bounds must be strictly increasing")
-        self._counts = [0] * (len(self._bounds) + 1)
+        self._counts = [0] * (len(LATENCY_BUCKETS) + 1)
         self.count = 0
         self.total = 0.0
         self._min = math.inf
         self._max = -math.inf
 
     def observe(self, value: float) -> None:
-        self._counts[bisect_left(self._bounds, value)] += 1
+        self._counts[bisect_left(LATENCY_BUCKETS, value)] += 1
         self.count += 1
         self.total += value
         if value < self._min:
@@ -112,17 +101,16 @@ class Histogram:
         :meth:`bucket_counts` writes; counts add and min/max take the
         extremes. The total becomes an exact :class:`~fractions.Fraction`
         (``mean_s * count`` per dict), so any fold order yields the same
-        :attr:`mean` to the bit. A label these bounds do not produce
+        :attr:`mean` to the bit. A label the buckets do not produce
         raises :class:`~repro.errors.ObsError`: serialized histograms come
         from spool files, i.e. from outside the process.
         """
-        labels = _bucket_labels(self._bounds)
         for label, n in data.get("buckets", {}).items():
-            if label not in labels:
+            if label not in _BUCKET_LABELS:
                 raise ObsError(
                     f"histogram {self.name!r}: unknown bucket label {label!r}"
                 )
-            self._counts[labels.index(label)] += int(n)
+            self._counts[_BUCKET_LABELS.index(label)] += int(n)
         count = int(data["count"])
         self.count += count
         self.total = Fraction(self.total) + Fraction(data["mean_s"]) * count
@@ -155,8 +143,11 @@ class Histogram:
         for i, bucket_count in enumerate(self._counts):
             cumulative += bucket_count
             if cumulative >= target and bucket_count:
-                lo = self._bounds[i - 1] if i > 0 else self.minimum
-                hi = self._bounds[i] if i < len(self._bounds) else self.maximum
+                lo = LATENCY_BUCKETS[i - 1] if i > 0 else self.minimum
+                hi = (
+                    LATENCY_BUCKETS[i] if i < len(LATENCY_BUCKETS)
+                    else self.maximum
+                )
                 fraction = (target - (cumulative - bucket_count)) / bucket_count
                 value = lo + fraction * (hi - lo)
                 return min(max(value, self.minimum), self.maximum)
@@ -174,11 +165,6 @@ class Histogram:
     def p99(self) -> float:
         return self.percentile(0.99)
 
-    @property
-    def bounds(self) -> Tuple[float, ...]:
-        """The inclusive upper bucket edges (without the overflow bucket)."""
-        return self._bounds
-
     def cumulative_buckets(self) -> Tuple[Tuple[float, int], ...]:
         """Cumulative ``(upper_bound, count_at_or_below)`` pairs.
 
@@ -189,7 +175,7 @@ class Histogram:
         """
         out = []
         cumulative = 0
-        for bound, bucket_count in zip(self._bounds, self._counts):
+        for bound, bucket_count in zip(LATENCY_BUCKETS, self._counts):
             cumulative += bucket_count
             out.append((bound, cumulative))
         out.append((math.inf, self.count))
@@ -197,8 +183,9 @@ class Histogram:
 
     def bucket_counts(self) -> Dict[str, int]:
         """Non-empty buckets keyed by upper bound (``inf`` = overflow)."""
-        labels = _bucket_labels(self._bounds)
-        return {labels[i]: n for i, n in enumerate(self._counts) if n}
+        return {
+            _BUCKET_LABELS[i]: n for i, n in enumerate(self._counts) if n
+        }
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -233,14 +220,10 @@ class MetricRegistry:
             metric = self.gauges[name] = Gauge(name)
         return metric
 
-    def histogram(
-        self, name: str, bounds: Optional[Iterable[float]] = None
-    ) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         metric = self.histograms.get(name)
         if metric is None:
-            metric = self.histograms[name] = Histogram(
-                name, bounds if bounds is not None else DEFAULT_LATENCY_BUCKETS
-            )
+            metric = self.histograms[name] = Histogram(name)
         return metric
 
     @property

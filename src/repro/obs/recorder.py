@@ -160,10 +160,8 @@ class Recorder:
     def record_io(self, event) -> None:
         self.io_events.append(event)
 
-    def sample_gauge(self, name: str, value: float, clock=None) -> None:
-        self.gauge_samples.append(
-            GaugeSample(name, self._now(clock), float(value))
-        )
+    def sample_gauge(self, name: str, value: float) -> None:
+        self.gauge_samples.append(GaugeSample(name, self._now(), float(value)))
 
     # -- queries ------------------------------------------------------------
 

@@ -52,13 +52,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.errors import ObsError
-from repro.obs.export import (
-    PayloadAccumulator,
-    _render_table,
-)
+from repro.obs.export import PayloadAccumulator
 from repro.obs.metrics import MetricRegistry
 from repro.obs.recorder import Recorder
 from repro.util.stats import percentile
+from repro.util.units import render_table
 
 #: Version tag carried by every telemetry event line.
 TELEMETRY_SCHEMA = "telemetry.v1"
@@ -69,8 +67,8 @@ HEALTH_SCHEMA = "health.v1"
 #: Version tag carried by every daemon access-log line (repro.server.app).
 ACCESS_SCHEMA = "access.v1"
 
-#: Default sim-time interval between periodic ``snapshot`` events.
-DEFAULT_SNAPSHOT_INTERVAL_S = 5.0
+#: Sim-time interval between periodic ``snapshot`` events.
+SNAPSHOT_INTERVAL_S = 5.0
 
 #: Spool filename prefix; files sort by zero-padded device index so the
 #: reducer's sorted-filename fold order is the fleet's device order.
@@ -282,7 +280,7 @@ class DeviceTelemetryStreamer:
     *metrics* is the registry whose counters and gauges the ``snapshot``
     events carry. With a *heartbeat* recorder, the streamer hooks its mark
     spine (:meth:`Recorder.add_listener`): whenever the simulated clock
-    has advanced at least *interval_s* since the last snapshot, a
+    has advanced at least ``SNAPSHOT_INTERVAL_S`` since the last snapshot, a
     ``snapshot`` event with cumulative counters, counter deltas and
     current gauges is emitted. Without one (the daemon's devices), the
     owner calls :meth:`emit_snapshot` itself, once per op. The streamer
@@ -295,12 +293,10 @@ class DeviceTelemetryStreamer:
         self,
         writer: SpoolWriter,
         metrics: MetricRegistry,
-        interval_s: float = DEFAULT_SNAPSHOT_INTERVAL_S,
         heartbeat: Optional[Recorder] = None,
     ) -> None:
         self.writer = writer
         self.metrics = metrics
-        self.interval_s = interval_s
         #: sim clock snapshots are stamped from; set once the stack exists
         self.clock = None
         self._last_emit_t: Optional[float] = None
@@ -315,7 +311,7 @@ class DeviceTelemetryStreamer:
         now = self._now(record.at)
         if (
             self._last_emit_t is not None
-            and now - self._last_emit_t < self.interval_s
+            and now - self._last_emit_t < SNAPSHOT_INTERVAL_S
         ):
             return
         self.emit_snapshot(now)
@@ -622,7 +618,7 @@ def render_top(view: FleetView, max_rows: int = 40) -> str:
                 _fmt_opt(d.occupancy, "{:.3f}"),
             ]
         )
-    table = _render_table(
+    table = render_table(
         ["device", "state", "sim t", "ops", "MB", "MB/s", "dummy-amp",
          "occup"],
         rows,

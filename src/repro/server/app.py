@@ -73,7 +73,6 @@ from repro.errors import (
     NotInitializedError,
     ReproError,
 )
-from repro.obs.export import dump_json
 from repro.obs.metrics import MetricRegistry
 from repro.obs.promtext import info_lines, prom_lines
 from repro.obs.stream import ACCESS_SCHEMA, SpoolWriter
@@ -716,10 +715,6 @@ class PDEServer:
             "server": self.metrics.as_dict(),
             "wall": wall,
         }
-
-    def metrics_json(self) -> str:
-        """The /metrics body via the canonical obs serializer."""
-        return dump_json(self._metrics_payload())
 
     def metrics_prom(self) -> str:
         """The ``/metrics?format=prom`` body (text exposition 0.0.4).

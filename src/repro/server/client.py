@@ -218,7 +218,7 @@ class ServerClient:
 
     # -- convenience -----------------------------------------------------------
 
-    def wait_healthy(self, timeout: float = 10.0, poll_s: float = 0.05) -> None:
+    def wait_healthy(self, timeout: float = 10.0) -> None:
         """Block until ``/healthz`` answers (daemon finished starting)."""
         deadline = time.monotonic() + timeout
         last: Optional[Exception] = None
@@ -228,7 +228,7 @@ class ServerClient:
                 return
             except (OSError, ServerAPIError) as exc:
                 last = exc
-                time.sleep(poll_s)
+                time.sleep(0.05)
         raise TimeoutError(
             f"daemon at {self.host}:{self.port} not healthy "
             f"after {timeout}s: {last}"

@@ -120,10 +120,6 @@ class FleetExecutor:
 
     # -- saturation ---------------------------------------------------------
 
-    def device_queue_depth(self) -> Dict[int, int]:
-        """Waiters per device id (devices with zero waiters omitted)."""
-        return dict(self._waiting)
-
     def busy_fraction(self) -> float:
         """Fraction of pool capacity spent running ops since startup."""
         elapsed = time.monotonic() - self._started_wall

@@ -24,7 +24,7 @@ import asyncio
 import pathlib
 from typing import Optional, Tuple
 
-#: Default polling cadence while following a live spool.
+#: Polling cadence while following a live spool.
 FOLLOW_POLL_S = 0.05
 
 #: Default wall-clock budget for a follow stream that never sees the end.
@@ -84,7 +84,6 @@ async def stream_spool(
     writer: asyncio.StreamWriter,
     path,
     follow: bool = False,
-    poll_s: float = FOLLOW_POLL_S,
     max_s: float = FOLLOW_MAX_S,
     finished=None,
 ) -> int:
@@ -119,5 +118,5 @@ async def stream_spool(
             break
         if done:
             continue  # drain once more after the finish flag flips
-        await asyncio.sleep(poll_s)
+        await asyncio.sleep(FOLLOW_POLL_S)
     return sent

@@ -7,7 +7,8 @@ from repro.util.units import (
     SECTOR_SIZE,
     format_bytes,
     format_duration,
-    format_throughput,
+    format_seconds,
+    render_table,
 )
 from repro.util.stats import Summary, summarize, shannon_entropy, chi_square_uniform
 
@@ -18,7 +19,8 @@ __all__ = [
     "SECTOR_SIZE",
     "format_bytes",
     "format_duration",
-    "format_throughput",
+    "format_seconds",
+    "render_table",
     "Summary",
     "summarize",
     "shannon_entropy",

@@ -1,6 +1,8 @@
-"""Byte-size and time formatting helpers used throughout the stack."""
+"""Byte-size, time and table formatting helpers used throughout the stack."""
 
 from __future__ import annotations
+
+from typing import Sequence
 
 KiB = 1024
 MiB = 1024 * KiB
@@ -43,6 +45,29 @@ def format_duration(seconds: float) -> str:
     return f"{minutes}min{rest:.0f}s"
 
 
-def format_throughput(bytes_per_second: float) -> str:
-    """Render a throughput in KB/s (the unit used by the paper's Fig. 4)."""
-    return f"{bytes_per_second / 1000:.1f} KB/s"
+def format_seconds(seconds: float) -> str:
+    """Render a span duration in s, ms or us.
+
+    >>> format_seconds(0.0042)
+    '4.20ms'
+    """
+    if seconds >= 1.0:
+        return f"{seconds:.3f}s"
+    if seconds >= 1e-3:
+        return f"{seconds * 1e3:.2f}ms"
+    return f"{seconds * 1e6:.1f}us"
+
+
+def render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """Simple fixed-width table renderer."""
+    widths = [len(h) for h in headers]
+    for row in rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = [
+        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
+        "  ".join("-" * w for w in widths),
+    ]
+    for row in rows:
+        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
+    return "\n".join(lines)

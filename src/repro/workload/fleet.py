@@ -29,6 +29,7 @@ from typing import Callable, Dict, Iterable, List, Optional
 from repro.errors import WorkloadError
 from repro.obs.export import SCHEMA_VERSION
 from repro.obs.stream import reduce_spools
+from repro.util.units import render_table
 from repro.workload.runner import (
     DEFAULT_USERDATA_BLOCKS,
     DeviceSpec,
@@ -94,12 +95,14 @@ def _map_devices(
     if processes <= 1 or len(specs) == 1:
         return [worker(spec) for spec in specs]
     try:
-        with _pool_context().Pool(processes=processes) as pool:
-            return pool.map(worker, specs)
-    except (OSError, PermissionError):
-        # sandboxed environments may forbid forking worker processes;
-        # the serial path produces the identical merged report
+        pool = _pool_context().Pool(processes=processes)
+    except OSError:
+        # sandboxed environments may forbid starting worker processes;
+        # the serial path produces the identical merged report. Only
+        # start-up is guarded: a worker's own error propagates as is.
         return [worker(spec) for spec in specs]
+    with pool:
+        return pool.map(worker, specs)
 
 
 def run_fleet(fleet: FleetSpec, stream_dir=None) -> Dict[str, object]:
@@ -177,8 +180,6 @@ def _totals(results: Iterable[Dict[str, object]]) -> Dict[str, object]:
 
 def render_fleet_report(payload: Dict[str, object]) -> str:
     """Human-readable fleet summary (one row per device plus totals)."""
-    from repro.bench.reporting import render_table
-
     rows = []
     for report in payload["devices"]:
         result = report["result"]

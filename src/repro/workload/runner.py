@@ -117,11 +117,7 @@ def run_device(spec: DeviceSpec) -> Dict[str, object]:
     return report
 
 
-def run_device_streamed(
-    spec: DeviceSpec,
-    stream_dir,
-    snapshot_interval_s: float = obs_stream.DEFAULT_SNAPSHOT_INTERVAL_S,
-) -> Dict[str, object]:
+def run_device_streamed(spec: DeviceSpec, stream_dir) -> Dict[str, object]:
     """Run one device while streaming ``telemetry.v1`` to its spool file.
 
     The device's full report never crosses back to the caller: the
@@ -142,8 +138,7 @@ def run_device_streamed(
     with obs_stream.SpoolWriter(path, spec.index) as writer:
         with obs.observe() as recorder:
             streamer = obs_stream.DeviceTelemetryStreamer(
-                writer, recorder.metrics, interval_s=snapshot_interval_s,
-                heartbeat=recorder,
+                writer, recorder.metrics, heartbeat=recorder
             )
             writer.emit("device_start", 0.0, spec=dataclasses.asdict(spec))
             try:

@@ -1,7 +1,5 @@
 """Tests for the adversary toolkit: forensics, metadata parsing, side channel."""
 
-import pytest
-
 from repro.adversary import (
     RANDOMNESS_ENTROPY_THRESHOLD,
     analyze_changes,
@@ -12,7 +10,6 @@ from repro.adversary import (
     new_allocations_per_volume,
     side_channel_attack,
     snapshot_to_device,
-    summarize_snapshot,
     volume_allocations,
 )
 from repro.android import Phone
@@ -44,17 +41,6 @@ class TestForensics:
         assert classes[0].is_zero
         assert classes[1].looks_random
         assert not classes[2].looks_random and not classes[2].is_zero
-
-    def test_summarize_snapshot(self):
-        dev = RAMBlockDevice(10)
-        for i in range(3):
-            dev.write_block(i, Rng(i).random_bytes(BS))
-        dev.write_block(5, b"text" * 1024)
-        summary = summarize_snapshot(capture(dev))
-        assert summary.random_blocks == 3
-        assert summary.structured_blocks == 1
-        assert summary.zero_blocks == 6
-        assert summary.random_fraction == pytest.approx(0.3)
 
     def test_analyze_changes(self):
         dev = RAMBlockDevice(16)
@@ -163,9 +149,7 @@ class TestSideChannelAttack:
         phone, system = booted(seed=17)
         system.store_file("/public/p.txt", b"x")
         system.sync()
-        report = side_channel_attack(
-            phone, ["/public/p.txt"], inspect_ram=False
-        )
+        report = side_channel_attack(phone, ["/public/p.txt"])
         # public path IS on cache/devlog — that's expected OS behaviour;
         # the attack only matters for hidden paths
         assert report.on_disk_leak

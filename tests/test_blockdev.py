@@ -248,13 +248,6 @@ class TestEMMCDevice:
         dev.poke(1, block(2))
         assert clock.now == t
 
-    def test_reset_locality(self):
-        clock = SimClock()
-        dev = EMMCDevice(8, clock=clock, latency=LatencyModel())
-        dev.read_block(0)
-        dev.reset_locality()
-        assert dev._last_read_end is None
-
 
 class TestLatencyModel:
     def test_bandwidth_properties(self):

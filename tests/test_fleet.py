@@ -1,6 +1,7 @@
 """Tests for the fleet runner and recorder-payload merging."""
 
 import dataclasses
+import functools
 import gc
 import json
 import tempfile
@@ -10,6 +11,7 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.obs.export import SCHEMA_VERSION, dump_json
+from repro.workload import fleet as fleet_module
 from repro.workload import (
     DeviceSpec,
     FleetSpec,
@@ -124,6 +126,30 @@ class TestRunFleet:
         kept = run_fleet(small, stream_dir=tmp_path / "kept")
         for key in ("obs_merged", "totals"):
             assert dump_json(payload[key]) == dump_json(kept[key]), key
+
+
+def _log_and_fail(log_path, spec):
+    """A device worker that records its call and then fails with OSError."""
+    with open(log_path, "a") as fh:
+        fh.write(f"{spec.index}\n")
+    raise OSError(f"spool of device {spec.index} is not writable")
+
+
+class TestPoolFallback:
+    def test_worker_oserror_is_not_rerun_serially(self, tmp_path):
+        try:
+            fleet_module._pool_context().Pool(processes=1).terminate()
+        except OSError as exc:
+            pytest.skip(f"no worker pool can start here: {exc}")
+        log = tmp_path / "calls.log"
+        specs = device_specs(FleetSpec(devices=2))
+        with pytest.raises(OSError, match="not writable"):
+            fleet_module._map_devices(
+                functools.partial(_log_and_fail, str(log)), specs, 2
+            )
+        # each device ran once, in the pool; a worker's error is not
+        # a pool start-up failure, so nothing re-ran serially
+        assert sorted(log.read_text().split()) == ["0", "1"]
 
 
 class TestStreamedFleet:

@@ -7,7 +7,7 @@ from repro.blockdev import RAMBlockDevice
 from repro.core import Mode, MobiCealConfig, MobiCealSystem
 from repro.crypto import Rng
 from repro.dm import DMDevice, LinearTarget, TableEntry, create_crypt_device
-from repro.dm.thin import ThinPool, ThinTarget
+from repro.dm.thin import ThinPool
 
 DECOY, HIDDEN = "decoy", "hidden"
 
@@ -21,7 +21,7 @@ class TestPhoneUserdata:
 
 
 class TestThinTargetInDMTables:
-    """Thin volumes compose into dm tables like any other target."""
+    """Thin volumes compose into dm tables through linear targets."""
 
     def test_thin_target_in_table(self):
         md, dd = RAMBlockDevice(16), RAMBlockDevice(256)
@@ -32,8 +32,8 @@ class TestThinTargetInDMTables:
         dev = DMDevice(
             "combo",
             [
-                TableEntry(0, 64, ThinTarget(pool, 1)),
-                TableEntry(64, 64, ThinTarget(pool, 2)),
+                TableEntry(0, 64, LinearTarget(pool.get_thin(1), 0, 64)),
+                TableEntry(64, 64, LinearTarget(pool.get_thin(2), 0, 64)),
             ],
             4096,
         )

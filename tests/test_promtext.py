@@ -38,7 +38,7 @@ def _registry():
     registry.counter("server.requests.GET").add(3)
     registry.counter("workload.bytes_written").add(4096)
     registry.gauge("server.devices").set(2)
-    hist = registry.histogram("io.latency", bounds=(0.001, 0.01, 0.1))
+    hist = registry.histogram("io.latency")
     for value in (0.0005, 0.001, 0.05, 7.0):
         hist.observe(value)
     return registry
@@ -72,9 +72,16 @@ class TestRender:
             for name, labels, value in samples
             if name == "repro_io_latency_bucket"
         }
-        # le is an inclusive upper edge: the observation at exactly 0.001
-        # counts in the 0.001 bucket, the 7.0 one only in +Inf
-        assert buckets == {"0.001": 2.0, "0.01": 2.0, "0.1": 3.0, "+Inf": 4.0}
+        # le is an inclusive upper edge: the observations at exactly 0.001
+        # and 0.05 count in those buckets, the 7.0 one from the 10 bucket on
+        assert len(buckets) == 23
+        assert {
+            le: buckets[le]
+            for le in ("0.0002", "0.001", "0.02", "0.05", "5", "10", "+Inf")
+        } == {
+            "0.0002": 0.0, "0.001": 2.0, "0.02": 2.0, "0.05": 3.0,
+            "5": 3.0, "10": 4.0, "+Inf": 4.0,
+        }
         count = next(v for n, _, v in samples if n == "repro_io_latency_count")
         total = next(v for n, _, v in samples if n == "repro_io_latency_sum")
         assert count == 4.0

@@ -7,7 +7,7 @@ from repro.baselines import AndroidFDESystem
 from repro.bench import run_table2
 from repro.blockdev import RAMBlockDevice
 from repro.crypto import Rng
-from repro.dm.thin import ThinPool, ThinTarget
+from repro.dm.thin import ThinPool
 
 
 class TestRunTable2Structure:
@@ -58,11 +58,11 @@ class TestThinTargetOps:
         md, dd = RAMBlockDevice(16), RAMBlockDevice(64)
         pool = ThinPool.format(md, dd, rng=Rng(0))
         pool.create_thin(1, 32)
-        target = ThinTarget(pool, 1)
-        target.write(3, b"\x09" * 4096)
-        assert target.read(3) == b"\x09" * 4096
+        target = pool.get_thin(1)
+        target.write_block(3, b"\x09" * 4096)
+        assert target.read_block(3) == b"\x09" * 4096
         target.discard(3)
-        assert target.read(3) == b"\x00" * 4096
+        assert target.read_block(3) == b"\x00" * 4096
         target.flush()
         # flush committed the metadata: a reopened pool sees the discard
         pool2 = ThinPool.open(md, dd, rng=Rng(1))

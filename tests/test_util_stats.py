@@ -19,7 +19,6 @@ from repro.util.units import (
     MiB,
     format_bytes,
     format_duration,
-    format_throughput,
 )
 from tests.oracles.percentile import nearest_rank
 
@@ -154,6 +153,3 @@ class TestUnits:
     def test_format_duration_minutes(self):
         assert format_duration(136) == "2min16s"
         assert format_duration(18 * 60 + 23) == "18min23s"
-
-    def test_format_throughput(self):
-        assert format_throughput(15_200_000) == "15200.0 KB/s"
