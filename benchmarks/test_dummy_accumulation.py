@@ -48,7 +48,7 @@ def simulate(gc: bool, seed: int):
             system.reboot()
             system.boot_with_password(DECOY)
             system.start_framework()
-        phone.clock.advance(86400, "next-day")
+        phone.clock.advance(86400, "workload.idle")
         series.append(dummy_blocks() - baseline)
     return series
 

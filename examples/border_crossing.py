@@ -77,7 +77,7 @@ def run_mobipluto():
         system.store_file(path, data)
 
     def pass_day():
-        phone.clock.advance(86400, "travel")
+        phone.clock.advance(86400, "workload.idle")
 
     journalist_trip(store_public, store_hidden, pass_day)
     if system.mode != "public":
@@ -118,7 +118,7 @@ def run_mobiceal():
         system.store_file(path, data)
 
     def pass_day():
-        phone.clock.advance(86400, "travel")
+        phone.clock.advance(86400, "workload.idle")
 
     journalist_trip(store_public, store_hidden, pass_day)
     from repro.core import Mode

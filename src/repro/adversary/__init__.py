@@ -4,7 +4,6 @@ from repro.adversary.forensics import (
     RANDOMNESS_ENTROPY_THRESHOLD,
     ChangeAnalysis,
     analyze_changes,
-    entropy_map,
     grep_snapshot,
 )
 from repro.adversary.game import (
@@ -34,7 +33,6 @@ __all__ = [
     "RANDOMNESS_ENTROPY_THRESHOLD",
     "ChangeAnalysis",
     "analyze_changes",
-    "entropy_map",
     "grep_snapshot",
     "AccessOp",
     "ClusteredAllocationAdversary",

@@ -1,8 +1,9 @@
 """Forensic analysis of disk snapshots.
 
 The paper's adversary can "perform advanced computer forensics on the disk
-image" — this module is that toolkit: per-block entropy maps, randomness
-classification, and change-pattern statistics over snapshot series.
+image" — this module is that toolkit: change-pattern statistics over
+snapshot series (with an entropy test for blocks that turned random) and
+a raw-image grep.
 """
 
 from __future__ import annotations
@@ -15,30 +16,6 @@ from repro.util.stats import shannon_entropy
 
 #: Blocks with entropy above this (bits/byte) look like ciphertext/noise.
 RANDOMNESS_ENTROPY_THRESHOLD = 7.2
-
-
-@dataclass(frozen=True)
-class BlockClass:
-    """Coarse classification of one block's contents."""
-
-    index: int
-    entropy: float
-
-    @property
-    def looks_random(self) -> bool:
-        return self.entropy >= RANDOMNESS_ENTROPY_THRESHOLD
-
-    @property
-    def is_zero(self) -> bool:
-        return self.entropy == 0.0
-
-
-def entropy_map(snapshot: Snapshot) -> List[BlockClass]:
-    """Per-block entropy classification of a snapshot."""
-    return [
-        BlockClass(index=i, entropy=shannon_entropy(snapshot.block(i)))
-        for i in range(snapshot.num_blocks)
-    ]
 
 
 @dataclass(frozen=True)

@@ -82,7 +82,7 @@ class MobiCealHarness(GameHarness):
         )
 
     def pass_time(self, seconds: float) -> None:
-        self._phone.clock.advance(seconds, "elapsed-time")
+        self._phone.clock.advance(seconds, "adversary.elapsed")
 
 
 class MobiPlutoHarness(GameHarness):
@@ -128,4 +128,4 @@ class MobiPlutoHarness(GameHarness):
         )
 
     def pass_time(self, seconds: float) -> None:
-        self._phone.clock.advance(seconds, "elapsed-time")
+        self._phone.clock.advance(seconds, "adversary.elapsed")

@@ -116,7 +116,7 @@ class AndroidFramework:
     def power_on(self) -> None:
         """Cold boot up to the pre-boot (FDE password) prompt."""
         self._require(PhoneState.POWER_OFF)
-        self.clock.advance(self.profile.kernel_boot_s, "kernel-boot")
+        self.clock.advance(self.profile.kernel_boot_s, "android.kernel_boot")
         self.state = PhoneState.PREBOOT
         self.boot_count += 1
 
@@ -128,13 +128,15 @@ class AndroidFramework:
             if warm
             else self.profile.framework_cold_start_s
         )
-        self.clock.advance(cost, "framework-start")
+        self.clock.advance(cost, "android.framework_start")
         self.state = PhoneState.FRAMEWORK_RUNNING
 
     def stop_framework(self) -> None:
         """Shut the framework down (releases /data, as Vold requires)."""
         self._require(PhoneState.FRAMEWORK_RUNNING)
-        self.clock.advance(self.profile.framework_stop_s, "framework-stop")
+        self.clock.advance(
+            self.profile.framework_stop_s, "android.framework_stop"
+        )
         self.state = PhoneState.FRAMEWORK_STOPPED
 
     def shutdown(self) -> None:
@@ -144,7 +146,7 @@ class AndroidFramework:
             PhoneState.FRAMEWORK_STOPPED,
             PhoneState.PREBOOT,
         )
-        self.clock.advance(self.profile.shutdown_s, "shutdown")
+        self.clock.advance(self.profile.shutdown_s, "android.shutdown")
         self.mounts.unmount_all()
         self.ram_residue.clear()
         self.state = PhoneState.POWER_OFF

@@ -40,7 +40,7 @@ class ScreenLock:
         if self.framework.state is not PhoneState.FRAMEWORK_RUNNING:
             raise FrameworkStateError("screen lock requires a running framework")
         self.framework.clock.advance(
-            self.framework.profile.screenlock_verify_s, "screenlock"
+            self.framework.profile.screenlock_verify_s, "android.screenlock"
         )
         if password == self.lock_password:
             return UnlockResult.UNLOCKED

@@ -59,7 +59,7 @@ class AndroidVold:
         Table II; it is accounted analytically via :func:`bulk_pass`.
         """
         phone = self.phone
-        self._charge(phone.profile.vold_roundtrip_s, "vdc")
+        self._charge(phone.profile.vold_roundtrip_s, "android.vdc")
         footer, master_key = CryptoFooter.create(password, phone.rng)
         footer.store(phone.userdata)
         data = self.data_partition()
@@ -70,9 +70,9 @@ class AndroidVold:
             read=True,
             write=True,
             extra_byte_cost_s=phone.profile.crypto_byte_cost_s,
-            reason="fde-inplace-encrypt",
+            reason="android.fde_encrypt",
         )
-        self._charge(phone.profile.dmsetup_s, "dmsetup")
+        self._charge(phone.profile.dmsetup_s, "android.dmsetup")
         crypt_dev = self._make_crypt_device(master_key)
         fs = Ext4Filesystem(crypt_dev)
         fs.format()
@@ -89,13 +89,13 @@ class AndroidVold:
         phone = self.phone
         if self._fs is not None:
             raise VoldError("userdata is already mounted")
-        self._charge(phone.profile.pbkdf2_s, "pbkdf2")
+        self._charge(phone.profile.pbkdf2_s, "crypto.pbkdf2")
         footer = CryptoFooter.load(phone.userdata)
         key = footer.unlock(password)
-        self._charge(phone.profile.dmsetup_s, "dmsetup")
+        self._charge(phone.profile.dmsetup_s, "android.dmsetup")
         crypt_dev = self._make_crypt_device(key)
         fs = Ext4Filesystem(crypt_dev)
-        self._charge(phone.profile.mount_s, "mount")
+        self._charge(phone.profile.mount_s, "android.mount")
         try:
             fs.mount()
         except NotFormattedError as exc:

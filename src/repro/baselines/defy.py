@@ -81,7 +81,9 @@ class DefyDevice(PerBlockDevice):
 
     def _charge_crypto(self, nbytes: int) -> None:
         if self._clock is not None and self._crypto_cost:
-            self._clock.advance(nbytes * self._crypto_cost, "defy-crypto")
+            self._clock.advance(
+                nbytes * self._crypto_cost, "baseline.defy_crypto"
+            )
 
     def _advance_head(self) -> int:
         """Find the next free page at/after the head (the log is a ring)."""

@@ -98,7 +98,7 @@ class MobiPlutoSystem:
             extra_byte_cost_s=phone.profile.urandom_byte_cost_s,
             materialize=not phone.userdata.sparse,
             content=lambda _b: fill_rng.random_bytes(area_dev.block_size),
-            reason="mobipluto-random-fill",
+            reason="baseline.random_fill",
         )
         # MobiPluto builds on Android FDE, so initialization also performs
         # the inherited in-place encryption pass over userdata — together
@@ -111,10 +111,10 @@ class MobiPlutoSystem:
             read=True,
             write=True,
             extra_byte_cost_s=phone.profile.crypto_byte_cost_s,
-            reason="mobipluto-inplace-encrypt",
+            reason="baseline.fde_encrypt",
         )
-        self._charge(phone.profile.vold_roundtrip_s, "vdc")
-        self._charge(phone.profile.lvm_setup_s, "lvm-setup")
+        self._charge(phone.profile.vold_roundtrip_s, "baseline.vdc")
+        self._charge(phone.profile.lvm_setup_s, "baseline.lvm_setup")
         meta_dev, data_dev = self._lvm_devices()
         footer, decoy_key = CryptoFooter.create(decoy_password, phone.rng)
         footer.store(phone.userdata)
@@ -128,12 +128,12 @@ class MobiPlutoSystem:
         self._pool = pool
         pool.create_thin(PUBLIC_VOLUME_ID, data_dev.num_blocks)
         pool.create_thin(HIDDEN_VOLUME_ID, data_dev.num_blocks)
-        self._charge(phone.profile.dmsetup_s, "dmsetup")
+        self._charge(phone.profile.dmsetup_s, "baseline.dmsetup")
         Ext4Filesystem(self._volume_device(PUBLIC_VOLUME_ID, decoy_key)).format()
         if hidden_password is not None:
-            self._charge(phone.profile.pbkdf2_s, "pbkdf2")
+            self._charge(phone.profile.pbkdf2_s, "crypto.pbkdf2")
             hidden_key = footer.unlock(hidden_password)
-            self._charge(phone.profile.dmsetup_s, "dmsetup")
+            self._charge(phone.profile.dmsetup_s, "baseline.dmsetup")
             Ext4Filesystem(
                 self._volume_device(HIDDEN_VOLUME_ID, hidden_key)
             ).format()
@@ -149,7 +149,7 @@ class MobiPlutoSystem:
         phone = self.phone
         if self.mode is not None:
             raise ModeError("already booted; reboot first")
-        self._charge(phone.profile.thin_activation_s, "thin-activation")
+        self._charge(phone.profile.thin_activation_s, "thin.activation")
         meta_dev, data_dev = self._lvm_devices()
         self._pool = ThinPool.open(
             meta_dev,
@@ -158,14 +158,14 @@ class MobiPlutoSystem:
             clock=phone.clock,
             costs=phone.profile.thin_costs,
         )
-        self._charge(phone.profile.pbkdf2_s, "pbkdf2")
+        self._charge(phone.profile.pbkdf2_s, "crypto.pbkdf2")
         footer = CryptoFooter.load(phone.userdata)
         key = footer.unlock(password)
         for vol_id, mode in ((PUBLIC_VOLUME_ID, "public"),
                              (HIDDEN_VOLUME_ID, "hidden")):
-            self._charge(phone.profile.dmsetup_s, "dmsetup")
+            self._charge(phone.profile.dmsetup_s, "baseline.dmsetup")
             fs = Ext4Filesystem(self._volume_device(vol_id, key))
-            self._charge(phone.profile.mount_s, "mount")
+            self._charge(phone.profile.mount_s, "baseline.mount")
             try:
                 fs.mount()
             except NotFormattedError:

@@ -102,7 +102,9 @@ class WriteOnlyORAMDevice(PerBlockDevice):
 
     def _charge_crypto(self, nbytes: int) -> None:
         if self._clock is not None and self._crypto_cost:
-            self._clock.advance(nbytes * self._crypto_cost, "oram-crypto")
+            self._clock.advance(
+                nbytes * self._crypto_cost, "baseline.oram_crypto"
+            )
 
     def _encrypt_to_slot(self, slot: int, plaintext: bytes) -> bytes:
         iv = self._rng.random_bytes(_IV_LEN)

@@ -125,7 +125,7 @@ def bonnie_char_write(
             remaining = total_bytes
             while remaining > 0:
                 take = min(BONNIE_CHUNK, remaining)
-                clock.advance(take * CHAR_CPU_BYTE_S, "bonnie-putc")
+                clock.advance(take * CHAR_CPU_BYTE_S, "bench.putc")
                 handle.write(_pattern(take))
                 remaining -= take
         fs.flush()
@@ -143,6 +143,6 @@ def bonnie_char_read(
                 data = handle.read(BONNIE_CHUNK)
                 if not data:
                     break
-                clock.advance(len(data) * CHAR_CPU_BYTE_S, "bonnie-getc")
+                clock.advance(len(data) * CHAR_CPU_BYTE_S, "bench.getc")
                 total += len(data)
     return ThroughputSample(nbytes=total, seconds=sw.elapsed)

@@ -46,10 +46,10 @@ def bulk_pass(
     latency: LatencyModel,
     read: bool,
     write: bool,
+    reason: str,
     extra_byte_cost_s: float = 0.0,
     materialize: bool = False,
     content: Optional[Callable[[int], bytes]] = None,
-    reason: str = "bulk-pass",
 ) -> float:
     """Account (and optionally perform) a sequential whole-device pass.
 

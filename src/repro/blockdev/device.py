@@ -27,14 +27,6 @@ from repro.blockdev.store import (
 )
 
 
-def _deep_span(name: str, **attrs):
-    """Lazy ``repro.obs.deep_span`` — device.py sits below repro.obs in the
-    import graph (obs' crash-point spine imports this module), so the obs
-    package cannot be imported at module load time."""
-    from repro import obs
-
-    return obs.deep_span(name, **attrs)
-
 #: Default logical block size for the stack (matches ext4 and dm-thin).
 DEFAULT_BLOCK_SIZE = 4096
 
@@ -509,18 +501,14 @@ class RAMBlockDevice(BlockDevice):
     def _read_extent(
         self, start: int, count: int, costs: Optional[ExtentCosts]
     ) -> bytes:
-        with _deep_span("ram.read_extent", blocks=count):
-            self._replay_costs(costs, count)
-            return self._store.read_extent(start, count)
+        self._replay_costs(costs, count)
+        return self._store.read_extent(start, count)
 
     def _write_extent(
         self, start: int, data: bytes, costs: Optional[ExtentCosts]
     ) -> None:
-        with _deep_span(
-            "ram.write_extent", blocks=len(data) // self._block_size
-        ):
-            self._replay_costs(costs, len(data) // self._block_size)
-            self._store.write_extent(start, data)
+        self._replay_costs(costs, len(data) // self._block_size)
+        self._store.write_extent(start, data)
 
     def peek_extent(self, start: int, count: int) -> bytes:
         return self._store.read_extent(start, count)

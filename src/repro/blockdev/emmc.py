@@ -55,37 +55,33 @@ class EMMCDevice(RAMBlockDevice):
     def _read_extent(
         self, start: int, count: int, costs: Optional[ExtentCosts]
     ) -> bytes:
-        with obs.deep_span("emmc.read_extent", clock=self.clock, blocks=count):
-            sequential = self._last_read_end == start
-            self._last_read_end = start + count
-            bs = self.block_size
-            self._charge(
-                count,
-                self.latency.read_cost(bs, sequential),
-                self.latency.read_cost(bs, True),
-                costs,
-                "emmc-read",
-                "emmc.read",
-            )
-            return self._store.read_extent(start, count)
+        sequential = self._last_read_end == start
+        self._last_read_end = start + count
+        bs = self.block_size
+        self._charge(
+            count,
+            self.latency.read_cost(bs, sequential),
+            self.latency.read_cost(bs, True),
+            costs,
+            "emmc.read",
+        )
+        return self._store.read_extent(start, count)
 
     def _write_extent(
         self, start: int, data: bytes, costs: Optional[ExtentCosts]
     ) -> None:
         bs = self.block_size
         count = len(data) // bs
-        with obs.deep_span("emmc.write_extent", clock=self.clock, blocks=count):
-            sequential = self._last_write_end == start
-            self._last_write_end = start + count
-            self._charge(
-                count,
-                self.latency.write_cost(bs, sequential),
-                self.latency.write_cost(bs, True),
-                costs,
-                "emmc-write",
-                "emmc.write",
-            )
-            self._store.write_extent(start, data)
+        sequential = self._last_write_end == start
+        self._last_write_end = start + count
+        self._charge(
+            count,
+            self.latency.write_cost(bs, sequential),
+            self.latency.write_cost(bs, True),
+            costs,
+            "emmc.write",
+        )
+        self._store.write_extent(start, data)
 
     def _charge(
         self,
@@ -93,8 +89,7 @@ class EMMCDevice(RAMBlockDevice):
         first: float,
         rest: float,
         costs: Optional[ExtentCosts],
-        reason: str,
-        metric: str,
+        name: str,
     ) -> None:
         """Charge an extent's latency block by block, replaying *costs*.
 
@@ -102,9 +97,10 @@ class EMMCDevice(RAMBlockDevice):
         device's own latency charge, its latency observation, then the
         schedule's post charges and calls — the exact sequence the
         per-block path produces, so the clock matches it bit for bit
-        (float addition order matters). Only the first block can pay the
-        random-access penalty (*first*); the rest are sequential by
-        construction (*rest*). Jitter is one RNG draw per block, in block
+        (float addition order matters). *name* is both the clock reason
+        and the latency histogram of the charge. Only the first block can
+        pay the random-access penalty (*first*); the rest are sequential
+        by construction (*rest*). Jitter is one RNG draw per block, in block
         order, applied to the hoisted cost — exactly what drawing it
         around a per-block ``*_cost`` call computes.
         """
@@ -126,12 +122,12 @@ class EMMCDevice(RAMBlockDevice):
             charge = cost
             if jitter:
                 charge = cost * (1.0 + jitter * (2.0 * draw() - 1.0))
-            advance(charge, reason)
-            observe(metric, charge)
+            advance(charge, name)
+            observe(name, charge)
             if post is not None:
                 post()
             cost = rest
 
     def _flush(self) -> None:
         # Model a cache flush as one write-op worth of latency.
-        self.clock.advance(self.latency.write_op_s, "emmc-flush")
+        self.clock.advance(self.latency.write_op_s, "emmc.flush")

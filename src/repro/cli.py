@@ -15,7 +15,7 @@ Usage::
     python -m repro serve [--host H] [--port P] [--db FILE]
     python -m repro trace [--format chrome] [--out FILE]
     python -m repro metrics
-    python -m repro profile [--workload NAME] [--wall] [--out DIR]
+    python -m repro profile [--workload NAME] [--out DIR]
     python -m repro flame [--workload NAME] [--out FILE]
     python -m repro bench compare --baseline DIR [--current DIR]
     python -m repro all
@@ -28,10 +28,11 @@ span durations, latency percentiles and deniability gauges — into
 directory). ``trace`` and ``metrics`` run a small end-to-end PDE session
 under observation and print the span tree / metric tables; ``trace
 --format chrome`` exports the same session as a Chrome trace-event JSON
-for ui.perfetto.dev. ``profile`` and ``flame`` run a deep-instrumented
-session or personality workload and emit per-layer time attribution /
-folded flamegraph stacks. ``bench compare`` diffs two results directories
-under per-experiment tolerance bands and exits non-zero on regression.
+for ui.perfetto.dev. ``profile`` and ``flame`` run the session or a
+personality workload and emit the per-layer split of its simulated time
+(from the clock's per-reason ledger) / folded flamegraph stacks.
+``bench compare`` diffs two results directories under per-experiment
+tolerance bands and exits non-zero on regression.
 The workload commands drive app-shaped traffic (``repro workload`` records a
 trace, ``repro replay`` re-drives one on any stack, ``repro fleet`` runs
 N simulated phones in parallel); see docs/workloads.md. Commands building
@@ -290,20 +291,17 @@ def _cmd_crashsim(args: argparse.Namespace) -> None:
 
 
 def _observed_session(
-    seed: int,
-    userdata_blocks: int = 4096,
-    deep: bool = False,
-    wall: bool = False,
+    seed: int, userdata_blocks: int, wall: bool = False
 ) -> obs.Recorder:
     """A small end-to-end PDE session under observation.
 
     Initialize, boot public, write files, fast-switch to the hidden mode,
     write a hidden file, run GC, sync — exercising every instrumented
     layer so the resulting span tree and metric tables are representative.
-    *deep* enables the fine-grained per-extent/per-crypto spans; *wall*
-    additionally captures wall-clock timestamps for each span.
+    *wall* additionally captures wall-clock timestamps for each span. The
+    recorder's clock is the phone's, which started the session at zero.
     """
-    with obs.observe(deep=deep, wall=wall) as recorder:
+    with obs.observe(wall=wall) as recorder:
         phone = Phone(seed=seed, userdata_blocks=userdata_blocks)
         # default clock for the clock-less spans (ext4 and friends), so
         # the whole tree shares the phone's sim timeline
@@ -330,10 +328,7 @@ def _observed_session(
 
 def _cmd_trace(args: argparse.Namespace) -> None:
     if args.format == "chrome":
-        # deep spans make the exported timeline worth looking at
-        recorder = _observed_session(
-            args.seed, _userdata_blocks(args), deep=True
-        )
+        recorder = _observed_session(args.seed, _userdata_blocks(args))
         text = obs.render_chrome_trace(recorder, "sim")
         if args.out:
             path = pathlib.Path(args.out)
@@ -368,24 +363,23 @@ def _cmd_metrics(args: argparse.Namespace) -> None:
 SESSION_WORKLOAD = "session"
 
 
-def _profiled_recorder(args: argparse.Namespace) -> obs.Recorder:
-    """Run the selected workload under deep observation.
+def _profiled_recorder(args: argparse.Namespace, wall: bool) -> obs.Recorder:
+    """Run the selected workload under observation.
 
     ``session`` is the same end-to-end PDE session ``repro trace`` uses;
     any other name is a workload personality driven on the ``--setting``
     stack (the stack/RNG derivation matches ``repro workload``, so the
-    sim timeline of a profile is the timeline of the plain run).
+    sim timeline of a profile is the timeline of the plain run). Either
+    way the recorder's clock is the run's own, fresh at zero, so its
+    ledger covers exactly the observed run.
     """
-    wall = getattr(args, "wall", False)
     if args.workload == SESSION_WORKLOAD:
-        return _observed_session(
-            args.seed, _userdata_blocks(args), deep=True, wall=wall
-        )
+        return _observed_session(args.seed, _userdata_blocks(args), wall)
     from repro.crypto.rng import Rng
     from repro.workload import run_personality
     from repro.bench.stacks import build_fig4_stack
 
-    with obs.observe(deep=True, wall=wall) as recorder:
+    with obs.observe(wall=wall) as recorder:
         stack = build_fig4_stack(
             args.setting,
             seed=args.seed,
@@ -411,51 +405,31 @@ def _profiled_recorder(args: argparse.Namespace) -> obs.Recorder:
     return recorder
 
 
-def _write_profile_artifacts(
-    recorder: obs.Recorder, out_dir: pathlib.Path, wall: bool
-) -> List[pathlib.Path]:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    timelines = ["sim"] + (["wall"] if wall else [])
-    written = []
-    for timeline in timelines:
-        suffix = "" if timeline == "sim" else f".{timeline}"
-        trace_path = out_dir / f"trace{suffix}.chrome.json"
-        trace_path.write_text(obs.render_chrome_trace(recorder, timeline))
-        folded_path = out_dir / f"stacks{suffix}.folded"
-        folded_path.write_text(
-            obs.render_folded(obs.folded_stacks(recorder, timeline))
-        )
-        attr_path = out_dir / f"attribution{suffix}.json"
-        attr_path.write_text(
-            json.dumps(
-                obs.attribution(recorder, timeline), indent=2, sort_keys=True
-            )
-            + "\n"
-        )
-        written += [trace_path, folded_path, attr_path]
-    return written
-
-
 def _cmd_profile(args: argparse.Namespace) -> None:
-    recorder = _profiled_recorder(args)
+    recorder = _profiled_recorder(args, wall=False)
+    clock = recorder.clock
+    report = obs.attribution(clock.charged, clock.now)
     print(f"Per-layer time attribution — workload {args.workload!r} "
           "(simulated clock)")
-    print(obs.render_attribution(obs.attribution(recorder, "sim")))
-    if args.wall:
-        print()
-        print("Per-layer time attribution (wall clock)")
-        print(obs.render_attribution(obs.attribution(recorder, "wall")))
+    print(obs.render_attribution(report))
     if args.out:
-        written = _write_profile_artifacts(
-            recorder, pathlib.Path(args.out), args.wall
-        )
-        for path in written:
-            print(f"[profile artifact: {path}]")
+        out_dir = pathlib.Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        artifacts = {
+            "trace.chrome.json": obs.render_chrome_trace(recorder, "sim"),
+            "stacks.folded": obs.render_folded(
+                obs.folded_stacks(recorder, "sim")
+            ),
+            "attribution.json": json.dumps(report, indent=2, sort_keys=True)
+            + "\n",
+        }
+        for name, text in artifacts.items():
+            (out_dir / name).write_text(text)
+            print(f"[profile artifact: {out_dir / name}]")
 
 
 def _cmd_flame(args: argparse.Namespace) -> None:
-    args.wall = args.timeline == "wall"
-    recorder = _profiled_recorder(args)
+    recorder = _profiled_recorder(args, wall=args.timeline == "wall")
     text = obs.render_folded(obs.folded_stacks(recorder, args.timeline))
     if args.out:
         path = pathlib.Path(args.out)
@@ -953,7 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--format", choices=["tree", "chrome"], default="tree",
         help="tree = indented span tree; chrome = trace-event JSON for "
-        "ui.perfetto.dev (deep spans enabled)",
+        "ui.perfetto.dev",
     )
     p.add_argument(
         "--out", default=None, metavar="FILE",
@@ -993,14 +967,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "profile",
-        help="per-layer time attribution of a deep-instrumented run",
+        help="per-layer split of a run's simulated time",
     )
     _add_profile_workload(p)
-    p.add_argument(
-        "--wall", action="store_true",
-        help="also capture wall-clock timestamps and print the wall "
-        "attribution",
-    )
     p.add_argument(
         "--out", default=None, metavar="DIR",
         help="write chrome trace / folded stacks / attribution JSON "
@@ -1009,7 +978,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser(
-        "flame", help="folded flamegraph stacks of a deep-instrumented run"
+        "flame", help="folded flamegraph stacks of an observed run"
     )
     _add_profile_workload(p)
     p.add_argument(

@@ -123,7 +123,7 @@ class DummyWritePolicy:
         the seeded RNG so experiments stay reproducible.
         """
         if self._noise_byte_cost_s:
-            self._clock.advance(nbytes * self._noise_byte_cost_s, "dummy-noise")
+            self._clock.advance(nbytes * self._noise_byte_cost_s, "pde.noise")
         return self._rng.random_bytes(nbytes)
 
     # -- pool hook ---------------------------------------------------------------------

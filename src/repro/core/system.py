@@ -132,11 +132,6 @@ class MobiCealSystem:
     def _charge(self, seconds: float, reason: str) -> None:
         self.phone.clock.advance(seconds, reason)
 
-    def _charge_kdf(self, reason: str) -> None:
-        """Charge one PBKDF2 derivation under a stable profiling span."""
-        with obs.deep_span("crypto.pbkdf2", clock=self.phone.clock):
-            self._charge(self.phone.profile.pbkdf2_s, reason)
-
     @property
     def pool(self) -> ThinPool:
         if self._pool is None:
@@ -235,16 +230,16 @@ class MobiCealSystem:
             raise PDEError("decoy and hidden passwords must differ")
         if screenlock_password in hidden_passwords:
             raise PDEError("screen-lock and hidden passwords must differ")
-        self._charge(phone.profile.vold_roundtrip_s, "vdc")
+        self._charge(phone.profile.vold_roundtrip_s, "system.vdc")
         # the "wipe" in ``pde wipe``: a secure BLKDISCARD of the whole
         # userdata area before the volumes are built (initialization erases
         # existing data, Sec. IV-B). This is the largest size-dependent term
         # of MobiCeal's initialization time.
         area_bytes = data_area_blocks(phone.userdata) * phone.userdata.block_size
         self._charge(
-            area_bytes * phone.profile.discard_byte_cost_s, "pde-wipe-discard"
+            area_bytes * phone.profile.discard_byte_cost_s, "pde.wipe_discard"
         )
-        self._charge(phone.profile.lvm_setup_s, "lvm-setup")
+        self._charge(phone.profile.lvm_setup_s, "system.lvm_setup")
         meta_dev, data_dev = self._lvm_devices()
 
         # Footer + hidden-volume indices. If two hidden passwords collide on
@@ -256,7 +251,7 @@ class MobiCealSystem:
             footer, decoy_key = CryptoFooter.create(decoy_password, phone.rng)
             ks = []
             for pwd in hidden_passwords:
-                self._charge_kdf("pbkdf2-k")
+                self._charge(phone.profile.pbkdf2_s, "crypto.pbkdf2")
                 ks.append(
                     derive_hidden_volume_index(
                         pwd.encode("utf-8"), footer.salt, self.config.num_volumes
@@ -283,17 +278,17 @@ class MobiCealSystem:
             pool.create_thin(vol_id, virtual)
 
         # Public volume: ext4 under the decoy key.
-        self._charge(phone.profile.dmsetup_s, "dmsetup")
+        self._charge(phone.profile.dmsetup_s, "system.dmsetup")
         public_dev = self._volume_device(PUBLIC_VOLUME_ID, decoy_key,
                                          skip_verifier=False)
         Ext4Filesystem(public_dev, journal=self.config.fs_journal).format()
 
         # Hidden volumes: verifier block + ext4 under each hidden key.
         for pwd, k in zip(hidden_passwords, ks):
-            self._charge_kdf("pbkdf2-key")
+            self._charge(phone.profile.pbkdf2_s, "crypto.pbkdf2")
             hidden_key = footer.unlock(pwd)
             self._write_verifier(k, pwd, hidden_key)
-            self._charge(phone.profile.dmsetup_s, "dmsetup")
+            self._charge(phone.profile.dmsetup_s, "system.dmsetup")
             hidden_dev = self._volume_device(k, hidden_key, skip_verifier=True)
             Ext4Filesystem(hidden_dev, journal=self.config.fs_journal).format()
 
@@ -314,8 +309,8 @@ class MobiCealSystem:
         with obs.span(
             "system.pool-activate", clock=phone.clock, after_crash=after_crash
         ):
-            self._charge(phone.profile.thin_activation_s, "thin-activation")
-            self._charge(MOBICEAL_BOOT_EXTRA_S, "pde-kernel-init")
+            self._charge(phone.profile.thin_activation_s, "thin.activation")
+            self._charge(MOBICEAL_BOOT_EXTRA_S, "pde.kernel_init")
             meta_dev, data_dev = self._lvm_devices()
             self.last_recovery = None
             if after_crash:
@@ -382,14 +377,14 @@ class MobiCealSystem:
             "system.boot", clock=phone.clock, after_crash=after_crash
         ):
             pool = self._activate_pool(after_crash=after_crash)
-            self._charge_kdf("pbkdf2")
+            self._charge(phone.profile.pbkdf2_s, "crypto.pbkdf2")
             footer = CryptoFooter.load(phone.userdata)
             key = footer.unlock(password)
-            self._charge(phone.profile.dmsetup_s, "dmsetup")
+            self._charge(phone.profile.dmsetup_s, "system.dmsetup")
             public_dev = self._volume_device(PUBLIC_VOLUME_ID, key,
                                              skip_verifier=False)
             fs = Ext4Filesystem(public_dev)
-            self._charge(phone.profile.mount_s, "mount")
+            self._charge(phone.profile.mount_s, "system.mount")
             try:
                 fs.mount()
             except NotFormattedError:
@@ -405,17 +400,17 @@ class MobiCealSystem:
     ) -> Filesystem:
         """Check *password* against the hidden-volume verifiers at boot."""
         phone = self.phone
-        self._charge_kdf("pbkdf2-k")
+        self._charge(phone.profile.pbkdf2_s, "crypto.pbkdf2")
         k = derive_hidden_volume_index(
             password.encode("utf-8"), footer.salt, self.config.num_volumes
         )
         if not self._check_verifier(k, password, key):
             self._teardown_pool()
             raise BadPasswordError("password matches no volume")
-        self._charge(phone.profile.dmsetup_s, "dmsetup")
+        self._charge(phone.profile.dmsetup_s, "system.dmsetup")
         hidden_dev = self._volume_device(k, key, skip_verifier=True)
         fs = Ext4Filesystem(hidden_dev)
-        self._charge(phone.profile.mount_s, "mount")
+        self._charge(phone.profile.mount_s, "system.mount")
         fs.mount()
         self._fs = fs
         phone.framework.mounts.mount("/data", fs)
@@ -439,7 +434,7 @@ class MobiCealSystem:
                 fs.format()
                 fs.mount()
             else:
-                self._charge(phone.profile.mount_s, "mount")
+                self._charge(phone.profile.mount_s, "system.mount")
                 fs.mount()
             phone.framework.mounts.mount(mountpoint, fs)
 
@@ -477,13 +472,13 @@ class MobiCealSystem:
         beginning of Vk.
         """
         phone = self.phone
-        self._charge(phone.profile.vold_roundtrip_s, "imountservice")
+        self._charge(phone.profile.vold_roundtrip_s, "system.imountservice")
         footer = CryptoFooter.load(phone.userdata)
-        self._charge_kdf("pbkdf2-k")
+        self._charge(phone.profile.pbkdf2_s, "crypto.pbkdf2")
         k = derive_hidden_volume_index(
             password.encode("utf-8"), footer.salt, self.config.num_volumes
         )
-        self._charge_kdf("pbkdf2-key")
+        self._charge(phone.profile.pbkdf2_s, "crypto.pbkdf2")
         key = footer.unlock(password)
         if not self._check_verifier(k, password, key):
             return None
@@ -513,10 +508,10 @@ class MobiCealSystem:
             # Isolate the leak paths before the hidden volume appears.
             self._mount_log_partitions(tmpfs=self.config.isolate_side_channels)
             phone.framework.note_secret_in_ram(password)
-            self._charge(phone.profile.dmsetup_s, "dmsetup")
+            self._charge(phone.profile.dmsetup_s, "system.dmsetup")
             hidden_dev = self._volume_device(k, key, skip_verifier=True)
             fs = Ext4Filesystem(hidden_dev)
-            self._charge(phone.profile.mount_s, "mount")
+            self._charge(phone.profile.mount_s, "system.mount")
             fs.mount()
             obs.mark("system.switch.hidden-mounted")
             self._fs = fs

@@ -53,14 +53,6 @@ class CryptTarget(Target):
     def read_extent(
         self, block: int, count: int, costs: Optional[ExtentCosts] = None
     ) -> bytes:
-        with obs.deep_span(
-            "crypt.read_extent", clock=self._clock, blocks=count
-        ):
-            return self._read_extent_impl(block, count, costs)
-
-    def _read_extent_impl(
-        self, block: int, count: int, costs: Optional[ExtentCosts]
-    ) -> bytes:
         # The per-block path charges the CPU cost *after* each block's data
         # arrives (decryption waits on the device), so the charge is
         # scheduled as a post-cost replayed by the leaf device per block.
@@ -69,7 +61,7 @@ class CryptTarget(Target):
         costs = ExtentCosts() if costs is None else costs.clone()
         bs = self.block_size
         if self._clock is not None and self._byte_cost:
-            costs.add_post(self._clock, bs * self._byte_cost, "crypto")
+            costs.add_post(self._clock, bs * self._byte_cost, "crypt.cpu")
         # counters tick per block via the schedule so a fault raised
         # mid-extent leaves them exactly where the per-block path would
         costs.add_post_call(
@@ -83,20 +75,10 @@ class CryptTarget(Target):
     def write_extent(
         self, block: int, data: bytes, costs: Optional[ExtentCosts] = None
     ) -> None:
-        with obs.deep_span(
-            "crypt.write_extent",
-            clock=self._clock,
-            blocks=len(data) // self.block_size,
-        ):
-            self._write_extent_impl(block, data, costs)
-
-    def _write_extent_impl(
-        self, block: int, data: bytes, costs: Optional[ExtentCosts]
-    ) -> None:
         costs = ExtentCosts() if costs is None else costs.clone()
         bs = self.block_size
         if self._clock is not None and self._byte_cost:
-            costs.add_pre(self._clock, bs * self._byte_cost, "crypto")
+            costs.add_pre(self._clock, bs * self._byte_cost, "crypt.cpu")
         costs.add_pre_call(
             lambda: obs.counter_add("crypt.bytes_encrypted", bs)
         )

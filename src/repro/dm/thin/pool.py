@@ -204,21 +204,6 @@ class ThinPool:
         strictly uniform over volume ids — it never distinguishes hidden
         from dummy allocations, so recovery cannot become a distinguisher.
         """
-        with obs.deep_span("pool.recover", clock=clock):
-            return cls._recover_impl(
-                metadata_device, data_device, allocation, rng, clock, costs
-            )
-
-    @classmethod
-    def _recover_impl(
-        cls,
-        metadata_device: BlockDevice,
-        data_device: BlockDevice,
-        allocation: str,
-        rng: Optional[Rng],
-        clock: Optional[SimClock],
-        costs: ThinCosts,
-    ) -> "tuple[ThinPool, PoolRecovery]":
         store = MetadataStore(metadata_device)
         metadata, meta_report = store.recover()
         owners: dict = {}
@@ -371,12 +356,12 @@ class ThinPool:
         self._meta.bitmap.set(block)
         self.uncommitted_allocations.add(block)
         self.stats.provisions += 1
-        self._charge(self._costs.provision_s, "thin-provision")
+        self._charge(self._costs.provision_s, "thin.provision")
         return block
 
     def read_mapped(self, record: VolumeRecord, vblock: int) -> bytes:
         """Read a virtual block; unmapped blocks read as zeroes."""
-        self._charge(self._costs.lookup_read_s, "thin-lookup")
+        self._charge(self._costs.lookup_read_s, "thin.lookup")
         pblock = record.mappings.get(vblock)
         if pblock is None:
             self.stats.reads_unmapped += 1
@@ -386,7 +371,7 @@ class ThinPool:
 
     def write_mapped(self, record: VolumeRecord, vblock: int, data: bytes) -> None:
         """Write a virtual block, provisioning (and maybe dummy-writing)."""
-        self._charge(self._costs.lookup_write_s, "thin-lookup")
+        self._charge(self._costs.lookup_write_s, "thin.lookup")
         pblock = record.mappings.get(vblock)
         provisioned = pblock is None
         if provisioned:
@@ -415,16 +400,6 @@ class ThinPool:
         extent (with the lookup charge scheduled per block); holes and
         mapping discontinuities split the request.
         """
-        with obs.deep_span("pool.read_extent", clock=self._clock, blocks=count):
-            return self._read_extent_impl(record, vstart, count, costs)
-
-    def _read_extent_impl(
-        self,
-        record: VolumeRecord,
-        vstart: int,
-        count: int,
-        costs: Optional[ExtentCosts],
-    ) -> bytes:
         parts: List[bytes] = []
         mappings = record.mappings
         bs = self.block_size
@@ -436,7 +411,7 @@ class ThinPool:
             if pblock is None:
                 if costs is not None:
                     costs.replay_pre()
-                self._charge(lookup_s, "thin-lookup")
+                self._charge(lookup_s, "thin.lookup")
                 self.stats.reads_unmapped += 1
                 parts.append(b"\x00" * bs)
                 if costs is not None:
@@ -454,7 +429,7 @@ class ThinPool:
             else:
                 plan = costs.clone() if costs is not None else ExtentCosts()
                 if charged:
-                    plan.add_pre(self._clock, lookup_s, "thin-lookup")
+                    plan.add_pre(self._clock, lookup_s, "thin.lookup")
             self.stats.reads_mapped += run
             parts.append(self._data.read_blocks(pblock, run, plan))
             i += run
@@ -474,20 +449,6 @@ class ThinPool:
         layout, RNG stream and noise interleaving are identical to the
         per-block path; only already-mapped contiguous runs batch.
         """
-        with obs.deep_span(
-            "pool.write_extent",
-            clock=self._clock,
-            blocks=len(data) // self.block_size,
-        ):
-            self._write_extent_impl(record, vstart, data, costs)
-
-    def _write_extent_impl(
-        self,
-        record: VolumeRecord,
-        vstart: int,
-        data: bytes,
-        costs: Optional[ExtentCosts],
-    ) -> None:
         bs = self.block_size
         count = len(data) // bs
         mappings = record.mappings
@@ -516,7 +477,7 @@ class ThinPool:
             else:
                 plan = costs.clone() if costs is not None else ExtentCosts()
                 if charged:
-                    plan.add_pre(self._clock, lookup_s, "thin-lookup")
+                    plan.add_pre(self._clock, lookup_s, "thin.lookup")
             self._data.write_blocks(pblock, data[i * bs : (i + run) * bs], plan)
             self.stats.real_writes += run
             i += run

@@ -456,10 +456,6 @@ class Ext4Filesystem(Filesystem):
         The pairs arrive sorted by block, so coalescing preserves the
         exact per-block device write order.
         """
-        with obs.deep_span("ext4.journal.checkpoint", blocks=len(chunk)):
-            self._checkpoint_chunk_impl(chunk)
-
-    def _checkpoint_chunk_impl(self, chunk) -> None:
         run_start = 0
         parts: List[bytes] = []
         for block, data in chunk:
@@ -508,7 +504,7 @@ class Ext4Filesystem(Filesystem):
         journal precedes), so replaying unconditionally is safe and
         idempotent. Replay I/O is booked as recovery, not workload.
         """
-        with obs.deep_span("ext4.journal.replay"), recovery_io():
+        with recovery_io():
             parsed = self._parse_journal_header(
                 self._device.read_block(self._journal_start)
             )
@@ -844,12 +840,6 @@ class Ext4Filesystem(Filesystem):
     # -- file content I/O --------------------------------------------------------------
 
     def _read_range(self, inode: _Inode, offset: int, nbytes: int) -> bytes:
-        with obs.deep_span("ext4.read_range", nbytes=nbytes):
-            return self._read_range_impl(inode, offset, nbytes)
-
-    def _read_range_impl(
-        self, inode: _Inode, offset: int, nbytes: int
-    ) -> bytes:
         end = min(offset + nbytes, inode.size)
         if offset >= end:
             return b""
@@ -890,12 +880,6 @@ class Ext4Filesystem(Filesystem):
         return b"".join(out)
 
     def _write_range(self, inode: _Inode, offset: int, data: bytes) -> None:
-        with obs.deep_span("ext4.write_range", nbytes=len(data)):
-            self._write_range_impl(inode, offset, data)
-
-    def _write_range_impl(
-        self, inode: _Inode, offset: int, data: bytes
-    ) -> None:
         bs = self._bs
         pos = offset
         cursor = 0

@@ -35,7 +35,6 @@ from repro.obs.recorder import (
     SpanRecord,
     counter_add,
     current,
-    deep_span,
     enabled,
     gauge_set,
     mark,
@@ -63,7 +62,6 @@ from repro.obs.attribution import (
     attribution,
     layer_of,
     render_attribution,
-    self_times,
 )
 from repro.obs.chrometrace import (
     chrome_trace,
@@ -115,7 +113,6 @@ __all__ = [
     "SpanRecord",
     "counter_add",
     "current",
-    "deep_span",
     "enabled",
     "gauge_set",
     "mark",
@@ -126,7 +123,6 @@ __all__ = [
     "attribution",
     "layer_of",
     "render_attribution",
-    "self_times",
     "chrome_trace",
     "chrome_trace_events",
     "render_chrome_trace",

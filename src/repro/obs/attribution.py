@@ -1,164 +1,105 @@
-"""Per-layer time attribution: where a run's time actually goes.
+"""Per-layer sim-time attribution: where a run's simulated time goes.
 
-Spans carry dotted names whose first component identifies the layer that
-emitted them (``emmc.write_extent`` → the eMMC model, ``pool.commit`` →
-dm-thin, ``ext4.flush`` → the filesystem, ...). This module folds a
-:class:`~repro.obs.recorder.Recorder`'s span forest into a per-layer
-report with both *inclusive* time (everything that happened while the
-layer's spans were open, children included) and *exclusive* time (the
-layer's own self time, children subtracted) — the numbers a flamegraph
-shows, but summarized to one row per layer.
+Every :meth:`~repro.blockdev.clock.SimClock.advance` names its reason, a
+dotted name whose first component is the layer that pays the charge
+(``emmc.write``, ``crypt.cpu``, ``thin.lookup``, ``pde.noise``, ...), and
+the clock books the charge into its ``charged`` ledger. :func:`attribution`
+folds a ledger into one row per layer, with the per-reason split under
+each. The ledger sees each charge where it lands, so a charge that the
+extent path schedules for the leaf device to replay (crypto CPU, thin
+lookups) still books to the layer that scheduled it.
 
-Exclusive times partition the span forest exactly: summed over every
-layer (including ``other``) they equal the total root-span time, so the
-report can never double-count and the ``unattributed`` bucket is
-precisely the self time of spans no known layer claims. The acceptance
-bar for the hot path is that crypt + thin + emmc account for >= 95% of a
-crypt-over-thin-over-eMMC profile, which requires the deep per-extent
-spans (``observe(deep=True)``) to be enabled.
+The rows partition the clock delta: every reason must map to a known
+layer (an unknown prefix raises :class:`~repro.errors.ObsError`), so
+there is no unattributed remainder, and the rows sum to the clock delta
+up to float rounding (the ledger sums per reason, the clock in call
+order). Span names use the same prefixes, so :func:`layer_of` also picks
+each span's chrome-trace track.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Mapping
 
 from repro.errors import ObsError
-from repro.obs.recorder import Recorder, SpanRecord
 from repro.util.units import format_seconds, render_table
 
-#: First dotted component of a span name → the layer it reports under.
-#: Stable span names are part of the observability contract (see
-#: docs/observability.md); new instrumentation should pick one of these
-#: prefixes or extend the table.
+#: First dotted component of a charge reason or span name → its layer.
+#: Stable names are part of the observability contract (see
+#: docs/observability.md); a new charge or span picks one of these
+#: prefixes or extends the table.
 LAYER_BY_PREFIX: Dict[str, str] = {
-    "emmc": "emmc",
-    "ram": "ram",
-    "crypt": "crypt",
+    "system": "system",
+    "android": "android",
+    "workload": "workload",
+    "bench": "bench",
+    "ext4": "ext4",
     "pool": "thin",
     "thin": "thin",
-    "ext4": "ext4",
-    "system": "system",
-    "pde": "pde",
+    "crypt": "crypt",
     "crypto": "crypto",
-    "workload": "workload",
-    "replay": "workload",
+    "pde": "pde",
+    "emmc": "emmc",
+    "baseline": "baseline",
+    "adversary": "adversary",
 }
 
-#: Display order for the report (unknown layers sort after, alphabetically).
-_LAYER_ORDER = (
-    "system", "workload", "ext4", "thin", "crypt", "crypto",
-    "pde", "emmc", "ram", "other",
-)
+#: Display order for the report: the table's order, top of the stack first.
+_LAYER_ORDER = {
+    layer: i for i, layer in enumerate(dict.fromkeys(LAYER_BY_PREFIX.values()))
+}
 
 
-def layer_of(span_name: str) -> str:
-    """The layer a span name reports under (``other`` if unknown)."""
-    prefix = span_name.split(".", 1)[0]
-    return LAYER_BY_PREFIX.get(prefix, "other")
-
-
-def _durations(recorder: Recorder, timeline: str) -> List[float]:
-    if timeline == "sim":
-        return [s.duration for s in recorder.spans]
-    if timeline == "wall":
-        if not recorder.wall:
-            raise ObsError(
-                "wall-clock attribution needs a recorder opened with "
-                "observe(wall=True)"
-            )
-        return [s.wall_duration for s in recorder.spans]
-    raise ObsError(f"unknown timeline {timeline!r}; use 'sim' or 'wall'")
-
-
-def self_times(recorder: Recorder, timeline: str = "sim") -> List[float]:
-    """Per-span exclusive time: duration minus direct children, >= 0."""
-    durations = _durations(recorder, timeline)
-    self_s = list(durations)
-    for s in recorder.spans:
-        if s.parent is not None:
-            self_s[s.parent] -= durations[s.index]
-    return [max(t, 0.0) for t in self_s]
+def layer_of(name: str) -> str:
+    """The layer a charge reason or span name reports under (``other`` if
+    its prefix is unknown)."""
+    return LAYER_BY_PREFIX.get(name.split(".", 1)[0], "other")
 
 
 def attribution(
-    recorder: Recorder, timeline: str = "sim"
+    charged: Mapping[str, float], total_s: float
 ) -> Dict[str, object]:
-    """Fold the span forest into a per-layer time report.
+    """Fold a clock ledger into a per-layer sim-time report.
 
-    Returns a JSON-serializable dict: total root-span time, one entry per
-    layer (span count, inclusive and exclusive seconds, exclusive share of
-    total) and the unattributed remainder (self time of ``other`` spans).
+    *charged* maps reasons to seconds: a clock's ``charged`` ledger, or
+    the per-reason difference of two readings of it; *total_s* is the
+    clock delta the ledger covers. Returns a JSON-serializable dict: the
+    total, and per layer its seconds, its share of the total and its
+    per-reason seconds.
     """
-    durations = _durations(recorder, timeline)
-    self_s = self_times(recorder, timeline)
-    layers: Dict[str, Dict[str, float]] = {}
-    span_layer: List[str] = []
-    total = 0.0
-    for s in recorder.spans:
-        layer = layer_of(s.name)
-        span_layer.append(layer)
-        entry = layers.setdefault(
-            layer, {"spans": 0, "inclusive_s": 0.0, "exclusive_s": 0.0}
-        )
-        entry["spans"] += 1
-        entry["exclusive_s"] += self_s[s.index]
-        if s.parent is None:
-            total += durations[s.index]
-        # inclusive: only layer-entry spans (no ancestor of the same
-        # layer) contribute, so nested same-layer spans never double-count
-        parent = s.parent
-        entered = True
-        while parent is not None:
-            if span_layer[parent] == layer:
-                entered = False
-                break
-            parent = recorder.spans[parent].parent
-        if entered:
-            entry["inclusive_s"] += durations[s.index]
+    layers: Dict[str, Dict[str, object]] = {}
+    for reason in sorted(charged):
+        layer = layer_of(reason)
+        if layer == "other":
+            raise ObsError(
+                f"charge reason {reason!r} names no known layer; start it "
+                "with a LAYER_BY_PREFIX key"
+            )
+        entry = layers.setdefault(layer, {"seconds": 0.0, "reasons": {}})
+        entry["reasons"][reason] = charged[reason]
+        entry["seconds"] += charged[reason]
     for entry in layers.values():
-        entry["share"] = entry["exclusive_s"] / total if total else 0.0
-    attributed = sum(
-        entry["exclusive_s"]
-        for layer, entry in layers.items()
-        if layer != "other"
-    )
-    return {
-        "timeline": timeline,
-        "total_s": total,
-        "layers": layers,
-        "attributed_s": attributed,
-        "unattributed_s": max(total - attributed, 0.0),
-    }
+        entry["share"] = entry["seconds"] / total_s if total_s else 0.0
+    return {"total_s": total_s, "layers": layers}
 
 
 def render_attribution(report: Dict[str, object]) -> str:
-    """The attribution report as a fixed-width text table."""
-    layers: Dict[str, Dict[str, float]] = report["layers"]  # type: ignore
+    """The attribution report as a fixed-width text table: one row per
+    layer, then one indented row per reason it was charged under."""
+    layers: Dict[str, Dict[str, object]] = report["layers"]  # type: ignore
+    total = report["total_s"]
     if not layers:
-        return "(no spans recorded)"
-    order = {layer: i for i, layer in enumerate(_LAYER_ORDER)}
+        return "(no simulated time charged)"
     rows = []
-    for layer in sorted(
-        layers, key=lambda l: (order.get(l, len(order)), l)
-    ):
+    for layer in sorted(layers, key=lambda l: _LAYER_ORDER[l]):
         entry = layers[layer]
         rows.append(
-            [
-                layer,
-                str(int(entry["spans"])),
-                format_seconds(entry["inclusive_s"]),
-                format_seconds(entry["exclusive_s"]),
-                f"{entry['share']:6.1%}",
-            ]
+            [layer, format_seconds(entry["seconds"]), f"{entry['share']:6.1%}"]
         )
-    table = render_table(
-        ["layer", "spans", "inclusive", "exclusive", "share"], rows
-    )
-    total = report["total_s"]
-    unattributed = report["unattributed_s"]
-    share = unattributed / total if total else 0.0
-    return (
-        f"{table}\n\n"
-        f"total {format_seconds(total)} ({report['timeline']} clock), "
-        f"unattributed {format_seconds(unattributed)} ({share:.1%})"
-    )
+        for reason, seconds in entry["reasons"].items():
+            share = seconds / total if total else 0.0
+            rows.append(
+                [f"  {reason}", format_seconds(seconds), f"{share:6.1%}"]
+            )
+    table = render_table(["layer / reason", "sim time", "share"], rows)
+    return f"{table}\n\ntotal {format_seconds(total)} (simulated clock)"

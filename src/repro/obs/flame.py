@@ -18,15 +18,34 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.errors import ObsError
-from repro.obs.attribution import self_times
 from repro.obs.recorder import Recorder
+
+
+def _self_times(recorder: Recorder, timeline: str) -> List[float]:
+    """Per-span exclusive time: duration minus direct children, >= 0."""
+    if timeline == "sim":
+        durations = [s.duration for s in recorder.spans]
+    elif timeline == "wall":
+        if not recorder.wall:
+            raise ObsError(
+                "wall-clock stacks need a recorder opened with "
+                "observe(wall=True)"
+            )
+        durations = [s.wall_duration for s in recorder.spans]
+    else:
+        raise ObsError(f"unknown timeline {timeline!r}; use 'sim' or 'wall'")
+    self_s = list(durations)
+    for s in recorder.spans:
+        if s.parent is not None:
+            self_s[s.parent] -= durations[s.index]
+    return [max(t, 0.0) for t in self_s]
 
 
 def folded_stacks(
     recorder: Recorder, timeline: str = "sim"
 ) -> Dict[str, float]:
     """Aggregate self time (seconds) per unique ``a;b;c`` span path."""
-    self_s = self_times(recorder, timeline)
+    self_s = _self_times(recorder, timeline)
     paths: List[str] = []
     out: Dict[str, float] = {}
     for s in recorder.spans:

@@ -103,18 +103,12 @@ class Recorder:
     records ``time.perf_counter()`` readings. Wall times are stripped from
     every deterministic payload (:func:`repro.obs.export.recorder_payload`
     never reads them), so enabling them cannot drift a BENCH file.
-
-    *deep* opts into the hot-path profiling spans (:func:`deep_span`):
-    per-extent device/crypt/thin/ext4 spans that are too voluminous for
-    routine telemetry but make the flamegraph and attribution views
-    trustworthy. ``repro profile`` turns this on.
     """
 
-    def __init__(self, clock=None, wall: bool = False, deep: bool = False) -> None:
+    def __init__(self, clock=None, wall: bool = False) -> None:
         #: default clock for spans/marks that do not pass their own
         self.clock = clock
         self.wall = wall
-        self.deep = deep
         self.spans: List[SpanRecord] = []
         self.marks: List[MarkRecord] = []
         self.io_events: List[object] = []  # TraceEvent, kept duck-typed
@@ -156,9 +150,6 @@ class Recorder:
         iteration per mark.
         """
         self._listeners.append(listener)
-
-    def record_io(self, event) -> None:
-        self.io_events.append(event)
 
     def sample_gauge(self, name: str, value: float) -> None:
         self.gauge_samples.append(GaugeSample(name, self._now(), float(value)))
@@ -280,9 +271,7 @@ def enabled() -> bool:
 
 
 @contextlib.contextmanager
-def observe(
-    clock=None, wall: bool = False, deep: bool = False
-) -> Iterator[Recorder]:
+def observe(clock=None, wall: bool = False) -> Iterator[Recorder]:
     """Activate a fresh :class:`Recorder` for the ``with`` body.
 
     The recorder is context-local: it collects what the calling thread
@@ -292,15 +281,14 @@ def observe(
     every event the outer one expected.
 
     ``wall=True`` additionally captures wall-clock timings on every span
-    and mark (stripped from all deterministic payloads); ``deep=True``
-    enables the per-extent hot-path spans (see :func:`deep_span`).
+    and mark (stripped from all deterministic payloads).
     """
     if _CURRENT.get() is not None:
         raise ObsError(
             "observe() called while another recorder is active in this "
             "context; observations do not nest"
         )
-    recorder = Recorder(clock=clock, wall=wall, deep=deep)
+    recorder = Recorder(clock=clock, wall=wall)
     token = _CURRENT.set(recorder)
     try:
         yield recorder
@@ -315,21 +303,6 @@ def span(name: str, clock=None, **attrs):
     """Open a span; returns a shared no-op when observability is off."""
     rec = _CURRENT.get()
     if rec is None:
-        return _NULL_SPAN
-    return rec.span(name, clock=clock, **attrs)
-
-
-def deep_span(name: str, clock=None, **attrs):
-    """Open a hot-path profiling span; no-op unless ``observe(deep=True)``.
-
-    Per-extent instrumentation (device reads/writes, per-extent crypto,
-    thin lookups, journal checkpoints) uses this entry point so that
-    routine telemetry — and every BENCH payload — keeps its exact span
-    set, while ``repro profile`` / ``repro flame`` get leaf-level
-    attribution.
-    """
-    rec = _CURRENT.get()
-    if rec is None or not rec.deep:
         return _NULL_SPAN
     return rec.span(name, clock=clock, **attrs)
 

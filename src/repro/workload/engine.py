@@ -258,7 +258,7 @@ class WorkloadContext:
         if seconds < 0:
             raise WorkloadError(f"think time cannot be negative: {seconds}")
         self._begin()
-        self.clock.advance(seconds, "workload-think")
+        self.clock.advance(seconds, "workload.think")
         self.think_total += seconds
         obs.counter_add("workload.ops.think")
         self._log(op="think", seconds=seconds)

@@ -3,7 +3,6 @@
 from repro.adversary import (
     RANDOMNESS_ENTROPY_THRESHOLD,
     analyze_changes,
-    entropy_map,
     extract_pool_metadata,
     grep_snapshot,
     metadata_region,
@@ -33,15 +32,6 @@ def booted(seed=3, blocks=4096, **cfg):
 
 
 class TestForensics:
-    def test_entropy_map_classification(self):
-        dev = RAMBlockDevice(4)
-        dev.write_block(1, Rng(0).random_bytes(BS))
-        dev.write_block(2, (b"structured text, low entropy. " * 137)[:BS])
-        classes = entropy_map(capture(dev))
-        assert classes[0].is_zero
-        assert classes[1].looks_random
-        assert not classes[2].looks_random and not classes[2].is_zero
-
     def test_analyze_changes(self):
         dev = RAMBlockDevice(16)
         before = capture(dev)

@@ -38,18 +38,26 @@ class TestSimClock:
 
     def test_advance(self):
         clock = SimClock()
-        clock.advance(1.5)
-        clock.advance(0.5)
+        clock.advance(1.5, "workload.idle")
+        clock.advance(0.5, "workload.idle")
         assert clock.now == 2.0
+
+    def test_ledger_books_each_charge_by_reason(self):
+        clock = SimClock()
+        clock.advance(1.5, "emmc.write")
+        clock.advance(0.25, "crypt.cpu")
+        clock.advance(0.5, "emmc.write")
+        assert clock.charged == {"emmc.write": 2.0, "crypt.cpu": 0.25}
+        assert clock.now == 2.25
 
     def test_negative_advance_rejected(self):
         with pytest.raises(ValueError):
-            SimClock().advance(-1)
+            SimClock().advance(-1, "workload.idle")
 
     def test_stopwatch(self):
         clock = SimClock()
         with Stopwatch(clock) as sw:
-            clock.advance(3.0)
+            clock.advance(3.0, "workload.idle")
         assert sw.elapsed == 3.0
 
 
@@ -327,14 +335,15 @@ class TestBulkPass:
         dev = RAMBlockDevice(4)
         with pytest.raises(ValueError):
             bulk_pass(dev, clock, LatencyModel(), read=False, write=True,
-                      materialize=True)
+                      reason="android.fde_encrypt", materialize=True)
 
     def test_materialize_writes_content(self):
         clock = SimClock()
         dev = RAMBlockDevice(4)
         bulk_pass(
             dev, clock, LatencyModel(), read=False, write=True,
-            materialize=True, content=lambda b: block(b),
+            reason="android.fde_encrypt", materialize=True,
+            content=lambda b: block(b),
         )
         assert dev.read_block(3) == block(3)
         assert clock.now > 0

@@ -1,116 +1,119 @@
-"""Tests for the profiling exporters: chrome trace, flame, attribution."""
+"""Tests for the profiling exporters (chrome trace, flame) and the
+clock-ledger attribution."""
 
 import json
 
 import pytest
 
 from repro import obs
+from repro.android.profiles import NEXUS4
 from repro.blockdev import EMMCDevice, LatencyModel, RAMBlockDevice, SimClock
 from repro.dm import create_crypt_device
 from repro.dm.crypt import NEXUS4_CRYPTO_BYTE_COST_S
 from repro.dm.thin import ThinPool
 from repro.errors import ObsError
+from tests.oracles.per_block import per_block_baseline
 
 BS = 4096
 EXTENT_BLOCKS = 32
 
 
-def _session_recorder(deep=True, wall=False):
+def _session_recorder(wall=False):
     """A small end-to-end PDE session (the `repro trace` workload)."""
     from repro.cli import _observed_session
 
-    return _observed_session(0, 4096, deep=deep, wall=wall)
+    return _observed_session(0, 4096, wall=wall)
 
 
-def _hotpath_recorder(wall=False):
-    """Deep-observed crypt-over-thin-over-eMMC traffic (the hot path)."""
-    payload = b"\x5a" * (BS * EXTENT_BLOCKS)
-    with obs.observe(deep=True, wall=wall) as recorder:
-        clock = SimClock()
-        recorder.clock = clock
-        emmc = EMMCDevice(
-            8 * EXTENT_BLOCKS, clock=clock, latency=LatencyModel()
-        )
-        pool = ThinPool.format(
-            RAMBlockDevice(16), emmc, allocation="sequential", clock=clock
-        )
-        pool.create_thin(1, 4 * EXTENT_BLOCKS)
-        thin = pool.get_thin(1)
-        crypt = create_crypt_device(
-            "hot", thin, key=bytes(32), clock=clock,
-            crypto_byte_cost_s=NEXUS4_CRYPTO_BYTE_COST_S,
-        )
-        crypt.write_blocks(0, payload)
-        crypt.read_blocks(0, EXTENT_BLOCKS)
-        for block in range(0, EXTENT_BLOCKS, 4):
-            crypt.read_block(block)
-    return recorder
+@pytest.fixture(scope="module")
+def session():
+    return _session_recorder()
+
+
+def _hotpath_stack(clock):
+    """A crypt-over-thin-over-eMMC stack whose first 2 * EXTENT_BLOCKS
+    virtual blocks are already mapped, so crypt I/O takes the extent path
+    (provisioning writes stay per block)."""
+    emmc = EMMCDevice(8 * EXTENT_BLOCKS, clock=clock, latency=LatencyModel())
+    pool = ThinPool.format(
+        RAMBlockDevice(16), emmc, allocation="sequential", clock=clock,
+        costs=NEXUS4.thin_costs,
+    )
+    pool.create_thin(1, 4 * EXTENT_BLOCKS)
+    thin = pool.get_thin(1)
+    thin.write_blocks(0, bytes(BS * 2 * EXTENT_BLOCKS))
+    return create_crypt_device(
+        "hot", thin, key=bytes(32), clock=clock,
+        crypto_byte_cost_s=NEXUS4_CRYPTO_BYTE_COST_S,
+    )
+
+
+def _hotpath_clock():
+    """The clock of crypt-over-thin-over-eMMC extent traffic."""
+    clock = SimClock()
+    crypt = _hotpath_stack(clock)
+    crypt.write_blocks(0, b"\x5a" * (BS * EXTENT_BLOCKS))
+    crypt.read_blocks(0, EXTENT_BLOCKS)
+    for block in range(0, EXTENT_BLOCKS, 4):
+        crypt.read_block(block)
+    return clock
 
 
 class TestChromeTrace:
-    def test_session_trace_is_well_formed(self):
-        recorder = _session_recorder()
-        events = obs.chrome_trace_events(recorder, "sim")
+    def test_session_trace_is_well_formed(self, session):
+        events = obs.chrome_trace_events(session, "sim")
         assert events, "session produced no trace events"
         assert obs.validate_trace_events(events) == []
 
-    def test_every_b_has_matching_e(self):
-        recorder = _hotpath_recorder()
-        events = obs.chrome_trace_events(recorder, "sim")
+    def test_every_b_has_matching_e(self, session):
+        events = obs.chrome_trace_events(session, "sim")
         begins = [e for e in events if e["ph"] == "B"]
         ends = [e for e in events if e["ph"] == "E"]
-        assert len(begins) == len(ends) == len(recorder.spans)
-        assert obs.validate_trace_events(events) == []
+        assert len(begins) == len(ends) == len(session.spans)
 
-    def test_per_track_timestamps_monotonic(self):
-        recorder = _session_recorder()
+    def test_per_track_timestamps_monotonic(self, session):
         last = {}
-        for event in obs.chrome_trace_events(recorder, "sim"):
+        for event in obs.chrome_trace_events(session, "sim"):
             if event["ph"] == "M":
                 continue
             track = (event["pid"], event["tid"])
             assert event["ts"] >= last.get(track, float("-inf"))
             last[track] = event["ts"]
 
-    def test_counter_tracks_carry_deniability_gauges(self):
-        recorder = _session_recorder()
+    def test_counter_tracks_carry_deniability_gauges(self, session):
         counters = {
             e["name"]
-            for e in obs.chrome_trace_events(recorder, "sim")
+            for e in obs.chrome_trace_events(session, "sim")
             if e["ph"] == "C"
         }
         assert any(name.startswith("pde.") for name in counters)
 
-    def test_track_metadata_names_layers(self):
-        recorder = _hotpath_recorder()
-        events = obs.chrome_trace_events(recorder, "sim")
+    def test_track_metadata_names_layers(self, session):
+        events = obs.chrome_trace_events(session, "sim")
         thread_names = {
             e["args"]["name"]
             for e in events
             if e["ph"] == "M" and e["name"] == "thread_name"
         }
-        assert {"crypt", "thin", "emmc"} <= thread_names
+        assert {"system", "ext4", "thin", "pde", "io"} <= thread_names
 
-    def test_wall_timeline_requires_wall_capture(self):
-        recorder = _hotpath_recorder(wall=False)
+    def test_wall_timeline_requires_wall_capture(self, session):
         with pytest.raises(ObsError, match="wall"):
-            obs.chrome_trace_events(recorder, "wall")
+            obs.chrome_trace_events(session, "wall")
 
     def test_wall_timeline_well_formed_and_zero_based(self):
-        recorder = _hotpath_recorder(wall=True)
+        recorder = _session_recorder(wall=True)
         events = obs.chrome_trace_events(recorder, "wall")
         assert obs.validate_trace_events(events) == []
         timestamps = [e["ts"] for e in events if e["ph"] != "M"]
         assert min(timestamps) == 0.0
 
-    def test_unknown_timeline_rejected(self):
-        recorder = _hotpath_recorder()
+    def test_unknown_timeline_rejected(self, session):
         with pytest.raises(ObsError, match="timeline"):
-            obs.chrome_trace_events(recorder, "cpu")
+            obs.chrome_trace_events(session, "cpu")
 
-    def test_render_is_valid_json_with_trace_events(self):
-        recorder = _hotpath_recorder()
-        parsed = json.loads(obs.render_chrome_trace(recorder, "sim"))
+    def test_render_is_valid_json_with_trace_events(self, session):
+        parsed = json.loads(obs.render_chrome_trace(session, "sim"))
         assert parsed["metadata"]["timeline"] == "sim"
         assert obs.validate_trace_events(parsed["traceEvents"]) == []
 
@@ -119,9 +122,9 @@ class TestChromeTrace:
         with obs.observe() as recorder:
             span = recorder.span("pool.commit", clock=clock)
             span.__enter__()  # crash-style unwind: never exited
-            clock.advance(1.0)
+            clock.advance(1.0, "workload.idle")
             with recorder.span("pool.recover", clock=clock):
-                clock.advance(2.0)
+                clock.advance(2.0, "workload.idle")
         events = obs.chrome_trace_events(recorder, "sim")
         assert obs.validate_trace_events(events) == []
         unclosed = [
@@ -142,9 +145,8 @@ class TestChromeTrace:
 
 
 class TestFlame:
-    def test_folded_round_trip(self):
-        recorder = _hotpath_recorder()
-        stacks = obs.folded_stacks(recorder, "sim")
+    def test_folded_round_trip(self, session):
+        stacks = obs.folded_stacks(session, "sim")
         text = obs.render_folded(stacks)
         parsed = obs.parse_folded(text)
         scale = {
@@ -154,13 +156,9 @@ class TestFlame:
         }
         assert parsed == scale
 
-    def test_stack_paths_reflect_nesting(self):
-        recorder = _hotpath_recorder()
-        stacks = obs.folded_stacks(recorder, "sim")
-        assert any(
-            path.startswith("crypt.") and ";emmc." in path
-            for path in stacks
-        )
+    def test_stack_paths_reflect_nesting(self, session):
+        stacks = obs.folded_stacks(session, "sim")
+        assert "system.initialize;ext4.flush;pool.commit" in stacks
 
     def test_parse_folded_rejects_garbage(self):
         with pytest.raises(ObsError):
@@ -168,60 +166,76 @@ class TestFlame:
         with pytest.raises(ObsError):
             obs.parse_folded("path notanumber\n")
 
-    def test_self_time_partition(self):
+    def test_self_time_partition(self, session):
         """Folded-stack counts partition the total root time exactly."""
-        recorder = _hotpath_recorder()
-        stacks = obs.folded_stacks(recorder, "sim")
+        stacks = obs.folded_stacks(session, "sim")
         total_roots = sum(
-            s.duration for s in recorder.spans if s.parent is None
+            s.duration for s in session.spans if s.parent is None
         )
         assert sum(stacks.values()) == pytest.approx(total_roots)
 
+    def test_wall_stacks_require_wall_capture(self, session):
+        with pytest.raises(ObsError, match="wall"):
+            obs.folded_stacks(session, "wall")
+
+
+def _assert_partitions(report, clock):
+    """The report's rows cover the clock delta, with no unknown layer."""
+    layers = report["layers"]
+    assert "other" not in layers
+    assert report["total_s"] == clock.now > 0
+    rows = sum(entry["seconds"] for entry in layers.values())
+    assert rows == pytest.approx(clock.now, rel=1e-9, abs=0)
+
 
 class TestAttribution:
-    def test_hotpath_layers_cover_95_percent(self):
-        recorder = _hotpath_recorder()
-        report = obs.attribution(recorder, "sim")
-        layers = report["layers"]
-        covered = sum(
-            layers[name]["exclusive_s"]
-            for name in ("crypt", "thin", "emmc")
-            if name in layers
-        )
-        assert report["total_s"] > 0
-        assert covered / report["total_s"] >= 0.95
-        assert report["unattributed_s"] / report["total_s"] <= 0.05
+    def test_hotpath_is_all_crypt_thin_emmc(self):
+        clock = _hotpath_clock()
+        report = obs.attribution(clock.charged, clock.now)
+        assert set(report["layers"]) == {"crypt", "thin", "emmc"}
+        _assert_partitions(report, clock)
 
-    def test_exclusive_partitions_inclusive(self):
-        recorder = _session_recorder()
-        report = obs.attribution(recorder, "sim")
-        exclusive = sum(
-            entry["exclusive_s"] for entry in report["layers"].values()
-        )
-        assert exclusive == pytest.approx(report["total_s"], abs=1e-9)
+    def test_session_layers_partition_the_clock(self, session):
+        clock = session.clock
+        _assert_partitions(obs.attribution(clock.charged, clock.now), clock)
 
-    def test_wall_attribution_requires_wall(self):
-        recorder = _hotpath_recorder(wall=False)
-        with pytest.raises(ObsError, match="wall"):
-            obs.attribution(recorder, "wall")
+    def test_extent_ledger_matches_per_block_oracle(self):
+        """A 64-block extent write books every charge where the per-block
+        path books it: same ledger, bit for bit, and dm-crypt holds its
+        CPU time instead of the eMMC leaf that replays it."""
+        count = 2 * EXTENT_BLOCKS
+        payload = b"\xa7" * (BS * count)
 
-    def test_wall_attribution_nonzero(self):
-        recorder = _hotpath_recorder(wall=True)
-        report = obs.attribution(recorder, "wall")
-        assert report["total_s"] > 0
-
-    def test_deep_spans_off_by_default(self):
-        """Without deep=True the per-extent spans must not record."""
-        payload = b"\x11" * (BS * 4)
-        with obs.observe() as recorder:
+        def ledger(per_block):
             clock = SimClock()
-            emmc = EMMCDevice(16, clock=clock, latency=LatencyModel())
-            emmc.write_blocks(0, payload)
-        assert recorder.spans == []
+            crypt = _hotpath_stack(clock)
+            assert "crypt.cpu" not in clock.charged
+            if per_block:
+                with per_block_baseline():
+                    crypt.write_blocks(0, payload)
+            else:
+                crypt.write_blocks(0, payload)
+            return clock.now, clock.charged
+
+        extent = ledger(per_block=False)
+        assert extent == ledger(per_block=True)
+        charge = BS * NEXUS4_CRYPTO_BYTE_COST_S
+        crypt_s = 0.0
+        for _ in range(count):
+            crypt_s += charge
+        assert extent[1]["crypt.cpu"] == crypt_s
+        assert crypt_s == pytest.approx(count * charge, rel=1e-12)
+
+    def test_unknown_reason_rejected(self):
+        with pytest.raises(ObsError, match="layer"):
+            obs.attribution({"emmc.write": 1.0, "mystery": 2.0}, 3.0)
 
     def test_render_attribution_lists_layers(self):
-        recorder = _hotpath_recorder()
-        text = obs.render_attribution(obs.attribution(recorder, "sim"))
-        for layer in ("crypt", "thin", "emmc"):
-            assert layer in text
-        assert "unattributed" in text
+        clock = _hotpath_clock()
+        text = obs.render_attribution(
+            obs.attribution(clock.charged, clock.now)
+        )
+        for name in ("crypt", "thin", "emmc", "crypt.cpu", "thin.lookup",
+                     "emmc.write", "emmc.read"):
+            assert name in text
+        assert "other" not in text

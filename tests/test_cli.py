@@ -162,17 +162,30 @@ class TestExecution:
         assert validate_trace_events(trace["traceEvents"]) == []
 
     def test_profile_runs_with_artifacts(self, capsys, tmp_path):
-        assert main(["profile", "--wall", "--out", str(tmp_path)]) == 0
+        assert main(["profile", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "Per-layer time attribution" in out
-        assert "wall clock" in out
-        for name in ("trace.chrome.json", "stacks.folded",
-                     "attribution.json", "trace.wall.chrome.json",
-                     "stacks.wall.folded", "attribution.wall.json"):
-            assert (tmp_path / name).exists(), name
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "attribution.json", "stacks.folded", "trace.chrome.json",
+        ]
         report = json.loads((tmp_path / "attribution.json").read_text())
-        assert report["timeline"] == "sim"
+        assert "other" not in report["layers"]
+        rows = sum(entry["seconds"] for entry in report["layers"].values())
         assert report["total_s"] > 0
+        assert rows == pytest.approx(report["total_s"], rel=1e-9, abs=0)
+
+    def test_profile_books_crypto_cpu_to_crypt(self, capsys, tmp_path):
+        assert main(["profile", "--workload", "mixed_daily", "--setting",
+                     "mc-p", "--ops", "20", "--out", str(tmp_path)]) == 0
+        assert "crypt.cpu" in capsys.readouterr().out
+        report = json.loads((tmp_path / "attribution.json").read_text())
+        layers = report["layers"]
+        assert layers["crypt"]["reasons"]["crypt.cpu"] > 0
+        assert set(layers["emmc"]["reasons"]) <= {
+            "emmc.read", "emmc.write", "emmc.flush",
+        }
+        rows = sum(entry["seconds"] for entry in layers.values())
+        assert rows == pytest.approx(report["total_s"], rel=1e-9, abs=0)
 
     def test_flame_workload_runs(self, capsys, tmp_path):
         from repro.obs import parse_folded
@@ -181,8 +194,9 @@ class TestExecution:
         assert main(["flame", "--workload", "messaging", "--ops", "20",
                      "--out", str(out_file)]) == 0
         stacks = parse_folded(out_file.read_text())
-        assert stacks
-        assert any("emmc." in path for path in stacks)
+        assert any(
+            path.startswith("workload.messaging;") for path in stacks
+        )
 
     def test_crashsim_runs_small(self, capsys, tmp_path):
         assert main(["crashsim", "--scenario", "metadata", "--stride", "4",

@@ -90,7 +90,7 @@ class TestDummyWritePolicy:
         first = policy.stored_rand
         policy.should_fire()
         assert policy.stored_rand == first  # not yet
-        clock.advance(101.0)
+        clock.advance(101.0, "workload.idle")
         policy.should_fire()
         assert policy.stored_rand != first
 
@@ -101,7 +101,7 @@ class TestDummyWritePolicy:
         policy, clock = make_policy(config2, seed=9)
         targets = set()
         for _ in range(60):
-            clock.advance(2.0)
+            clock.advance(2.0, "workload.idle")
             policy.should_fire()
             targets.add(policy.target_volume())
         assert targets <= set(range(2, 9))

@@ -31,32 +31,11 @@ _SCALES = (1e-9, 1e-6, 1e-3, 1.0, 1e3)
 # ---------------------------------------------------------------------------
 
 
-class _TallyClock(SimClock):
-    """A clock that also hands every charge to *tally(delta, reason)*."""
-
-    def __init__(self, tally) -> None:
-        super().__init__()
-        self._tally = tally
-
-    def advance(self, seconds: float, reason: str = "") -> None:
-        super().advance(seconds, reason)
-        self._tally(seconds, reason)
-
-
 def _jittered_extent_run(seed: int, per_block: bool):
     """Random extents with random cost schedules on a jittered eMMC."""
     rng = random.Random(seed)
     ticks = {"pre": 0, "post": 0}
-    # what the device actually charged, per histogram, in charge order
-    charged = {"emmc.read": [0, 0.0], "emmc.write": [0, 0.0]}
-
-    def tally(delta, reason):
-        if reason.startswith("emmc-"):
-            entry = charged[reason.replace("-", ".")]
-            entry[0] += 1
-            entry[1] += delta
-
-    clock, other = _TallyClock(tally), SimClock()
+    clock, other = SimClock(), SimClock()
     dev = EMMCDevice(
         256, clock=clock, latency=LatencyModel(),
         jitter=0.3 if seed % 5 else 0.0, jitter_rng=Rng(seed),
@@ -66,10 +45,10 @@ def _jittered_extent_run(seed: int, per_block: bool):
         costs = ExtentCosts()
         for _ in range(rng.randint(0, 3)):
             costs.add_pre(rng.choice((clock, other)),
-                          rng.random() * rng.choice(_SCALES), "pre")
+                          rng.random() * rng.choice(_SCALES), "thin.lookup")
         for _ in range(rng.randint(0, 3)):
             costs.add_post(rng.choice((clock, other)),
-                           rng.random() * rng.choice(_SCALES), "post")
+                           rng.random() * rng.choice(_SCALES), "crypt.cpu")
         costs.add_pre_call(lambda: ticks.__setitem__("pre", ticks["pre"] + 1))
         costs.add_post_call(
             lambda: ticks.__setitem__("post", ticks["post"] + 1)
@@ -97,12 +76,15 @@ def _jittered_extent_run(seed: int, per_block: bool):
         for name, h in rec.metrics.histograms.items()
     }
     assert set(histograms) == {"emmc.read", "emmc.write"}
-    for name, (count, total) in charged.items():
-        # the histograms record exactly the charges, in the same order
-        assert histograms[name][:2] == (count, total), name
+    for name, (_, total, *_) in histograms.items():
+        # the histograms record exactly what the clock booked to the
+        # device's reason, summed in the same order
+        assert total == clock.charged[name], name
     return (
         clock.now,
         other.now,
+        clock.charged,
+        other.charged,
         dev._jitter_rng.random(),  # the next draw pins the stream position
         histograms,
         ticks,
@@ -116,7 +98,7 @@ def test_jittered_extent_costs_bit_identical():
     Whole extents (mostly jittered), each with a random schedule of
     pre/post charges on two clocks plus counter callbacks, replayed by
     the eMMC leaf must match :func:`per_block_baseline` on both clocks'
-    bits, the jitter RNG's stream position, and the
+    bits and per-reason ledgers, the jitter RNG's stream position, and the
     ``emmc.read``/``emmc.write`` latency histograms (count, float total,
     buckets, extremes), which must hold exactly what was charged.
     """

@@ -161,7 +161,7 @@ class TestJiffies:
         clock = SimClock()
         source = JiffiesSource(clock, Rng(0))
         assert source.jiffies == 0
-        clock.advance(2.5)
+        clock.advance(2.5, "workload.idle")
         assert source.jiffies == 250
 
     def test_sample_nonnegative_and_varied(self):

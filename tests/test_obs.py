@@ -18,13 +18,13 @@ class TestSpans:
         clock = SimClock()
         with obs.observe() as rec:
             with obs.span("outer", clock=clock):
-                clock.advance(1.0)
+                clock.advance(1.0, "workload.idle")
                 with obs.span("inner-a", clock=clock):
-                    clock.advance(2.0)
+                    clock.advance(2.0, "workload.idle")
                 with obs.span("inner-b", clock=clock):
-                    clock.advance(3.0)
+                    clock.advance(3.0, "workload.idle")
             with obs.span("second-root", clock=clock):
-                clock.advance(0.5)
+                clock.advance(0.5, "workload.idle")
         outer = rec.spans_named("outer")[0]
         assert outer.start == 0.0
         assert outer.end == 6.0
@@ -42,7 +42,7 @@ class TestSpans:
         with obs.observe() as rec:
             for _ in range(3):
                 with obs.span("work", clock=clock, kind="unit"):
-                    clock.advance(2.0)
+                    clock.advance(2.0, "workload.idle")
         agg = rec.span_aggregates()["work"]
         assert agg["count"] == 3
         assert agg["total_s"] == pytest.approx(6.0)
@@ -66,9 +66,9 @@ class TestSpans:
         clock = SimClock()
         with obs.observe() as rec:
             with obs.span("s", clock=clock):
-                clock.advance(1.0)
+                clock.advance(1.0, "workload.idle")
                 rec.mark("m", clock)
-                clock.advance(1.0)
+                clock.advance(1.0, "workload.idle")
         kinds = [kind for _, kind, _ in rec.timeline()]
         assert kinds == ["span-begin", "mark", "span-end"]
 
@@ -129,7 +129,7 @@ class TestDisabled:
                     barrier.wait()  # both observations are open now
                     for i in range(50):
                         with obs.span(f"{name}.span"):
-                            clock.advance(1.0)
+                            clock.advance(1.0, "workload.idle")
                             obs.counter_add(f"{name}.ops")
                             obs.mark(f"{name}.mark")
                         if i == 25:
@@ -276,7 +276,7 @@ class TestExport:
         clock = SimClock()
         with obs.observe() as rec:
             with obs.span("phase", clock=clock):
-                clock.advance(1.5)
+                clock.advance(1.5, "workload.idle")
                 obs.mark("site", clock)
             obs.counter_add("ops", 3)
             obs.gauge_set("ratio", 0.5)

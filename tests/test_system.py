@@ -333,7 +333,7 @@ class TestStoredRandRefreshIntegration:
         phone, system = booted_public(seed=71, stored_rand_refresh_s=100.0)
         system.store_file("/warmup.bin", b"w" * 8192)
         refreshes_before = system.dummy_write_stats.refreshes
-        phone.clock.advance(101.0, "overnight")
+        phone.clock.advance(101.0, "workload.idle")
         system.store_file("/next-day.bin", b"n" * 8192)
         assert system.dummy_write_stats.refreshes > refreshes_before
 

@@ -35,7 +35,7 @@ class TestTracingDevice:
         clock = SimClock()
         traced = TracingDevice(RAMBlockDevice(8), clock=clock)
         traced.write_block(0, block(1))
-        clock.advance(5.0)
+        clock.advance(5.0, "workload.idle")
         traced.write_block(1, block(2))
         assert traced.events[0].at == 0.0
         assert traced.events[1].at == 5.0
