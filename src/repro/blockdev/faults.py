@@ -28,7 +28,12 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.blockdev.device import BlockDevice, ExtentCosts, replay_per_block
+from repro.blockdev.device import (
+    BlockDevice,
+    ExtentCosts,
+    in_recovery,
+    replay_per_block,
+)
 from repro.blockdev.store import FrozenImage
 from repro.crypto.rng import Rng
 from repro.errors import PowerCutError, TransientIOError
@@ -291,10 +296,14 @@ class FaultyBlockDevice(BlockDevice):
         # extents must decompose here to keep fault outcomes identical to
         # block-at-a-time delivery. Unarmed, the wrapper is transparent.
         if self._plan is not None:
-            return b"".join(
-                self._read_one(start + i)
-                for i in replay_per_block(costs, count)
-            )
+            blocks: List[bytes] = []
+            try:
+                for i in replay_per_block(costs, count):
+                    blocks.append(self._read_one(start + i))
+            except BaseException:
+                self._book_landed(len(blocks), write=False)
+                raise
+            return b"".join(blocks)
         self._check_alive()
         return self._base.read_blocks(start, count, costs)
 
@@ -303,11 +312,38 @@ class FaultyBlockDevice(BlockDevice):
     ) -> None:
         if self._plan is not None:
             bs = self._block_size
-            for i in replay_per_block(costs, len(data) // bs):
-                self._write_one(start + i, data[i * bs : (i + 1) * bs])
+            landed = 0
+            try:
+                for i in replay_per_block(costs, len(data) // bs):
+                    self._write_one(start + i, data[i * bs : (i + 1) * bs])
+                    landed += 1
+            except BaseException:
+                self._book_landed(landed, write=True)
+                raise
             return
         self._check_alive()
         self._base.write_blocks(start, data, costs)
+
+    def _book_landed(self, count: int, write: bool) -> None:
+        """Book the *count* blocks of an extent that landed before a fault.
+
+        :meth:`BlockDevice.write_blocks` and :meth:`~BlockDevice.read_blocks`
+        book an extent only once it returns; when a fault cuts it part-way,
+        the blocks before the fault are booked here, exactly as
+        block-at-a-time delivery would have booked them.
+        """
+        stats = self.stats
+        if write:
+            if in_recovery():
+                stats.recovery_writes += count
+            else:
+                stats.writes += count
+                stats.bytes_written += count * self._block_size
+        elif in_recovery():
+            stats.recovery_reads += count
+        else:
+            stats.reads += count
+            stats.bytes_read += count * self._block_size
 
     # out-of-band access bypasses fault injection entirely: forensic
     # snapshot capture images the medium, dead or not.

@@ -6,7 +6,9 @@ global bitmap in the block layer that tracks blocks used by public, hidden
 persists it in the metadata device.
 
 Bulk queries (iteration, load-time popcount) run on NumPy; single-bit
-operations are plain Python.
+operations are plain Python. Every set or clear bumps :attr:`Bitmap.version`,
+so the metadata encoder can tell an untouched bitmap from a changed one
+without comparing bytes.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ class Bitmap:
         self._size = size
         self._bits = bytearray((size + 7) // 8)
         self._allocated = 0
+        #: bumped by every :meth:`set` and :meth:`clear`
+        self.version = 0
 
     @property
     def size(self) -> int:
@@ -54,6 +58,7 @@ class Bitmap:
             raise ValueError(f"bit {index} already set")
         self._bits[index >> 3] |= 1 << (index & 7)
         self._allocated += 1
+        self.version += 1
 
     def clear(self, index: int) -> None:
         """Mark *index* free; raises if it was already free."""
@@ -62,6 +67,12 @@ class Bitmap:
             raise ValueError(f"bit {index} already clear")
         self._bits[index >> 3] &= ~(1 << (index & 7)) & 0xFF
         self._allocated -= 1
+        self.version += 1
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Bitmap):
+            return NotImplemented
+        return self._size == other._size and self._bits == other._bits
 
     def _bits_array(self):
         return np.unpackbits(

@@ -213,7 +213,7 @@ class ThinPool:
             for vblock in sorted(record.mappings):
                 pblock = record.mappings[vblock]
                 if pblock in owners:
-                    del record.mappings[vblock]
+                    record.unmap(vblock)
                     dropped += 1
                 else:
                     owners[pblock] = (vol_id, vblock)
@@ -340,7 +340,7 @@ class ThinPool:
                     vblock = candidate
                     break
         pblock = self._allocate()
-        record.mappings[vblock] = pblock
+        record.map(vblock, pblock)
         self._data.write_block(pblock, noise)
         self.stats.dummy_blocks += 1
         return pblock
@@ -376,7 +376,7 @@ class ThinPool:
         provisioned = pblock is None
         if provisioned:
             pblock = self._allocate()
-            record.mappings[vblock] = pblock
+            record.map(vblock, pblock)
         self._data.write_block(pblock, data)
         self.stats.real_writes += 1
         if provisioned and self._dummy_hook is not None and not self._in_dummy_write:
@@ -484,7 +484,7 @@ class ThinPool:
 
     def discard_mapped(self, record: VolumeRecord, vblock: int) -> None:
         """Unmap a virtual block and free its data block."""
-        pblock = record.mappings.pop(vblock, None)
+        pblock = record.unmap(vblock)
         if pblock is None:
             return
         self._meta.bitmap.clear(pblock)

@@ -304,7 +304,7 @@ class MetadataCommitScenario(CrashScenario):
             for vblock, pblock in enumerate(blocks):
                 if not self.meta.bitmap.test(pblock):
                     self.meta.bitmap.set(pblock)
-                    record.mappings[vblock] = pblock
+                    record.map(vblock, pblock)
             self.in_flight = self.meta.to_payload()
             self.store.commit(self.meta)
             self.last_completed = self.in_flight

@@ -11,7 +11,9 @@ medium every device keeps its bytes in.
 :func:`nearest_rank` is the counting reference for the one percentile
 definition, :func:`repro.util.stats.percentile`, and
 :func:`pbkdf2_reference` is RFC 2898 PBKDF2 written out, checked against
-:func:`repro.crypto.kdf.pbkdf2`.
+:func:`repro.crypto.kdf.pbkdf2`. :func:`full_encoding` packs and hashes a
+thin pool's metadata payload from scratch, the reference for its cached
+encoding (``tests/test_thin_payload.py``).
 """
 
 from tests.oracles.allocation import RandomAllocator, SequentialAllocator
@@ -20,12 +22,15 @@ from tests.oracles.flat_store import FlatStore
 from tests.oracles.pbkdf2 import pbkdf2_reference
 from tests.oracles.per_block import per_block_baseline
 from tests.oracles.percentile import nearest_rank
+from tests.oracles.thin_payload import full_encoding, full_payload
 from tests.oracles.xor import xor_bytes
 
 __all__ = [
     "FlatStore",
     "RandomAllocator",
     "SequentialAllocator",
+    "full_encoding",
+    "full_payload",
     "iter_allocated",
     "iter_free",
     "nearest_rank",

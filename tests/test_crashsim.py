@@ -81,7 +81,7 @@ class TestThinPoolSweep:
         thin = pool.get_thin(1)
         thin.write_block(0, b"\x01" * pool.block_size)
         pblock = pool.metadata.volumes[1].mappings[0]
-        pool.metadata.volumes[2].mappings[9] = pblock
+        pool.metadata.volumes[2].map(9, pblock)
         issues = pool_invariants(pool)
         assert any("double-mapped" in issue for issue in issues)
 

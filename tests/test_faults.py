@@ -101,6 +101,15 @@ class TestPowerCut:
         assert dev.read_block(2) == block(3)
 
 
+    def test_cut_extent_books_the_blocks_that_landed(self):
+        dev = make_faulty()
+        dev.arm(FaultPlan(seed=7, power_cut_after_writes=2))
+        with pytest.raises(PowerCutError):
+            dev.write_blocks(0, block(1) + block(2) + block(3) + block(4))
+        assert dev.stats.writes == dev.base.stats.writes == 2
+        assert dev.stats.bytes_written == 2 * BS
+
+
 class TestVolatileCache:
     def test_unflushed_writes_may_be_dropped(self):
         dropped_somewhere = False
@@ -169,6 +178,21 @@ class TestTransientErrorsAndBitrot:
         with pytest.raises(TransientIOError):
             dev.read_block(0)
         assert dev.read_block(0) == block(0x42)
+
+    def test_failed_extent_read_books_the_blocks_read(self):
+        # the wrapper books exactly the blocks its base served before the
+        # error; sweep seeds until an error lands mid-extent
+        saw_partial = False
+        for seed in range(40):
+            dev = make_faulty()
+            dev.arm(FaultPlan(seed=seed, read_error_rate=0.5))
+            try:
+                dev.read_blocks(0, 4)
+            except TransientIOError:
+                pass
+            assert dev.stats.reads == dev.base.stats.reads
+            saw_partial |= 0 < dev.base.stats.reads < 4
+        assert saw_partial
 
     def test_bitrot_flips_exactly_one_bit_and_not_the_medium(self):
         dev = make_faulty()

@@ -322,6 +322,121 @@ class TestMetadataStore:
         assert loaded.to_payload() == payload
 
 
+    def test_full_area_leaves_transaction_id_on_disk(self):
+        """A commit that does not fit must not move the in-memory tx id."""
+        from repro.dm.thin.metadata import VolumeRecord
+
+        store = MetadataStore(RAMBlockDevice(5))  # one payload block per area
+        meta = PoolMetadata.fresh(256)
+        store.format(meta)
+        store.commit(meta)
+        assert meta.transaction_id == 1
+        mappings = {v: v for v in range(256)}
+        for pblock in mappings.values():
+            meta.bitmap.set(pblock)
+        meta.volumes[1] = VolumeRecord(1, 256, mappings)
+        with pytest.raises(MetadataFullError):
+            store.commit(meta)
+        assert meta.transaction_id == store.load().transaction_id == 1
+
+
+def _raw_payload(num_data_blocks, allocated, volumes, trailing=b""):
+    """Pack a payload by hand: *volumes* is ``[(vol_id, size, pairs)]``."""
+    import struct
+
+    bits = bytearray((num_data_blocks + 7) // 8)
+    for pblock in allocated:
+        bits[pblock >> 3] |= 1 << (pblock & 7)
+    parts = [struct.pack("<Q", num_data_blocks), bytes(bits),
+             struct.pack("<I", len(volumes))]
+    for vol_id, size, pairs in volumes:
+        parts.append(struct.pack("<IQQ", vol_id, size, len(pairs)))
+        for vblock, pblock in pairs:
+            parts.append(struct.pack("<QQ", vblock, pblock))
+    return b"".join(parts) + trailing
+
+
+class TestPayloadValidation:
+    """``from_payload`` accepts exactly what ``to_payload`` can write."""
+
+    def test_well_formed_payload_accepted(self):
+        raw = _raw_payload(16, [3, 5], [(1, 8, [(0, 3), (7, 5)]), (2, 4, [])])
+        meta = PoolMetadata.from_payload(raw)
+        assert meta.volumes[1].mappings == {0: 3, 7: 5}
+        assert meta.to_payload() == raw
+
+    def test_vblock_beyond_volume_rejected(self):
+        raw = _raw_payload(16, [3], [(1, 8, [(8, 3)])])
+        with pytest.raises(MetadataError, match="beyond"):
+            PoolMetadata.from_payload(raw)
+
+    def test_repeated_vblock_rejected(self):
+        raw = _raw_payload(16, [3, 5], [(1, 8, [(2, 3), (2, 5)])])
+        with pytest.raises(MetadataError, match="ascending"):
+            PoolMetadata.from_payload(raw)
+
+    def test_descending_vblocks_rejected(self):
+        raw = _raw_payload(16, [3, 5], [(1, 8, [(4, 3), (2, 5)])])
+        with pytest.raises(MetadataError, match="ascending"):
+            PoolMetadata.from_payload(raw)
+
+    def test_repeated_volume_id_rejected(self):
+        raw = _raw_payload(16, [3, 5], [(1, 8, [(0, 3)]), (1, 8, [(1, 5)])])
+        with pytest.raises(MetadataError, match="ascending"):
+            PoolMetadata.from_payload(raw)
+
+    def test_descending_volume_ids_rejected(self):
+        raw = _raw_payload(16, [3, 5], [(2, 8, [(0, 3)]), (1, 8, [(1, 5)])])
+        with pytest.raises(MetadataError, match="ascending"):
+            PoolMetadata.from_payload(raw)
+
+    def test_trailing_bytes_rejected(self):
+        raw = _raw_payload(16, [3], [(1, 8, [(0, 3)])], trailing=b"\x00")
+        with pytest.raises(MetadataError, match="trailing"):
+            PoolMetadata.from_payload(raw)
+
+    def test_truncated_payload_rejected(self):
+        raw = _raw_payload(16, [3], [(1, 8, [(0, 3)])])
+        for cut in (0, 5, 12, len(raw) - 1):
+            with pytest.raises(MetadataError, match="truncated"):
+                PoolMetadata.from_payload(raw[:cut])
+
+    def test_bad_bitmap_is_a_metadata_error(self):
+        raw = bytearray(_raw_payload(12, [], []))
+        raw[9] = 0xFF  # pad bits beyond block 11
+        with pytest.raises(MetadataError):
+            PoolMetadata.from_payload(bytes(raw))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_over_random_pools(self, data):
+        from repro.dm.thin.metadata import VolumeRecord
+        from tests.oracles import full_payload
+
+        num_data_blocks = data.draw(st.integers(1, 400))
+        meta = PoolMetadata.fresh(num_data_blocks)
+        free = list(range(num_data_blocks))
+        vol_ids = data.draw(st.lists(st.integers(0, 2**32 - 1), unique=True,
+                                     max_size=6))
+        for vol_id in vol_ids:
+            size = data.draw(st.integers(1, 2**40))
+            count = data.draw(st.integers(0, min(len(free), size, 40)))
+            vblocks = data.draw(st.lists(st.integers(0, size - 1), unique=True,
+                                         min_size=count, max_size=count))
+            mappings = {}
+            for vblock in vblocks:
+                pblock = free.pop(data.draw(st.integers(0, len(free) - 1)))
+                meta.bitmap.set(pblock)
+                mappings[vblock] = pblock
+            meta.volumes[vol_id] = VolumeRecord(vol_id, size, mappings)
+        for pblock in data.draw(st.lists(st.sampled_from(free), unique=True)
+                                if free else st.just([])):
+            meta.bitmap.set(pblock)  # orphan bits decode too
+        payload = meta.to_payload()
+        assert payload == full_payload(meta)
+        assert PoolMetadata.from_payload(payload) == meta
+
+
 def _per_entry_payload(meta):
     """The thin metadata payload packed one ``struct.pack`` per mapping."""
     import struct
