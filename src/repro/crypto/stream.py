@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import hmac
+import itertools
 
 import numpy as np
 
@@ -55,19 +56,23 @@ class Blake2Ctr:
     extent path also memoizes units in a per-cipher cache: the keystream
     depends only on ``(key, sector, counter)``, never on the payload, so
     rewriting an extent — journal commits, hot files, bench rounds —
-    skips regeneration entirely. A streaming extent (more than
-    :attr:`_STREAM_UNITS` units) reads the cache but does not fill it,
-    so one large write does not flush the small hot units. The extent
+    skips regeneration entirely. The cache is first-in first-out and
+    scan-resistant: a small extent's cold units always enter it, and
+    overflow evicts only the oldest-inserted units, while a streaming
+    extent (more than :attr:`_STREAM_UNITS` units) fills only free room
+    and evicts nothing. So one large write does not flush the small hot
+    units, and reading a large file back finds the keystream of the part
+    that fit. The extent
     keystream is assembled in one buffer and the payload XORed into it
     in place. The per-sector path stays uncached. The keystream KATs pin
     both paths against an independent hashlib fixture.
     """
 
     #: Cached keystream units per cipher instance (4 KiB units -> 8 MiB
-    #: ceiling); the cache is cleared wholesale when it would overflow.
+    #: ceiling); overflow evicts the oldest-inserted units first.
     _CACHE_UNITS = 2048
     #: Extents longer than this (1 MiB of 4 KiB units) are streaming:
-    #: they use cache hits but leave their cold units out of the cache.
+    #: they use cache hits but admit cold units only into free room.
     _STREAM_UNITS = _CACHE_UNITS // 8
 
     def __init__(self, key: bytes) -> None:
@@ -125,8 +130,11 @@ class Blake2Ctr:
     ) -> bytearray:
         """Keystream for *nunits* consecutive units in one fresh buffer.
 
-        Cache hits are served for any extent; cold units enter the cache
-        only for extents of at most :attr:`_STREAM_UNITS` units.
+        Cache hits are served for any extent and do not reorder the
+        cache. Cold units of an extent of at most :attr:`_STREAM_UNITS`
+        units all enter it, evicting just enough of the oldest-inserted
+        entries to make room; a streaming extent's cold units enter only
+        the free room and evict nothing.
         """
         step = unit_bytes // SECTOR_SIZE
         cache = self._ks_cache
@@ -134,15 +142,18 @@ class Blake2Ctr:
         parts = [cache.get((s, unit_bytes)) for s in sectors]
         missing = [s for s, ks in zip(sectors, parts) if ks is None]
         if missing:
-            fresh = iter(self._generate_units(missing, unit_bytes))
+            fresh = self._generate_units(missing, unit_bytes)
             if nunits > self._STREAM_UNITS:
-                parts = [next(fresh) if ks is None else ks for ks in parts]
+                admit = self._CACHE_UNITS - len(cache)
             else:
-                if len(cache) + len(missing) > self._CACHE_UNITS:
-                    cache.clear()
-                for u, (s, ks) in enumerate(zip(sectors, parts)):
-                    if ks is None:
-                        parts[u] = cache[(s, unit_bytes)] = next(fresh)
+                admit = len(missing)
+                excess = len(cache) + admit - self._CACHE_UNITS
+                if excess > 0:
+                    for oldest in list(itertools.islice(cache, excess)):
+                        del cache[oldest]
+            cache.update(zip([(s, unit_bytes) for s in missing[:admit]], fresh))
+            units = iter(fresh)
+            parts = [next(units) if ks is None else ks for ks in parts]
         return bytearray().join(parts)
 
     def _generate_units(self, sectors, unit_bytes: int) -> list:

@@ -426,13 +426,6 @@ class MetadataStore:
 
     # -- public API -------------------------------------------------------------
 
-    def is_formatted(self) -> bool:
-        try:
-            self._read_super()
-            return True
-        except MetadataError:
-            return False
-
     def format(self, metadata: PoolMetadata) -> None:
         """Write a fresh metadata layout (generation 0)."""
         self._write_generation(0, metadata, metadata.transaction_id)

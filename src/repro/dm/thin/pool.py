@@ -290,15 +290,6 @@ class ThinPool:
             raise ValueError("virtual_blocks must be positive")
         self._meta.volumes[vol_id] = VolumeRecord(vol_id, virtual_blocks)
 
-    def delete_thin(self, vol_id: int) -> None:
-        """Delete a volume and free all its data blocks."""
-        record = self.volume_record(vol_id)
-        for pblock in record.mappings.values():
-            self._meta.bitmap.clear(pblock)
-            self._allocator.free(pblock)
-            self.uncommitted_allocations.discard(pblock)
-        del self._meta.volumes[vol_id]
-
     def get_thin(self, vol_id: int):
         """Return a :class:`ThinDevice` view of a volume."""
         from repro.dm.thin.thin import ThinDevice

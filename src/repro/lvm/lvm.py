@@ -126,12 +126,6 @@ class VolumeGroup:
         self._lvs[name] = lv
         return lv
 
-    def remove_lv(self, name: str) -> None:
-        """``lvremove``: free the LV's extents back into the group."""
-        lv = self.get_lv(name)
-        self._free.extend(lv.extents)
-        del self._lvs[name]
-
     def report(self) -> str:
         """Human-readable ``vgs``/``lvs`` style report."""
         lines = [

@@ -6,8 +6,10 @@ rounded to the precision the doc quotes (``~11x`` to the integer,
 is re-run and its payload committed, the docs must be regenerated from it:
 
 * ``docs/performance.md``: the hotpath table against
-  ``BENCH_hotpath.json`` and the store bullets under "The copy-on-write
-  store" against ``BENCH_store.json``;
+  ``BENCH_hotpath.json``, the store bullets under "The copy-on-write
+  store" against ``BENCH_store.json``, and the keystream cache's
+  cold-unit counts against one ``fig4_dd`` pass recomputed here under
+  the shipped cache rule and the one it replaced;
 * ``EXPERIMENTS.md``: Fig. 4 (table and shape-check percentages),
   Table I, Table II and the workload-mix table against ``BENCH_fig4``,
   ``BENCH_table1``, ``BENCH_table2`` and ``BENCH_workloads``, and the
@@ -107,6 +109,78 @@ def test_store_bullets_match_bench_payload():
                 f"docs/performance.md quotes {title!r} as {text} but "
                 f"BENCH_store.json {path} is {value:.3f}"
             )
+
+
+def _earlier_cache_rule(self, sector, nunits, unit_bytes):
+    """``Blake2Ctr._extent_keystream`` under the rule the scan-resistant
+    one replaced: a streaming extent's cold units never enter the cache,
+    and a small extent that would overflow it clears it wholesale."""
+    cache = self._ks_cache
+    sectors = [sector + u * unit_bytes // 512 for u in range(nunits)]
+    parts = [cache.get((s, unit_bytes)) for s in sectors]
+    missing = [s for s, ks in zip(sectors, parts) if ks is None]
+    fresh = iter(self._generate_units(missing, unit_bytes))
+    streaming = nunits > self._STREAM_UNITS
+    if not streaming and len(cache) + len(missing) > self._CACHE_UNITS:
+        cache.clear()
+    for u, s in enumerate(sectors):
+        if parts[u] is None:
+            parts[u] = next(fresh)
+            if not streaming:
+                cache[(s, unit_bytes)] = parts[u]
+    return bytearray().join(parts)
+
+
+def _dd_cold_units(monkeypatch, setting):
+    """Keystream units one ``fig4_dd`` pass generates cold on *setting*:
+    16 MiB written in 4 MiB chunks, flushed and read back, on a
+    16,384-block userdata at seed 0."""
+    from repro.bench.stacks import build_fig4_stack
+    from repro.crypto.stream import Blake2Ctr
+
+    stack = build_fig4_stack(setting, seed=0, userdata_blocks=16384)
+    cold = []
+    generate = Blake2Ctr._generate_units
+
+    def counted(self, sectors, unit_bytes):
+        cold.append(len(sectors))
+        return generate(self, sectors, unit_bytes)
+
+    chunk = bytes(range(256)) * (4 * 2**20 // 256)
+    with monkeypatch.context() as patch:
+        patch.setattr(Blake2Ctr, "_generate_units", counted)
+        with stack.fs.open("/dd.bin", "w") as handle:
+            for _ in range(4):
+                handle.write(chunk)
+        stack.fs.flush()
+        with stack.fs.open("/dd.bin", "r") as handle:
+            for _ in range(4):
+                assert handle.read(len(chunk)) == chunk
+    return sum(cold)
+
+
+#: ``8,076 → 6,185 on `android`, `a-t-p` and `a-t-h```: cold units per
+#: dd pass under the earlier cache rule and the shipped one.
+_COLD_UNITS = re.compile(r"([\d,]+) → ([\d,]+) on ((?:`[\w-]+`(?:, | and )?)+)")
+
+
+def test_keystream_cache_cold_units_match_a_dd_pass(monkeypatch):
+    from repro.bench.stacks import FIG4_SETTINGS
+    from repro.crypto.stream import Blake2Ctr
+
+    text = PERFORMANCE_MD.read_text()
+    start = text.index("* *A scan-resistant cache.*")
+    bullet = " ".join(text[start:text.index("\n  * *", start)].split())
+    quoted = {}
+    for before, after, settings in _COLD_UNITS.findall(bullet):
+        for setting in re.findall(r"`([\w-]+)`", settings):
+            quoted[setting] = (before, after)
+    assert set(quoted) == set(FIG4_SETTINGS), bullet
+    for setting, (before, after) in quoted.items():
+        assert after == f"{_dd_cold_units(monkeypatch, setting):,}", setting
+        with monkeypatch.context() as patch:
+            patch.setattr(Blake2Ctr, "_extent_keystream", _earlier_cache_rule)
+            assert before == f"{_dd_cold_units(monkeypatch, setting):,}", setting
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,8 @@ def test_cache_hits_are_identical_to_cold():
 
 
 def test_cache_eviction_never_corrupts():
-    """Overflowing the unit cache drops entries, never falsifies them."""
+    """Overflowing the unit cache drops the oldest entries, never
+    falsifies them, and never empties the cache wholesale."""
     cipher = Blake2Ctr(KEY)
     extent = 64  # units per extent: below the streaming threshold
     data = _pattern(extent * 4096)
@@ -157,13 +158,13 @@ def test_cache_eviction_never_corrupts():
     for s in sectors:
         assert cipher.encrypt_extent(s, data, 4096) == expected[s]
         sizes.append(len(cipher._ks_cache))
-    assert max(sizes) <= Blake2Ctr._CACHE_UNITS
-    # the cache was cleared wholesale once it would have overflowed
-    assert any(b < a for a, b in zip(sizes, sizes[1:])), sizes
-    # and again, in reverse, across the clears
+    # the cache grows to its ceiling and stays there
+    assert sizes == [min((i + 1) * extent, Blake2Ctr._CACHE_UNITS)
+                     for i in range(len(sectors))]
+    # and again, in reverse, across the evictions
     for s in reversed(sectors):
         assert cipher.encrypt_extent(s, data, 4096) == expected[s]
-        assert len(cipher._ks_cache) <= Blake2Ctr._CACHE_UNITS
+        assert len(cipher._ks_cache) == Blake2Ctr._CACHE_UNITS
 
 
 def _counting_generator(cipher):
@@ -179,17 +180,31 @@ def _counting_generator(cipher):
     return calls
 
 
+def _fill(cipher, nunits, first_sector):
+    """Cache *nunits* cold units in small extents from *first_sector* on."""
+    data = _pattern(Blake2Ctr._STREAM_UNITS * 4096)
+    done = 0
+    while done < nunits:
+        n = min(Blake2Ctr._STREAM_UNITS, nunits - done)
+        cipher.encrypt_extent(first_sector + 8 * done, data[: n * 4096], 4096)
+        done += n
+
+
 @pytest.mark.parametrize("extra", [0, 1], ids=["at-threshold", "one-above"])
 def test_streaming_extent_reads_cache_but_does_not_fill_it(extra):
-    """An extent of more than ``_CACHE_UNITS // 8`` units (over 1 MiB)
-    uses cached units but adds none; one at the threshold is cached."""
+    """On a full cache, an extent of more than ``_CACHE_UNITS // 8``
+    units (over 1 MiB) uses cached units but neither adds nor evicts
+    any; one at the threshold is cached, evicting the oldest units."""
     threshold = Blake2Ctr._CACHE_UNITS // 8
     nunits = threshold + extra
     cipher = Blake2Ctr(KEY)
     small = _pattern(4 * 4096)
     cipher.encrypt_extent(16, small, 4096)  # caches units at sectors 16..40
-    warm = set(cipher._ks_cache)
-    assert len(warm) == 4
+    warm = list(cipher._ks_cache)
+    _fill(cipher, Blake2Ctr._CACHE_UNITS - 4, first_sector=1 << 20)
+    before = list(cipher._ks_cache)
+    assert len(before) == Blake2Ctr._CACHE_UNITS
+    assert before[:4] == warm
     calls = _counting_generator(cipher)
     data = _pattern(nunits * 4096)
     assert cipher.encrypt_extent(0, data, 4096) == fixture_encrypt_extent(
@@ -200,10 +215,88 @@ def test_streaming_extent_reads_cache_but_does_not_fill_it(extra):
     assert len(generated) == nunits - 4
     assert not {s for s, _ in warm} & set(generated)
     if extra:
-        assert set(cipher._ks_cache) == warm
+        assert list(cipher._ks_cache) == before
     else:
-        assert len(cipher._ks_cache) == nunits
-        assert warm <= set(cipher._ks_cache)
+        # exactly the overflow goes, oldest first: the warm units too,
+        # although this extent just hit them
+        overflow = len(generated)
+        assert list(cipher._ks_cache) == before[overflow:] + [
+            (s, 4096) for s in generated
+        ]
+
+
+def test_scan_keeps_what_fits_for_the_read_back():
+    """A streaming write of twice the cache fills it once and evicts
+    nothing, so reading the working set back regenerates only the
+    half that did not fit (the Fig. 4 dd write-then-read pattern)."""
+    extent = 512  # units: a streaming extent
+    cipher = Blake2Ctr(KEY)
+    calls = _counting_generator(cipher)
+    data = _pattern(extent * 4096)
+    sectors = [i * extent * 8 for i in range(2 * Blake2Ctr._CACHE_UNITS // extent)]
+    written = {}
+    for s in sectors:
+        written[s] = cipher.encrypt_extent(s, data, 4096)
+        assert written[s] == fixture_encrypt_extent(KEY, s, data, 4096)
+    assert sum(map(len, calls)) == 2 * Blake2Ctr._CACHE_UNITS
+    assert len(cipher._ks_cache) == Blake2Ctr._CACHE_UNITS
+    calls.clear()
+    for s in sectors:
+        assert cipher.decrypt_extent(s, written[s], 4096) == data
+    assert sum(map(len, calls)) == Blake2Ctr._CACHE_UNITS
+    # the first half of the working set stayed cached, and only it
+    assert {s for s, _ in cipher._ks_cache} == {
+        s + 8 * u for s in sectors[: len(sectors) // 2] for u in range(extent)
+    }
+
+
+def test_small_extent_overflow_evicts_exactly_the_overflow_oldest_first():
+    """A hit does not reorder the cache (first-in first-out), and a small
+    extent that overflows it evicts just its overflow from the front."""
+    extent = 100  # units: a small extent
+    cipher = Blake2Ctr(KEY)
+    data = _pattern(extent * 4096)
+    sectors = [i * extent * 8 for i in range(21)]  # 2,100 units
+    for s in sectors[:20]:
+        cipher.encrypt_extent(s, data, 4096)
+    # re-reading the oldest extent hits it and moves nothing
+    before = list(cipher._ks_cache)
+    assert cipher.encrypt_extent(sectors[0], data, 4096) == (
+        fixture_encrypt_extent(KEY, sectors[0], data, 4096)
+    )
+    assert list(cipher._ks_cache) == before
+    assert len(before) == 20 * extent
+    calls = _counting_generator(cipher)
+    assert cipher.encrypt_extent(sectors[20], data, 4096) == (
+        fixture_encrypt_extent(KEY, sectors[20], data, 4096)
+    )
+    overflow = 21 * extent - Blake2Ctr._CACHE_UNITS
+    new = [(sectors[20] + 8 * u, 4096) for u in range(extent)]
+    assert list(cipher._ks_cache) == before[overflow:] + new
+    # the oldest extent's surviving tail is still served warm
+    calls.clear()
+    assert cipher.encrypt_extent(sectors[0], data, 4096) == (
+        fixture_encrypt_extent(KEY, sectors[0], data, 4096)
+    )
+    assert calls == [[sectors[0] + 8 * u for u in range(overflow)]]
+    assert len(cipher._ks_cache) == Blake2Ctr._CACHE_UNITS
+
+
+def test_streaming_extent_fills_only_free_room():
+    """A streaming extent admits its first cold units into the free room
+    of a partly filled cache and evicts nothing to admit the rest."""
+    cipher = Blake2Ctr(KEY)
+    room = 48
+    _fill(cipher, Blake2Ctr._CACHE_UNITS - room, first_sector=1 << 20)
+    before = list(cipher._ks_cache)
+    nunits = Blake2Ctr._STREAM_UNITS + 44
+    data = _pattern(nunits * 4096)
+    assert cipher.encrypt_extent(0, data, 4096) == fixture_encrypt_extent(
+        KEY, 0, data, 4096
+    )
+    assert list(cipher._ks_cache) == before + [
+        (8 * u, 4096) for u in range(room)
+    ]
 
 
 def test_ciphers_do_not_share_cache_across_keys():

@@ -52,16 +52,6 @@ class TestVolumeGroup:
         with pytest.raises(LVMError):
             vg.create_lv("lv0", 0)
 
-    def test_remove_lv_frees_extents(self):
-        vg = VolumeGroup("vg", extent_blocks=8)
-        vg.add_pv("pv0", RAMBlockDevice(32))
-        vg.create_lv("lv0", 32)
-        assert vg.free_extents == 0
-        vg.remove_lv("lv0")
-        assert vg.free_extents == 4
-        with pytest.raises(LVMError):
-            vg.get_lv("lv0")
-
     def test_lv_device_io(self):
         base = RAMBlockDevice(64)
         vg = VolumeGroup("vg", extent_blocks=8)

@@ -83,10 +83,14 @@ def test_every_metadata_operation_matches_full_serialization():
     assert result.blocks_examined > 0
     commit_and_check(pool, md)
 
-    # volume lifecycle
+    # volume lifecycle: a new volume, written, then trimmed empty
     pool.create_thin(VOLUMES + 1, VIRTUAL)
-    pool.get_thin(VOLUMES + 1).write_block(0, block(7))
-    pool.delete_thin(2)
+    fresh = pool.get_thin(VOLUMES + 1)
+    fresh.write_block(0, block(7))
+    fresh.write_block(1, block(8))
+    commit_and_check(pool, md)
+    for vblock in list(pool.volume_record(VOLUMES + 1).mappings):
+        fresh.discard(vblock)
     commit_and_check(pool, md)
 
     # crash recovery of a committed orphan bit: only the bitmap changes,
@@ -152,7 +156,7 @@ def test_only_changed_volumes_are_repacked():
 _OPS = st.lists(
     st.tuples(
         st.sampled_from(
-            ["write", "overwrite", "discard", "commit", "gc", "create", "delete"]
+            ["write", "overwrite", "discard", "commit", "gc", "create", "trim"]
         ),
         st.integers(0, 10_000),
     ),
@@ -185,9 +189,10 @@ def test_random_operation_sequences(seed, ops):
         elif op == "create":
             pool.create_thin(next_vol, 1 + arg % VIRTUAL)
             next_vol += 1
-        elif op == "delete" and vol_id > VOLUMES:
-            # volumes 2..VOLUMES stay: they are the dummy-write targets
-            pool.delete_thin(vol_id)
+        elif op == "trim":
+            thin = pool.get_thin(vol_id)
+            for vblock in mapped:
+                thin.discard(vblock)
     commit_and_check(pool, md)
 
 
