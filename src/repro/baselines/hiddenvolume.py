@@ -28,7 +28,7 @@ from repro.dm.crypt import create_crypt_device
 from repro.dm.thin.pool import ThinPool
 from repro.errors import BadPasswordError, ModeError, NotFormattedError
 from repro.fs.ext4 import Ext4Filesystem
-from repro.lvm.lvm import VolumeGroup
+from repro.lvm.lvm import thin_pool_lvs
 
 PUBLIC_VOLUME_ID = 1
 HIDDEN_VOLUME_ID = 2
@@ -56,14 +56,10 @@ class MobiPlutoSystem:
         self.phone.clock.advance(seconds, reason)
 
     def _lvm_devices(self) -> Tuple[BlockDevice, BlockDevice]:
-        area = data_area_blocks(self.phone.userdata)
-        partition = SubDevice(self.phone.userdata, 0, area)
-        extent = min(1024, max(4, area // 64))
-        vg = VolumeGroup("mobipluto", extent_blocks=extent)
-        vg.add_pv("userdata", partition)
-        meta_lv = vg.create_lv("thinmeta", self._meta_blocks)
-        data_lv = vg.create_lv("thindata", vg.free_extents * extent)
-        return meta_lv.open(), data_lv.open()
+        userdata = self.phone.userdata
+        return thin_pool_lvs(
+            userdata, data_area_blocks(userdata), self._meta_blocks
+        )
 
     def _volume_device(self, vol_id: int, key: bytes):
         thin = self._pool.get_thin(vol_id)

@@ -32,7 +32,7 @@ from repro.dm.crypt import create_crypt_device
 from repro.dm.thin.pool import ThinPool
 from repro.fs.ext4 import Ext4Filesystem
 from repro.fs.vfs import Filesystem
-from repro.lvm.lvm import VolumeGroup
+from repro.lvm.lvm import thin_pool_lvs
 
 FIG4_SETTINGS = ("android", "a-t-p", "a-t-h", "mc-p", "mc-h")
 
@@ -53,21 +53,18 @@ def _thin_pool_stack(
 ) -> Stack:
     """Stock-kernel thin stack (A-T-P / A-T-H): sequential, no dummy writes."""
     area = data_area_blocks(phone.userdata)
-    partition = SubDevice(phone.userdata, 0, area)
-    extent = min(1024, max(4, area // 64))
-    vg = VolumeGroup("att", extent_blocks=extent)
-    vg.add_pv("userdata", partition)
-    meta_lv = vg.create_lv("thinmeta", max(8, int(area * 0.02)))
-    data_lv = vg.create_lv("thindata", vg.free_extents * extent)
+    meta_dev, data_dev = thin_pool_lvs(
+        phone.userdata, area, max(8, int(area * 0.02))
+    )
     pool = ThinPool.format(
-        meta_lv.open(),
-        data_lv.open(),
+        meta_dev,
+        data_dev,
         allocation="sequential",
         clock=phone.clock,
         costs=phone.profile.thin_costs,
     )
     for vid in (1, 2):
-        pool.create_thin(vid, data_lv.num_blocks)
+        pool.create_thin(vid, data_dev.num_blocks)
     crypt = create_crypt_device(
         name,
         pool.get_thin(vol_id),

@@ -325,7 +325,8 @@ class BlockDevice(ABC):
         """
         if count <= 0:
             return b""
-        self._check_extent(start, count)
+        if self._closed or start < 0 or start + count > self._num_blocks:
+            self._check_extent(start, count)
         data = self._read_extent(start, count, costs)
         if _RECOVERY_DEPTH.get():
             self.stats.recovery_reads += count
@@ -343,7 +344,8 @@ class BlockDevice(ABC):
         count = len(data) // self._block_size
         if count == 0:
             return
-        self._check_extent(start, count)
+        if self._closed or start < 0 or start + count > self._num_blocks:
+            self._check_extent(start, count)
         self._write_extent(start, data, costs)
         if _RECOVERY_DEPTH.get():
             self.stats.recovery_writes += count
@@ -387,6 +389,8 @@ class BlockDevice(ABC):
             raise OutOfRangeError(block, self._num_blocks)
 
     def _check_extent(self, start: int, count: int) -> None:
+        # read_blocks/write_blocks test the open, in-range case inline and
+        # come here only to raise the error
         if self._closed:
             raise DeviceClosedError("I/O on closed device")
         if start < 0 or start + count > self._num_blocks:

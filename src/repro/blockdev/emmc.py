@@ -57,7 +57,7 @@ class EMMCDevice(RAMBlockDevice):
     ) -> bytes:
         sequential = self._last_read_end == start
         self._last_read_end = start + count
-        bs = self.block_size
+        bs = self._block_size
         self._charge(
             count,
             self.latency.read_cost(bs, sequential),
@@ -70,7 +70,7 @@ class EMMCDevice(RAMBlockDevice):
     def _write_extent(
         self, start: int, data: bytes, costs: Optional[ExtentCosts]
     ) -> None:
-        bs = self.block_size
+        bs = self._block_size
         count = len(data) // bs
         sequential = self._last_write_end == start
         self._last_write_end = start + count
@@ -103,9 +103,22 @@ class EMMCDevice(RAMBlockDevice):
         by construction (*rest*). Jitter is one RNG draw per block, in block
         order, applied to the hoisted cost — exactly what drawing it
         around a per-block ``*_cost`` call computes.
+
+        The device books its own charge: the same two float additions as
+        :meth:`SimClock.advance <repro.blockdev.clock.SimClock.advance>`
+        (``now``, then the ``charged`` ledger), and one histogram looked
+        up per extent. Jitter stays below 1, so a charge is negative only
+        if its cost is; the costs are checked once, up front.
         """
-        advance = self.clock.advance
-        observe = obs.observe_latency
+        if first < 0 or (count > 1 and rest < 0):
+            raise ValueError(
+                "cannot advance clock by negative time: "
+                f"{first if first < 0 else rest}"
+            )
+        clock = self.clock
+        charged = clock.charged
+        rec = obs.current()
+        hist = rec.metrics.histogram(name) if rec is not None else None
         jitter = self._jitter
         draw = self._jitter_rng.random
         # an empty half of the schedule is skipped, not replayed per block
@@ -122,8 +135,10 @@ class EMMCDevice(RAMBlockDevice):
             charge = cost
             if jitter:
                 charge = cost * (1.0 + jitter * (2.0 * draw() - 1.0))
-            advance(charge, name)
-            observe(name, charge)
+            clock.now += charge
+            charged[name] = charged.get(name, 0.0) + charge
+            if hist is not None:
+                hist.observe(charge)
             if post is not None:
                 post()
             cost = rest

@@ -46,7 +46,7 @@ from repro.errors import (
 from repro.fs.ext4 import Ext4Filesystem
 from repro.fs.tmpfs import TmpFilesystem
 from repro.fs.vfs import Filesystem
-from repro.lvm.lvm import VolumeGroup
+from repro.lvm.lvm import thin_pool_lvs
 
 #: Extra boot-time cost of the MobiCeal kernel modifications (random
 #: allocator initialization, multi-volume activation); calibrated so the
@@ -86,9 +86,8 @@ class MobiCealSystem:
         self._screenlock_password = "0000"
         #: recovery report of the last crash-boot (None after a clean boot)
         self.last_recovery: Optional[PoolRecovery] = None
-        meta_blocks, data_blocks = self._layout()
-        self._meta_blocks = meta_blocks
-        self._data_blocks = data_blocks
+        area = data_area_blocks(phone.userdata)
+        self._meta_blocks = max(8, int(area * self.config.metadata_fraction))
 
     @classmethod
     def attach(
@@ -111,23 +110,12 @@ class MobiCealSystem:
 
     # -- layout -----------------------------------------------------------------
 
-    def _layout(self) -> Tuple[int, int]:
-        """(metadata LV blocks, data LV blocks) within the userdata area."""
-        area = data_area_blocks(self.phone.userdata)
-        meta = max(8, int(area * self.config.metadata_fraction))
-        return meta, area - meta
-
     def _lvm_devices(self) -> Tuple[BlockDevice, BlockDevice]:
         """Build the metadata/data LVs the way Vold does with the LVM tools."""
-        area = data_area_blocks(self.phone.userdata)
-        data_partition = SubDevice(self.phone.userdata, 0, area)
-        extent = min(1024, max(4, area // 64))
-        vg = VolumeGroup("mobiceal", extent_blocks=extent)
-        vg.add_pv("userdata", data_partition)
-        meta_lv = vg.create_lv("thinmeta", self._meta_blocks)
-        # the data LV takes everything the metadata LV's extent rounding left
-        data_lv = vg.create_lv("thindata", vg.free_extents * extent)
-        return meta_lv.open(), data_lv.open()
+        userdata = self.phone.userdata
+        return thin_pool_lvs(
+            userdata, data_area_blocks(userdata), self._meta_blocks
+        )
 
     def _charge(self, seconds: float, reason: str) -> None:
         self.phone.clock.advance(seconds, reason)

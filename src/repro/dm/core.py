@@ -10,6 +10,7 @@ we reproduce the same architecture.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -85,6 +86,7 @@ class DMDevice(BlockDevice):
         super().__init__(total, block_size)
         self.name = name
         self._table: List[TableEntry] = validated
+        self._starts: List[int] = [entry.start for entry in validated]
 
     @property
     def table(self) -> List[TableEntry]:
@@ -92,21 +94,20 @@ class DMDevice(BlockDevice):
 
     def _lookup(self, block: int) -> tuple:
         """Locate (entry, offset-within-target) for a virtual block."""
-        lo, hi = 0, len(self._table) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            entry = self._table[mid]
-            if block < entry.start:
-                hi = mid - 1
-            elif block >= entry.start + entry.length:
-                lo = mid + 1
-            else:
-                return entry, block - entry.start
-        raise TableError(f"no table entry covers block {block}")  # pragma: no cover
+        index = bisect_right(self._starts, block) - 1
+        if index >= 0:
+            entry = self._table[index]
+            offset = block - entry.start
+            if offset < entry.length:
+                return entry, offset
+        raise TableError(f"no table entry covers block {block}")
 
     def _read_extent(
         self, start: int, count: int, costs: Optional[ExtentCosts]
     ) -> bytes:
+        entry, offset = self._lookup(start)
+        if offset + count <= entry.length:  # within one segment
+            return entry.target.read_extent(offset, count, costs)
         parts = []
         while count > 0:
             entry, offset = self._lookup(start)
@@ -121,6 +122,10 @@ class DMDevice(BlockDevice):
     ) -> None:
         bs = self._block_size
         count = len(data) // bs
+        entry, offset = self._lookup(start)
+        if offset + count <= entry.length:  # within one segment
+            entry.target.write_extent(offset, data, costs)
+            return
         pos = 0
         while count > 0:
             entry, offset = self._lookup(start)

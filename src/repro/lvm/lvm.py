@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.blockdev.device import BlockDevice
 from repro.dm.core import DMDevice, TableEntry
@@ -14,18 +14,32 @@ DEFAULT_EXTENT_BLOCKS = 1024
 
 
 class PhysicalVolume:
-    """A block device initialized for LVM use (``pvcreate``)."""
+    """The first *blocks* blocks of a device, initialized for LVM use
+    (``pvcreate``).
 
-    def __init__(self, name: str, device: BlockDevice, extent_blocks: int) -> None:
-        if device.num_blocks < extent_blocks:
+    Like a kernel partition, the PV is an offset range on its device, not
+    a device of its own: LVs map their linear segments straight onto
+    *device*, and nothing past *blocks* (a crypto footer, say) is ever
+    allocated.
+    """
+
+    def __init__(
+        self, name: str, device: BlockDevice, extent_blocks: int, blocks: int
+    ) -> None:
+        if not 0 < blocks <= device.num_blocks:
+            raise LVMError(
+                f"PV {name} of {blocks} blocks does not fit its device "
+                f"of {device.num_blocks} blocks"
+            )
+        if blocks < extent_blocks:
             raise LVMError(
                 f"device {name} too small for even one extent "
-                f"({device.num_blocks} < {extent_blocks} blocks)"
+                f"({blocks} < {extent_blocks} blocks)"
             )
         self.name = name
         self.device = device
         self.extent_blocks = extent_blocks
-        self.num_extents = device.num_blocks // extent_blocks
+        self.num_extents = blocks // extent_blocks
 
     def extent_range(self, extent: int) -> Tuple[int, int]:
         """(start_block, num_blocks) of one extent on the device."""
@@ -81,11 +95,16 @@ class VolumeGroup:
 
     # -- composition -----------------------------------------------------------
 
-    def add_pv(self, name: str, device: BlockDevice) -> PhysicalVolume:
-        """``pvcreate`` + ``vgextend``: bring a device into the group."""
+    def add_pv(
+        self, name: str, device: BlockDevice, blocks: Optional[int] = None
+    ) -> PhysicalVolume:
+        """``pvcreate`` + ``vgextend``: bring the first *blocks* blocks of
+        a device (all of it by default) into the group."""
         if any(pv.name == name for pv in self._pvs):
             raise LVMError(f"PV {name} already in VG {self.name}")
-        pv = PhysicalVolume(name, device, self.extent_blocks)
+        if blocks is None:
+            blocks = device.num_blocks
+        pv = PhysicalVolume(name, device, self.extent_blocks, blocks)
         self._pvs.append(pv)
         self._free.extend((pv, e) for e in range(pv.num_extents))
         return pv
@@ -137,3 +156,20 @@ class VolumeGroup:
             lines.append(f"  LV {name}: {len(lv.extents)} extents, "
                          f"{lv.num_blocks} blocks")
         return "\n".join(lines)
+
+
+def thin_pool_lvs(
+    medium: BlockDevice, area: int, meta_blocks: int
+) -> Tuple[DMDevice, DMDevice]:
+    """(metadata LV, data LV) of a thin pool over *medium*'s first *area*
+    blocks, laid out the way Vold drives the LVM tools.
+
+    Extents are area/64 blocks, clamped to [4, 1024]. The metadata LV is
+    allocated first; the data LV takes every extent its rounding left.
+    """
+    extent = min(DEFAULT_EXTENT_BLOCKS, max(4, area // 64))
+    vg = VolumeGroup("thinpool", extent_blocks=extent)
+    vg.add_pv("userdata", medium, area)
+    meta_lv = vg.create_lv("thinmeta", meta_blocks)
+    data_lv = vg.create_lv("thindata", vg.free_extents * extent)
+    return meta_lv.open(), data_lv.open()

@@ -196,21 +196,6 @@ class FleetStore:
             self._conn.commit()
             return int(cur.lastrowid)
 
-    def get_device(self, device_id: int) -> Optional[Dict[str, object]]:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT id, name, spec, state FROM devices WHERE id = ?",
-                (device_id,),
-            ).fetchone()
-        if row is None:
-            return None
-        return {
-            "id": row[0],
-            "name": row[1],
-            "spec": json.loads(row[2]),
-            "state": json.loads(row[3]),
-        }
-
     def list_devices(self) -> List[Dict[str, object]]:
         with self._lock:
             rows = self._conn.execute(
@@ -466,21 +451,6 @@ class FleetStore:
                 raise
             self._last_snapshot[device_id] = (snapshot.label, new)
             return int(cur.lastrowid), digest, delta
-
-    def get_snapshot(self, device_id: int, snapshot_id: int) -> Snapshot:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT label, taken_at, block_size, manifest FROM snapshots "
-                "WHERE id = ? AND device_id = ?",
-                (snapshot_id, device_id),
-            ).fetchone()
-            if row is None:
-                raise NoSuchDeviceError(
-                    f"snapshot {snapshot_id} of device {device_id}"
-                )
-            return self._load_manifest_locked(
-                unpack_manifest(row[3]), row[2], row[0], row[1]
-            )
 
     def list_snapshots(self, device_id: int) -> List[Dict[str, object]]:
         with self._lock:

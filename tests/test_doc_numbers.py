@@ -9,7 +9,8 @@ is re-run and its payload committed, the docs must be regenerated from it:
   ``BENCH_hotpath.json``, the store bullets under "The copy-on-write
   store" against ``BENCH_store.json``, and the keystream cache's
   cold-unit counts against one ``fig4_dd`` pass recomputed here under
-  the shipped cache rule and the one it replaced;
+  the shipped cache rule and the one it replaced, and the one-block
+  path's data LV segment count against an mc-p stack;
 * ``EXPERIMENTS.md``: Fig. 4 (table and shape-check percentages),
   Table I, Table II and the workload-mix table against ``BENCH_fig4``,
   ``BENCH_table1``, ``BENCH_table2`` and ``BENCH_workloads``, and the
@@ -181,6 +182,19 @@ def test_keystream_cache_cold_units_match_a_dd_pass(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(Blake2Ctr, "_extent_keystream", _earlier_cache_rule)
             assert before == f"{_dd_cold_units(monkeypatch, setting):,}", setting
+
+
+def test_one_block_path_segment_count_matches_the_stack():
+    """The data LV's quoted segment count is that of an mc-p stack at the
+    16,384-block userdata of the e2e ``mixed_daily`` replay."""
+    from repro.workload import build_workload_stack
+
+    text = PERFORMANCE_MD.read_text()
+    section = text[text.index("## The one-block path"):]
+    section = section[:section.index("\n## ")]
+    (quoted,) = re.findall(r"(\d+) linear segments", " ".join(section.split()))
+    stack = build_workload_stack("mc-p", seed=0, userdata_blocks=16384)
+    assert int(quoted) == len(stack.system.pool.data_device.table)
 
 
 # ---------------------------------------------------------------------------

@@ -929,7 +929,7 @@ class TestFleetStore:
             store.checkpoint(999, {}, {})
         with pytest.raises(NoSuchDeviceError):
             store.delete_device(999)
-        assert store.get_device(999) is None
+        assert [r["name"] for r in store.list_devices()] == ["a"]
         store.close()
 
     def test_schema_version_gate(self, tmp_path):
@@ -976,7 +976,7 @@ class TestDeviceConfig:
         live._checkpoint()
         live.writer.close()
 
-        record = store.get_device(device_id)
+        (record,) = store.list_devices()
         resumed = ServerDevice.resume(record, store, tmp_path)
         assert resumed.image_digest == live.image_digest
         resumed.boot(config.decoy_password)

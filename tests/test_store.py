@@ -52,6 +52,12 @@ def _block(tag, bs=BS):
     return bytes([(tag * 41 + i) % 251 for i in range(bs)])
 
 
+def _record(db, device_id):
+    """*device_id*'s record as the daemon's resume path reads it."""
+    (record,) = [r for r in db.list_devices() if r["id"] == device_id]
+    return record
+
+
 def _rows(db, table):
     """Every row of *table*, in key order (fixed table names only)."""
     order = {
@@ -329,7 +335,7 @@ class TestAtomicCheckpoint:
         )
         for medium, tag in (("userdata", 1), ("cache", 2), ("devlog", 3)):
             assert db.load_image(device_id, medium).blocks == _snap(tag).blocks
-        assert db.get_device(device_id)["state"] == {"mode": "public"}
+        assert _record(db, device_id)["state"] == {"mode": "public"}
         db.close()
 
     def test_failure_mid_images_rolls_back_every_row(self, tmp_path):
@@ -359,7 +365,7 @@ class TestAtomicCheckpoint:
             )
         # nothing of checkpoint N+1 is visible...
         assert db.load_image(device_id, "userdata").blocks == _snap(1).blocks
-        assert db.get_device(device_id)["state"] == {"gen": 1}
+        assert _record(db, device_id)["state"] == {"gen": 1}
         db.close()
         # ...and the on-disk file agrees after a restart
         reopened = FleetStore(path)
@@ -367,7 +373,7 @@ class TestAtomicCheckpoint:
             _snap(1).blocks
         assert reopened.load_image(device_id, "devlog").blocks == \
             _snap(3).blocks
-        assert reopened.get_device(device_id)["state"] == {"gen": 1}
+        assert _record(reopened, device_id)["state"] == {"gen": 1}
         reopened.close()
 
     def test_failure_on_state_row_rolls_back_images(self, tmp_path):
@@ -582,22 +588,18 @@ class TestDeltaCheckpoint:
         db = FleetStore(tmp_path / "f.db")
         device_id = db.create_device("d", {})
         device = _cow_device()
-        first_id, _, first_delta = db.add_snapshot(
-            device_id, capture(device, label="a")
-        )
+        first = capture(device, label="a")
+        _, _, first_delta = db.add_snapshot(device_id, first)
         assert first_delta is None
         blocks_before = db.stats()["blocks"]
         for lba in (0, 1, 2, 99, DELTA_BLOCKS - 1):
             device.poke_extent(lba, _block(500))  # one distinct new block
         device.poke_extent(150, _block(0))  # content already stored
-        second_id, _, delta = db.add_snapshot(
-            device_id, capture(device, label="b")
-        )
-        expected = diff(
-            db.get_snapshot(device_id, first_id),
-            db.get_snapshot(device_id, second_id),
-        )
-        assert delta == expected
+        second = capture(device, label="b")
+        _, digest, delta = db.add_snapshot(device_id, second)
+        # the block-by-block diff of the two captured images
+        assert delta == diff(first, second)
+        assert digest == second.manifest_digest()
         assert delta.changed_blocks == (0, 1, 2, 99, 150, DELTA_BLOCKS - 1)
         assert db.stats()["blocks"] == blocks_before + 1
         db.close()
@@ -643,8 +645,9 @@ class TestSnapshotRoute:
         assert delta.changed_blocks == (5, 200)
         assert sorted(set(blocks.indexed)) == [5, 200]
         assert digest == frozen.manifest_digest()
-        assert db.get_snapshot(device_id, snapshot_id).blocks == \
-            frozen.blocks
+        assert db.list_snapshots(device_id)[-1] == {
+            "id": snapshot_id, "label": "b", "taken_at": 0.0, "digest": digest,
+        }
         db.close()
 
     def test_restarted_store_diffs_against_the_pre_restart_snapshot(
@@ -750,7 +753,7 @@ class TestDurableJournal:
         loaded = db.load_image(device_id, "userdata")
         assert loaded.blocks == image.blocks
         assert loaded.manifest_digest() == image.manifest_digest()
-        assert db.get_device(device_id)["state"] == {"gen": 1}
+        assert _record(db, device_id)["state"] == {"gen": 1}
         db.close()
 
     def test_memory_store_keeps_working(self):
@@ -786,7 +789,7 @@ class TestServerStoreBackend:
         device = ServerDevice.create(device_id, config, db, tmp_path)
         assert _cow_media(device)
         device.writer.close()
-        resumed = ServerDevice.resume(db.get_device(device_id), db, tmp_path)
+        resumed = ServerDevice.resume(_record(db, device_id), db, tmp_path)
         assert _cow_media(resumed)
         resumed.writer.close()
         db.close()
@@ -827,7 +830,7 @@ class TestServerStoreBackend:
         digest = device.image_digest
         assert digest is not None
         device.writer.close()
-        record = db.get_device(device_id)
+        record = _record(db, device_id)
         resumed = ServerDevice.resume(record, db, tmp_path)
         assert resumed.image_digest == digest
         resumed.writer.close()
